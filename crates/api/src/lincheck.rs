@@ -35,8 +35,9 @@
 //!
 //! [`check_linearizable`] drives the whole pipeline from a seed: run a
 //! mixed workload, record, dump the history to a file (forensic evidence
-//! even if the checker itself is interrupted), check, and panic with the
-//! minimal counterexample on violation. [`sweep_lincheck_chaos_seeds`]
+//! even if the checker itself is interrupted), check, and return a
+//! [`LincheckFailure`] — the minimal counterexample plus that check's own
+//! dump path — on violation. [`sweep_lincheck_chaos_seeds`]
 //! layers the chaos failpoint subsystem on top to diversify the
 //! interleavings each seed explores.
 //!
@@ -843,10 +844,12 @@ pub fn record_history<M: ConcurrentMap<u64, u64>>(
 
 /// The most recently written history dump path, if any (process-global).
 ///
-/// [`check_linearizable`] notes every dump it writes here so the
+/// Every dump is noted here for one reader only: the
 /// [`stress_watchdog`](crate::testkit::stress_watchdog) timeout
-/// diagnostic can point at the forensic evidence a hung lincheck run
-/// left behind.
+/// diagnostic, which has no failure value to read and must point at the
+/// forensic evidence a hung lincheck run left behind. Parallel checks
+/// overwrite the slot, so a test asserting on its own dump reads
+/// [`LincheckFailure::dump`] instead.
 static LAST_DUMP: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Records `path` as the most recent history dump.
@@ -860,11 +863,17 @@ pub fn last_history_dump() -> Option<PathBuf> {
     LAST_DUMP.lock().unwrap().clone()
 }
 
+/// Per-process dump sequence number: with the process id it makes every
+/// dump name unique, so reruns, parallel checks and concurrent test
+/// binaries never overwrite each other's evidence.
+static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Writes the rendered history as
-/// `lincheck_<name>_<seed>.history.txt` under `CITRUS_LIN_DUMP_DIR`
-/// (default: the OS temp directory) and notes the path for the stress
-/// watchdog. Returns `None` (with a warning) if the write fails — dump
-/// failure must never mask the actual linearizability verdict.
+/// `lincheck_<name>_<seed>_<pid>_<n>.history.txt` under
+/// `CITRUS_LIN_DUMP_DIR` (default: the OS temp directory) and notes the
+/// path for the stress watchdog. Returns `None` (with a warning) if the
+/// write fails — dump failure must never mask the actual linearizability
+/// verdict.
 fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
     let dir =
         std::env::var_os("CITRUS_LIN_DUMP_DIR").map_or_else(std::env::temp_dir, PathBuf::from);
@@ -875,7 +884,9 @@ fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
         );
         return None;
     }
-    let path = dir.join(format!("lincheck_{name}_{seed:#x}.history.txt"));
+    let n = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let pid = std::process::id();
+    let path = dir.join(format!("lincheck_{name}_{seed:#x}_{pid}_{n}.history.txt"));
     let body = format!(
         "# lincheck history: structure {name}, seed {seed:#x}, {} ops\n{}",
         history.ops.len(),
@@ -960,99 +971,147 @@ where
     History::from_thread_logs(logs)
 }
 
-/// Shared verdict handling for the end-to-end drivers: dump, check,
-/// panic with the minimal counterexample on violation.
+/// A failed end-to-end linearizability check
+/// ([`check_linearizable`] / [`check_linearizable_scans`]): the minimal
+/// counterexample, the run that produced it, and this check's own history
+/// dump. `Display` renders the full report.
+#[derive(Debug, Clone)]
+pub struct LincheckFailure {
+    /// The checked structure's [`ConcurrentMap::NAME`].
+    pub name: &'static str,
+    /// The workload seed.
+    pub seed: u64,
+    /// Recording threads.
+    pub threads: usize,
+    /// Operations per recording thread.
+    pub ops_per_thread: usize,
+    /// Keys were drawn from `[0, key_range)`.
+    pub key_range: u64,
+    /// The minimal non-linearizable sub-history.
+    pub counterexample: NonLinearizable,
+    /// The full recorded history with the verdict appended — written for
+    /// this check alone, under a name no other check reuses. `None` when
+    /// the write failed.
+    pub dump: Option<PathBuf>,
+    /// One copy-pasteable line reproducing the perturbation context
+    /// (active deterministic schedule or chaos plan seed), if any.
+    pub replay: Option<String>,
+}
+
+impl fmt::Display for LincheckFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "non-linearizable history for {} (seed {:#x}, {} threads × {} ops, keys [0, {})):",
+            self.name, self.seed, self.threads, self.ops_per_thread, self.key_range
+        )?;
+        writeln!(f, "{}", self.counterexample)?;
+        match &self.dump {
+            Some(path) => write!(f, "full history dump: {}", path.display())?,
+            None => write!(f, "full history dump unavailable (write failed)")?,
+        }
+        if let Some(recipe) = &self.replay {
+            write!(f, "\nreplay: {recipe}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Shared verdict handling for the end-to-end checks: dump, check, and
+/// on violation append the verdict to the dump and return the failure.
 fn verify_recorded(
-    name: &str,
+    name: &'static str,
     threads: usize,
     ops_per_thread: usize,
     key_range: u64,
     seed: u64,
     history: &History,
-) {
+) -> Result<(), Box<LincheckFailure>> {
     let dump = dump_history(name, seed, history);
-    if let Err(cx) = check_history(history) {
-        let dump_note = match &dump {
-            Some(path) => {
-                // Append the counterexample to the dump so the artifact is
-                // self-contained.
-                let _ = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| {
-                        use std::io::Write as _;
-                        write!(f, "\n# VERDICT\n{cx}\n")
-                    });
-                format!("full history dump: {}", path.display())
-            }
-            None => "full history dump unavailable (write failed)".to_string(),
-        };
-        // One copy-pasteable line reproducing the perturbation context
-        // (active deterministic schedule or chaos plan seed), if any.
-        let recipe_note = match citrus_chaos::replay_recipe() {
-            Some(recipe) => format!("\nreplay: {recipe}"),
-            None => String::new(),
-        };
-        panic!(
-            "non-linearizable history for {name} (seed {seed:#x}, {threads} threads × \
-             {ops_per_thread} ops, keys [0, {key_range})):\n{cx}\n{dump_note}{recipe_note}"
-        );
+    let Err(counterexample) = check_history(history) else {
+        return Ok(());
+    };
+    if let Some(path) = &dump {
+        // Append the counterexample to the dump so the artifact is
+        // self-contained.
+        let _ = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| {
+                use std::io::Write as _;
+                write!(f, "\n# VERDICT\n{counterexample}\n")
+            });
     }
+    Err(Box::new(LincheckFailure {
+        name,
+        seed,
+        threads,
+        ops_per_thread,
+        key_range,
+        counterexample,
+        dump,
+        replay: citrus_chaos::replay_recipe(),
+    }))
 }
 
 /// End-to-end linearizability check: build a fresh map with `make`, run a
 /// seeded mixed workload (`threads` × `ops_per_thread` over
-/// `[0, key_range)`), dump the recorded history to a file (see
-/// [`last_history_dump`]), and verify it with the WGL checker.
+/// `[0, key_range)`), dump the recorded history to a file, and verify it
+/// with the WGL checker.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the pretty-printed minimal counterexample (and the dump
-/// path) if the history is not linearizable.
+/// Returns the minimal counterexample, with the path of this check's own
+/// history dump, if the history is not linearizable.
 pub fn check_linearizable<M, F>(
     make: F,
     threads: usize,
     ops_per_thread: usize,
     key_range: u64,
     seed: u64,
-) where
+) -> Result<(), Box<LincheckFailure>>
+where
     M: ConcurrentMap<u64, u64>,
     F: Fn() -> M,
 {
     let map = make();
     let history = record_history(&map, threads, ops_per_thread, key_range, seed);
-    verify_recorded(M::NAME, threads, ops_per_thread, key_range, seed, &history);
+    verify_recorded(M::NAME, threads, ops_per_thread, key_range, seed, &history)
 }
 
 /// [`check_linearizable`] with ordered reads in the workload mix (see
 /// [`record_scan_history`]): verifies that range scans, successors, and
 /// predecessors linearize together with the concurrent point updates.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the pretty-printed minimal counterexample if the history
-/// is not linearizable.
+/// As for [`check_linearizable`].
 pub fn check_linearizable_scans<M, F>(
     make: F,
     threads: usize,
     ops_per_thread: usize,
     key_range: u64,
     seed: u64,
-) where
+) -> Result<(), Box<LincheckFailure>>
+where
     M: ConcurrentMap<u64, u64>,
     for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
     F: Fn() -> M,
 {
     let map = make();
     let history = record_scan_history(&map, threads, ops_per_thread, key_range, seed);
-    verify_recorded(M::NAME, threads, ops_per_thread, key_range, seed, &history);
+    verify_recorded(M::NAME, threads, ops_per_thread, key_range, seed, &history)
 }
 
 /// Sweeps `count` consecutive chaos schedule seeds starting at
 /// `base_seed`: each seed installs a [`ChaosPlan`] (schedule perturbation
 /// at every failpoint; a no-op without the `chaos` cargo feature) and
-/// runs [`check_linearizable`] with the same seed driving the workload,
-/// printing the replay recipe before re-raising any failure.
+/// runs [`check_linearizable`] with the same seed driving the workload.
+///
+/// # Panics
+///
+/// Panics with the failure report and the chaos seed to replay on the
+/// first non-linearizable history.
 pub fn sweep_lincheck_chaos_seeds<M, F>(
     make: F,
     threads: usize,
@@ -1066,16 +1125,15 @@ pub fn sweep_lincheck_chaos_seeds<M, F>(
 {
     for i in 0..count {
         let seed = base_seed.wrapping_add(i);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let verdict = {
             let _chaos = install_chaos(ChaosPlan::from_seed(seed));
-            check_linearizable(&make, threads, ops_per_thread, key_range, seed);
-        }));
-        if let Err(payload) = outcome {
-            eprintln!(
-                "[citrus-lincheck] chaos seed {seed:#x} produced a non-linearizable history — \
+            check_linearizable(&make, threads, ops_per_thread, key_range, seed)
+        };
+        if let Err(failure) = verdict {
+            panic!(
+                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this history — \
                  replay with check_linearizable under ChaosPlan::from_seed({seed:#x})"
             );
-            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -1083,6 +1141,10 @@ pub fn sweep_lincheck_chaos_seeds<M, F>(
 /// Like [`sweep_lincheck_chaos_seeds`] but over the scan workload: each
 /// seed installs a [`ChaosPlan`] and runs [`check_linearizable_scans`]
 /// with the same seed driving the workload.
+///
+/// # Panics
+///
+/// As for [`sweep_lincheck_chaos_seeds`].
 pub fn sweep_lincheck_scan_chaos_seeds<M, F>(
     make: F,
     threads: usize,
@@ -1097,17 +1159,15 @@ pub fn sweep_lincheck_scan_chaos_seeds<M, F>(
 {
     for i in 0..count {
         let seed = base_seed.wrapping_add(i);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let verdict = {
             let _chaos = install_chaos(ChaosPlan::from_seed(seed));
-            check_linearizable_scans(&make, threads, ops_per_thread, key_range, seed);
-        }));
-        if let Err(payload) = outcome {
-            eprintln!(
-                "[citrus-lincheck] chaos seed {seed:#x} produced a non-linearizable scan \
-                 history — replay with check_linearizable_scans under \
-                 ChaosPlan::from_seed({seed:#x})"
+            check_linearizable_scans(&make, threads, ops_per_thread, key_range, seed)
+        };
+        if let Err(failure) = verdict {
+            panic!(
+                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this scan history — \
+                 replay with check_linearizable_scans under ChaosPlan::from_seed({seed:#x})"
             );
-            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -1593,12 +1653,14 @@ mod tests {
 
     #[test]
     fn correct_map_passes_end_to_end() {
-        check_linearizable(CoarseMap::default, 4, 150, 16, 0x11C4EC);
+        check_linearizable(CoarseMap::default, 4, 150, 16, 0x11C4EC)
+            .unwrap_or_else(|f| panic!("{f}"));
     }
 
     #[test]
     fn correct_map_passes_the_scan_workload_end_to_end() {
-        check_linearizable_scans(CoarseMap::default, 3, 120, 16, 0x5CA11);
+        check_linearizable_scans(CoarseMap::default, 3, 120, 16, 0x5CA11)
+            .unwrap_or_else(|f| panic!("{f}"));
     }
 
     #[test]
@@ -1643,8 +1705,23 @@ mod tests {
     fn dump_note_round_trips() {
         // check_linearizable above already wrote a dump; the registry must
         // surface *some* path once any lincheck ran in this process.
-        check_linearizable(CoarseMap::default, 1, 10, 4, 0xD00D);
+        check_linearizable(CoarseMap::default, 1, 10, 4, 0xD00D).unwrap_or_else(|f| panic!("{f}"));
         let path = last_history_dump().expect("a dump was recorded");
         assert!(path.to_string_lossy().contains("lincheck_"));
+    }
+
+    #[test]
+    fn dump_names_are_unique_per_call() {
+        // Same structure name and seed twice: the second dump must not
+        // overwrite the first.
+        let history = record_history(&CoarseMap::default(), 1, 4, 4, 0xD00E);
+        let first = dump_history("dump-uniqueness", 0xD00E, &history).expect("dump written");
+        let second = dump_history("dump-uniqueness", 0xD00E, &history).expect("dump written");
+        assert_ne!(first, second);
+        assert!(first.exists() && second.exists());
+        let pid = std::process::id().to_string();
+        assert!(first.to_string_lossy().contains(&pid));
+        let _ = std::fs::remove_file(first);
+        let _ = std::fs::remove_file(second);
     }
 }

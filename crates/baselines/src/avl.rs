@@ -340,9 +340,18 @@ where
 
                         // ≤1 child: unlink the node under parent + node locks.
                         let p = (*n).parent.load(Ordering::Acquire);
+                        // The parent-read→lock window: `p` may be
+                        // unlinked first, which the check below catches.
+                        chaos::point!("baseline-avl/remove/before-parent-lock");
                         (*p).lock.lock();
-                        let Some(d) = Self::dir_of(p, n) else {
-                            // p is no longer n's parent; retry.
+                        // An unlinked `p` still points at `n`, but `n`
+                        // now hangs off `p`'s old parent: unlinking it
+                        // from `p` would mark a node that stays reachable
+                        // UNLINKED, and every later descent reaching it
+                        // would retry forever.
+                        let linked = (*p).version.load(Ordering::Acquire) & UNLINKED == 0;
+                        let Some(d) = Self::dir_of(p, n).filter(|_| linked) else {
+                            // p is no longer n's (live) parent; retry.
                             (*p).lock.unlock();
                             backoff.snooze();
                             continue;

@@ -64,18 +64,23 @@
 //! another — shard A's snapshot would predate shard B's, and a writer
 //! completing two inserts between them could be observed half-done.
 //! Instead the session enters the relevant shards' read-side contexts,
-//! collects a validated traversal per shard, and only then re-checks all
-//! recorded edges across those shards, restarting the whole fan-out if
-//! any moved. All reads precede all re-checks, so a successful pass
-//! observed every entered shard simultaneously at one instant; the
-//! per-shard results k-way merge into one ascending list.
+//! collects a traversal per shard, and only then re-checks all recorded
+//! edges across those shards, restarting the whole fan-out if any moved.
+//! All reads precede all re-checks, so a successful pass observed every
+//! entered shard simultaneously at one instant; the per-shard results
+//! k-way merge into one ascending list. The per-shard traversals advance
+//! round-robin, one edge each per round, prefetching the node each step
+//! will read next: the shards' independent chains of cache misses overlap
+//! instead of running back to back. Joint validation only needs every
+//! read before every re-check, not any order among the reads.
 //!
 //! Which shards are "relevant" is the routers' big divergence. Under hash
 //! routing *every* shard can hold keys in any key range, so a scan fans
-//! out to all shards — an Ω(shard count) cost no matter how few keys
-//! match, the price paid for skew resistance (DESIGN.md §6i). Under range
-//! routing a span `[lo, hi]` overlaps exactly the contiguous shard run
-//! `shard_for(lo) ..= shard_for(hi)`, so the fan-out (grace-period
+//! out to all shards — Ω(shard count) work no matter how few keys match,
+//! the price paid for skew resistance (DESIGN.md §6i); interleaving
+//! overlaps the shards' miss latency but does not shrink the work. Under
+//! range routing a span `[lo, hi]` overlaps exactly the contiguous shard
+//! run `shard_for(lo) ..= shard_for(hi)`, so the fan-out (grace-period
 //! domains entered, edges validated, merge width) shrinks to the overlap
 //! — restricting the joint validation to a subset is sound because the
 //! routing invariant guarantees the skipped shards hold no key in the
@@ -88,7 +93,7 @@
 
 use crate::checks::{InvariantViolation, TreeStats};
 use crate::node::Dir;
-use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt};
+use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt, ScanWalk};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::{Counter, Log2Histogram, MetricsRegistry};
@@ -848,13 +853,22 @@ where
     /// single-tree common-instant argument across the entered subset.
     /// Restricting to a subset is only sound when the router guarantees
     /// the skipped shards cannot answer the query (see the module docs).
-    fn fan_out<T>(
+    ///
+    /// The per-shard walks are independent chains of dependent cache
+    /// misses, so they advance round-robin, one edge per shard per
+    /// round, each step prefetching its next node: the shards' misses
+    /// overlap instead of queueing. Every edge read still precedes every
+    /// re-check, which is all the joint validation needs.
+    fn fan_out<'q, T>(
         &mut self,
         first: usize,
         last: usize,
-        collect: impl Fn(&CitrusSession<'t, K, V, F>) -> ScanAttempt<K, V>,
+        walk: impl Fn(&CitrusSession<'t, K, V, F>) -> ScanWalk<'q, K, V>,
         extract: impl Fn(&[ScanAttempt<K, V>]) -> T,
-    ) -> T {
+    ) -> T
+    where
+        K: 'q,
+    {
         chaos::point!("forest/scan/fan-out");
         for idx in first..=last {
             self.ensure_session(idx);
@@ -865,7 +879,19 @@ where
             .collect();
         loop {
             let guards: Vec<_> = sessions.iter().map(|s| s.ordered_read_enter()).collect();
-            let attempts: Vec<ScanAttempt<K, V>> = sessions.iter().map(|&s| collect(s)).collect();
+            let mut walks: Vec<ScanWalk<'q, K, V>> = sessions.iter().map(|&s| walk(s)).collect();
+            // SAFETY (both blocks): `guards` has held every entered
+            // shard's read-side section and pin since before its walk
+            // started.
+            let mut pending = true;
+            while pending {
+                pending = false;
+                for w in &mut walks {
+                    pending |= unsafe { w.step() };
+                }
+            }
+            let attempts: Vec<ScanAttempt<K, V>> =
+                walks.into_iter().map(|w| unsafe { w.finish() }).collect();
             chaos::point!("forest/scan/validate");
             // SAFETY: `guards` still holds every entered shard's
             // read-side section and pin the attempts were collected
@@ -889,10 +915,11 @@ where
 
     /// Every `(key, value)` pair with `lo <= key <= hi`, in ascending key
     /// order, observed atomically. Hash routing scatters any key range
-    /// over every shard, so the fan-out enters all of them — an Ω(shard
-    /// count) cost per scan no matter how narrow the range; range routing
-    /// enters only the shards `[lo, hi]` overlaps (module docs). The
-    /// per-shard results k-way merge into one ascending list.
+    /// over every shard, so the fan-out enters all of them — Ω(shard
+    /// count) work per scan no matter how narrow the range, though the
+    /// shards' walks run interleaved so their cache misses overlap; range
+    /// routing enters only the shards `[lo, hi]` overlaps (module docs).
+    /// The per-shard results k-way merge into one ascending list.
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, V)> {
         if lo > hi {
             // An empty span holds at every instant; no shard need be
@@ -903,7 +930,7 @@ where
         self.fan_out(
             first,
             last,
-            |session| session.collect_range(lo, hi),
+            |session| session.range_walk(lo, hi),
             |attempts| {
                 // SAFETY: `fan_out` extracts while every shard guard is
                 // still held.
@@ -923,7 +950,7 @@ where
             RouterKind::Hash => self.fan_out(
                 0,
                 self.forest.shard_count() - 1,
-                |session| session.collect_directed(key, Dir::Right),
+                |session| session.directed_walk(key, Dir::Right),
                 |attempts| {
                     attempts
                         .iter()
@@ -944,7 +971,7 @@ where
             RouterKind::Hash => self.fan_out(
                 0,
                 self.forest.shard_count() - 1,
-                |session| session.collect_directed(key, Dir::Left),
+                |session| session.directed_walk(key, Dir::Left),
                 |attempts| {
                     attempts
                         .iter()
@@ -972,7 +999,9 @@ where
     /// answer into a later one between probes, making the returned entry
     /// wrong at every single instant. Only the final validated round
     /// establishes the linearization point; earlier rounds merely steer
-    /// the widening.
+    /// the widening. Unlike [`fan_out`](Self::fan_out), a round walks its
+    /// shards one after another, each to completion: whether the next
+    /// shard is entered at all depends on the previous one's candidate.
     fn directed_probe(&mut self, key: &K, side: Dir) -> Option<(K, V)> {
         chaos::point!("forest/scan/fan-out");
         let start = self.forest.shard_for(key);
@@ -997,7 +1026,9 @@ where
                     .as_ref()
                     .expect("ensured above");
                 guards.push(session.ordered_read_enter());
-                let attempt = session.collect_directed(key, side);
+                // SAFETY: the guard pushed just above holds this shard's
+                // read-side section and pin.
+                let attempt = unsafe { session.directed_walk(key, side).finish() };
                 found = attempt.has_candidate();
                 attempts.push(attempt);
                 if found {

@@ -766,6 +766,158 @@ impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
     }
 }
 
+/// What an ordered-read walk is looking for.
+enum WalkQuery<'q, K> {
+    /// Every node with `lo <= key <= hi`, in order.
+    Range { lo: &'q K, hi: &'q K },
+    /// The nearest real key strictly beyond `key` on `side`.
+    Directed { key: &'q K, side: Dir },
+}
+
+/// In-order walk frames: descend left first, then emit and go right.
+/// A directed walk only ever uses `Enter`.
+enum Frame<K, V> {
+    Enter(*mut Node<K, V>),
+    Visit(*mut Node<K, V>),
+}
+
+/// A resumable ordered-read traversal of one tree: the only range-walk
+/// implementation, shared by the single tree and the forest.
+///
+/// Each [`step`](Self::step) advances until it has recorded one new
+/// non-null child edge, prefetches that child, and returns — so a forest
+/// fan-out can step every shard's walk round-robin and keep one cache
+/// miss per shard in flight instead of taking the shards' dependent miss
+/// chains one after another. A single tree just runs the walk to
+/// completion ([`finish`](Self::finish)). Either way each walk records
+/// exactly the same edges and hits in the same order; only the order of
+/// reads *across* walks changes, and joint validation needs no order
+/// among the reads — only that all of them precede every re-check
+/// (DESIGN.md §6i).
+pub(crate) struct ScanWalk<'q, K, V> {
+    query: WalkQuery<'q, K>,
+    stack: Vec<Frame<K, V>>,
+    attempt: ScanAttempt<K, V>,
+}
+
+impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
+    fn new(query: WalkQuery<'q, K>, start: Option<*mut Node<K, V>>) -> Self {
+        Self {
+            query,
+            stack: start.map(Frame::Enter).into_iter().collect(),
+            attempt: ScanAttempt::new(),
+        }
+    }
+
+    /// Advances the walk until it records a new non-null child edge (or
+    /// runs out of frames). Returns `true` while work remains; stepping a
+    /// finished walk is a cheap no-op returning `false`.
+    ///
+    /// # Safety
+    ///
+    /// The read-side context of the session that started the walk
+    /// ([`CitrusSession::ordered_read_enter`]) must have been held
+    /// continuously since the walk started.
+    pub(crate) unsafe fn step(&mut self) -> bool {
+        while let Some(frame) = self.stack.pop() {
+            // SAFETY: every frame's pointer was read from a live edge
+            // inside the read-side section the caller has held since, so
+            // it stays allocated (Leak never frees; Epoch is covered by
+            // the caller's pin).
+            let child = unsafe { self.advance(frame) };
+            if !child.is_null() {
+                Node::prefetch(child);
+                self.stack.push(Frame::Enter(child));
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Processes one frame and returns the child edge it crossed (null
+    /// when it crossed none, or crossed a null edge).
+    ///
+    /// # Safety
+    ///
+    /// The frame's node must still be allocated (see [`step`](Self::step)).
+    unsafe fn advance(&mut self, frame: Frame<K, V>) -> *mut Node<K, V> {
+        // SAFETY: valid per contract; `record_edge` reads only `n`.
+        unsafe {
+            match (frame, &self.query) {
+                (Frame::Enter(n), &WalkQuery::Range { lo, .. }) => {
+                    chaos::point!("citrus/scan/step");
+                    self.stack.push(Frame::Visit(n));
+                    // Keys below `n` can only matter when n.key > lo
+                    // (sentinels prune themselves: −∞ is never greater,
+                    // so the root's left edge is skipped).
+                    if (*n).key.cmp_key(lo) == CmpOrdering::Greater {
+                        self.attempt.record_edge(n, Dir::Left)
+                    } else {
+                        ptr::null_mut()
+                    }
+                }
+                (Frame::Visit(n), &WalkQuery::Range { lo, hi }) => {
+                    let key = &(*n).key;
+                    // Sentinels compare outside every [lo, hi].
+                    if key.cmp_key(lo) != CmpOrdering::Less
+                        && key.cmp_key(hi) != CmpOrdering::Greater
+                    {
+                        self.attempt.hits.push(n);
+                    }
+                    // Keys above `n` can only matter when n.key < hi.
+                    if key.cmp_key(hi) == CmpOrdering::Less {
+                        self.attempt.record_edge(n, Dir::Right)
+                    } else {
+                        ptr::null_mut()
+                    }
+                }
+                (Frame::Enter(n), &WalkQuery::Directed { key, side }) => {
+                    chaos::point!("citrus/scan/step");
+                    let cmp = (*n).key.cmp_key(key);
+                    // Successor: any node with key > probe is a candidate,
+                    // and the search continues left toward smaller ones;
+                    // otherwise right. Predecessor is the mirror image.
+                    // Sentinels steer the walk but never become candidates.
+                    let toward_probe = if side == Dir::Right {
+                        cmp == CmpOrdering::Greater
+                    } else {
+                        cmp == CmpOrdering::Less
+                    };
+                    let dir = if toward_probe {
+                        if (*n).key.as_key().is_some() {
+                            self.attempt.hits.clear();
+                            self.attempt.hits.push(n);
+                        }
+                        if side == Dir::Right {
+                            Dir::Left
+                        } else {
+                            Dir::Right
+                        }
+                    } else {
+                        side
+                    };
+                    self.attempt.record_edge(n, dir)
+                }
+                (Frame::Visit(_), WalkQuery::Directed { .. }) => {
+                    unreachable!("directed walks push only Enter frames")
+                }
+            }
+        }
+    }
+
+    /// Steps the walk to completion and hands back the collected,
+    /// not-yet-validated attempt.
+    ///
+    /// # Safety
+    ///
+    /// As for [`step`](Self::step).
+    pub(crate) unsafe fn finish(mut self) -> ScanAttempt<K, V> {
+        // SAFETY: forwarded to the caller's contract.
+        while unsafe { self.step() } {}
+        self.attempt
+    }
+}
+
 /// Read-side guards for one ordered-read attempt: the session's EBR pin
 /// (`Epoch` mode) plus its RCU read lock, bundled so the forest can hold
 /// one per shard for the whole fan-out's collect-then-validate window.
@@ -878,114 +1030,31 @@ where
         }
     }
 
-    /// Walks the tree in order over `[lo, hi]`, recording every traversed
-    /// edge and every in-range node. Collection only — the caller
-    /// validates afterwards, possibly together with other shards'
-    /// attempts.
+    /// Starts an in-order walk over `[lo, hi]` that records every
+    /// traversed edge and every in-range node. Collection only — the
+    /// caller steps the walk (possibly interleaved with other shards'
+    /// walks) and validates afterwards.
     ///
-    /// Must be called inside this session's read-side context
+    /// Must be stepped inside this session's read-side context
     /// ([`ordered_read_enter`](Self::ordered_read_enter)).
-    pub(crate) fn collect_range(&self, lo: &K, hi: &K) -> ScanAttempt<K, V> {
+    pub(crate) fn range_walk<'q>(&self, lo: &'q K, hi: &'q K) -> ScanWalk<'q, K, V> {
         debug_assert!(self.rcu.in_read_section());
-        let mut attempt = ScanAttempt::new();
-        if lo > hi {
-            return attempt;
-        }
-        /// In-order walk frames: descend left first, then emit and go
-        /// right.
-        enum Frame<K, V> {
-            Enter(*mut Node<K, V>),
-            Visit(*mut Node<K, V>),
-        }
-        let mut stack = vec![Frame::Enter(self.tree.root)];
-        while let Some(frame) = stack.pop() {
-            // SAFETY: every pushed pointer was read from a live edge
-            // inside the read-side section, so it stays allocated (Leak
-            // never frees; Epoch is covered by the caller's pin).
-            unsafe {
-                match frame {
-                    Frame::Enter(n) => {
-                        chaos::point!("citrus/scan/step");
-                        stack.push(Frame::Visit(n));
-                        // Keys below `n` can only matter when n.key > lo
-                        // (sentinels prune themselves: −∞ is never
-                        // greater, so the root's left edge is skipped).
-                        if (*n).key.cmp_key(lo) == CmpOrdering::Greater {
-                            let left = attempt.record_edge(n, Dir::Left);
-                            if !left.is_null() {
-                                stack.push(Frame::Enter(left));
-                            }
-                        }
-                    }
-                    Frame::Visit(n) => {
-                        let key = &(*n).key;
-                        // Sentinels compare outside every [lo, hi].
-                        if key.cmp_key(lo) != CmpOrdering::Less
-                            && key.cmp_key(hi) != CmpOrdering::Greater
-                        {
-                            attempt.hits.push(n);
-                        }
-                        // Keys above `n` can only matter when n.key < hi.
-                        if key.cmp_key(hi) == CmpOrdering::Less {
-                            let right = attempt.record_edge(n, Dir::Right);
-                            if !right.is_null() {
-                                stack.push(Frame::Enter(right));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        attempt
+        // An empty span starts finished: there is nothing to traverse.
+        let start = if lo > hi { None } else { Some(self.tree.root) };
+        ScanWalk::new(WalkQuery::Range { lo, hi }, start)
     }
 
-    /// Walks the successor (`side == Dir::Right`) or predecessor
-    /// (`side == Dir::Left`) search path for `key`, recording every
-    /// traversed edge; the attempt's hit list ends holding the candidate —
-    /// the nearest real key strictly beyond the probe — if one exists.
+    /// Starts a walk down the successor (`side == Dir::Right`) or
+    /// predecessor (`side == Dir::Left`) search path for `key`, recording
+    /// every traversed edge; the attempt's hit list ends holding the
+    /// candidate — the nearest real key strictly beyond the probe — if one
+    /// exists.
     ///
-    /// Must be called inside this session's read-side context, like
-    /// [`collect_range`](Self::collect_range).
-    pub(crate) fn collect_directed(&self, key: &K, side: Dir) -> ScanAttempt<K, V> {
+    /// Must be stepped inside this session's read-side context, like
+    /// [`range_walk`](Self::range_walk).
+    pub(crate) fn directed_walk<'q>(&self, key: &'q K, side: Dir) -> ScanWalk<'q, K, V> {
         debug_assert!(self.rcu.in_read_section());
-        let mut attempt = ScanAttempt::new();
-        let mut n = self.tree.root;
-        // SAFETY: as in `collect_range` — every pointer comes from a live
-        // edge read inside the read-side section.
-        unsafe {
-            loop {
-                chaos::point!("citrus/scan/step");
-                let cmp = (*n).key.cmp_key(key);
-                // Successor: any node with key > probe is a candidate, and
-                // the search continues left toward smaller ones; otherwise
-                // right. Predecessor is the mirror image. Sentinels
-                // steer the walk but never become candidates.
-                let toward_probe = if side == Dir::Right {
-                    cmp == CmpOrdering::Greater
-                } else {
-                    cmp == CmpOrdering::Less
-                };
-                let dir = if toward_probe {
-                    if (*n).key.as_key().is_some() {
-                        attempt.hits.clear();
-                        attempt.hits.push(n);
-                    }
-                    if side == Dir::Right {
-                        Dir::Left
-                    } else {
-                        Dir::Right
-                    }
-                } else {
-                    side
-                };
-                let child = attempt.record_edge(n, dir);
-                if child.is_null() {
-                    break;
-                }
-                n = child;
-            }
-        }
-        attempt
+        ScanWalk::new(WalkQuery::Directed { key, side }, Some(self.tree.root))
     }
 
     /// Runs one ordered read to a validated completion: collect inside
@@ -994,15 +1063,20 @@ where
     /// Restarts are bounded by interference: each one implies a
     /// concurrent update completed inside the attempt's window (DESIGN.md
     /// §6i), the same progress argument as the updaters' retry loops.
-    fn ordered_read<T>(
+    fn ordered_read<'q, T>(
         &self,
-        collect: impl Fn(&Self) -> ScanAttempt<K, V>,
+        walk: impl Fn(&Self) -> ScanWalk<'q, K, V>,
         extract: impl Fn(&ScanAttempt<K, V>) -> T,
-    ) -> T {
+    ) -> T
+    where
+        K: 'q,
+    {
         loop {
             let out = {
                 let _guard = self.ordered_read_enter();
-                let attempt = collect(self);
+                // SAFETY: `_guard` has held this session's read-side
+                // context since before the walk started.
+                let attempt = unsafe { walk(self).finish() };
                 chaos::point!("citrus/scan/validate");
                 // The mutant is a test-only planted bug (chaos builds
                 // only): skipping validation can tear the read across a
@@ -1042,7 +1116,7 @@ where
     /// concurrent update interfered (DESIGN.md §6i).
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, V)> {
         self.ordered_read(
-            |s| s.collect_range(lo, hi),
+            |s| s.range_walk(lo, hi),
             // SAFETY: `ordered_read` extracts under its read-side guard.
             |attempt| unsafe { attempt.entries() },
         )
@@ -1053,7 +1127,7 @@ where
     /// [`range_scan`](Self::range_scan)).
     pub fn successor(&mut self, key: &K) -> Option<(K, V)> {
         self.ordered_read(
-            |s| s.collect_directed(key, Dir::Right),
+            |s| s.directed_walk(key, Dir::Right),
             // SAFETY: `ordered_read` extracts under its read-side guard.
             |attempt| unsafe { attempt.candidate() },
         )
@@ -1064,7 +1138,7 @@ where
     /// [`range_scan`](Self::range_scan)).
     pub fn predecessor(&mut self, key: &K) -> Option<(K, V)> {
         self.ordered_read(
-            |s| s.collect_directed(key, Dir::Left),
+            |s| s.directed_walk(key, Dir::Left),
             // SAFETY: `ordered_read` extracts under its read-side guard.
             |attempt| unsafe { attempt.candidate() },
         )

@@ -24,9 +24,22 @@
 use citrus::{CallRcuConfig, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
     enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
-    Explorer, ScenarioOp, ScheduleScenario,
+    Explorer, ScenarioOp, ScheduleScenario, StressWatchdog,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Serializes every test in this binary. Mutants are process-global: a
+/// test that enables one would leak it into sibling sweeps running in
+/// parallel (a clean sweep would then fail on a bug it never planted),
+/// and two tests enabling the same mutant at once trip its enabled-twice
+/// assertion. The stress watchdog starts only once the lock is held, so
+/// queueing behind siblings does not count against a test's timeout.
+fn exclusive(test: &str) -> (MutexGuard<'static, ()>, StressWatchdog) {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    (serial, stress_watchdog(test))
+}
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
@@ -86,7 +99,7 @@ fn bounded(max_preemptions: usize) -> ExploreConfig {
 
 #[test]
 fn inline_delete_window_sweep_is_clean() {
-    let _wd = stress_watchdog("inline_delete_window_sweep_is_clean");
+    let _serial = exclusive("inline_delete_window_sweep_is_clean");
     let scenario = delete_window_scenario("inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -116,7 +129,7 @@ fn inline_delete_window_sweep_is_clean() {
 
 #[test]
 fn deferred_unlink_window_sweep_is_clean() {
-    let _wd = stress_watchdog("deferred_unlink_window_sweep_is_clean");
+    let _serial = exclusive("deferred_unlink_window_sweep_is_clean");
     let scenario = delete_window_scenario("deferred-unlink-flush");
     let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -146,7 +159,7 @@ fn deferred_unlink_window_sweep_is_clean() {
 /// incomplete sweep has no stable count.
 #[test]
 fn explored_schedule_count_is_stable() {
-    let _wd = stress_watchdog("explored_schedule_count_is_stable");
+    let _serial = exclusive("explored_schedule_count_is_stable");
     let scenario = delete_window_scenario("inline-two-child-delete-count");
     let first = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
     first.assert_clean(scenario.name);
@@ -166,7 +179,7 @@ fn explored_schedule_count_is_stable() {
 
 #[test]
 fn inline_delete_skip_synchronize_mutant_is_caught() {
-    let _wd = stress_watchdog("inline_delete_skip_synchronize_mutant_is_caught");
+    let _serial = exclusive("inline_delete_skip_synchronize_mutant_is_caught");
     let scenario = delete_window_scenario("inline-two-child-delete-mutant");
     let guard = enable_mutant("citrus/remove/skip-synchronize");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
@@ -202,7 +215,7 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
 
 #[test]
 fn deferred_flush_skip_synchronize_mutant_is_caught() {
-    let _wd = stress_watchdog("deferred_flush_skip_synchronize_mutant_is_caught");
+    let _serial = exclusive("deferred_flush_skip_synchronize_mutant_is_caught");
     let scenario = delete_window_scenario("deferred-unlink-flush-mutant");
     let guard = enable_mutant("reclaim/flush/skip-synchronize");
     let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
@@ -230,7 +243,7 @@ fn deferred_flush_skip_synchronize_mutant_is_caught() {
 /// re-harvested from `inline_delete_skip_synchronize_mutant_is_caught`.
 #[test]
 fn pinned_inline_delete_schedule_regression() {
-    let _wd = stress_watchdog("pinned_inline_delete_schedule_regression");
+    let _serial = exclusive("pinned_inline_delete_schedule_regression");
     let scenario = delete_window_scenario("inline-two-child-delete-pinned");
     let run = replay_schedule_with(
         make_inline,
@@ -262,7 +275,7 @@ fn pinned_inline_delete_schedule_regression() {
 /// honesty protocol as the inline pin.
 #[test]
 fn pinned_deferred_flush_schedule_regression() {
-    let _wd = stress_watchdog("pinned_deferred_flush_schedule_regression");
+    let _serial = exclusive("pinned_deferred_flush_schedule_regression");
     let scenario = delete_window_scenario("deferred-unlink-flush-pinned");
     let run = replay_schedule_with(
         make_deferred,
@@ -306,7 +319,7 @@ fn scan_window_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn scan_vs_inline_two_child_delete_sweep_is_clean() {
-    let _wd = stress_watchdog("scan_vs_inline_two_child_delete_sweep_is_clean");
+    let _serial = exclusive("scan_vs_inline_two_child_delete_sweep_is_clean");
     let scenario = scan_window_scenario("scan-vs-inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -329,7 +342,7 @@ fn scan_vs_inline_two_child_delete_sweep_is_clean() {
 
 #[test]
 fn scan_vs_deferred_flush_sweep_is_clean() {
-    let _wd = stress_watchdog("scan_vs_deferred_flush_sweep_is_clean");
+    let _serial = exclusive("scan_vs_deferred_flush_sweep_is_clean");
     let scenario = scan_window_scenario("scan-vs-deferred-flush");
     let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -363,7 +376,7 @@ fn torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 /// schedule must pass once validation is back on.
 #[test]
 fn scan_skip_validation_mutant_is_caught() {
-    let _wd = stress_watchdog("scan_skip_validation_mutant_is_caught");
+    let _serial = exclusive("scan_skip_validation_mutant_is_caught");
     let scenario = torn_scan_scenario("torn-scan-mutant");
     let guard = enable_mutant("citrus/scan/skip-validation");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
@@ -399,7 +412,7 @@ fn scan_skip_validation_mutant_is_caught() {
 /// to the bound restarts instead of returning a torn result.
 #[test]
 fn torn_scan_sweep_is_clean_with_validation() {
-    let _wd = stress_watchdog("torn_scan_sweep_is_clean_with_validation");
+    let _serial = exclusive("torn_scan_sweep_is_clean_with_validation");
     let scenario = torn_scan_scenario("torn-scan-validated");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -436,7 +449,7 @@ fn range_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn range_forest_scan_window_sweep_is_clean() {
-    let _wd = stress_watchdog("range_forest_scan_window_sweep_is_clean");
+    let _serial = exclusive("range_forest_scan_window_sweep_is_clean");
     let scenario = range_forest_scan_scenario("range-forest-scan-vs-two-child-delete");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -473,7 +486,7 @@ fn range_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 /// failure, and the identical schedule must pass once validation is back.
 #[test]
 fn range_forest_scan_skip_validation_mutant_is_caught() {
-    let _wd = stress_watchdog("range_forest_scan_skip_validation_mutant_is_caught");
+    let _serial = exclusive("range_forest_scan_skip_validation_mutant_is_caught");
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-mutant");
     let guard = enable_mutant("citrus/scan/skip-validation");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
@@ -519,10 +532,156 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
 /// to the bound restarts instead of returning a torn result.
 #[test]
 fn range_forest_torn_scan_sweep_is_clean_with_validation() {
-    let _wd = stress_watchdog("range_forest_torn_scan_sweep_is_clean_with_validation");
+    let _serial = exclusive("range_forest_torn_scan_sweep_is_clean_with_validation");
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-validated");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
+}
+
+// ---- Hash-routed forest: full fan-out windows (DESIGN.md §6i) ---------
+
+/// A 2-shard *hash* forest: every ordered read fans out to both shards
+/// and steps their walks round-robin before validating them jointly.
+fn make_hash_forest() -> Forest {
+    Forest::with_options(2, 0, ReclaimMode::Leak, false)
+}
+
+/// Four ascending keys that all route to shard 0 of
+/// [`make_hash_forest`], plus one routed to shard 1 — found through
+/// `shard_for`, since hash routing makes the constants non-obvious.
+fn hash_forest_keys() -> ([u64; 4], u64) {
+    let forest = make_hash_forest();
+    let mut home = (1u64..).filter(|k| forest.shard_for(k) == 0);
+    let keys = [(); 4].map(|()| home.next().expect("infinite range"));
+    let other = (1u64..)
+        .find(|k| forest.shard_for(k) == 1)
+        .expect("infinite range");
+    assert!(
+        keys[3] < 100 && other < 100,
+        "keys must sit inside the scanned span"
+    );
+    (keys, other)
+}
+
+/// The scan-vs-two-child-delete window inside shard 0 of the hash forest
+/// (`b` has children `a` and `d`; its successor `c` is `d`'s left child),
+/// while shard 1 holds `e`: the full fan-out walks both shards
+/// interleaved and must either restart on the splice or return a set
+/// some instant really held.
+fn hash_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
+    let ([a, b, c, d], e) = hash_forest_keys();
+    ScheduleScenario::new(name)
+        .prefill(&[
+            (b, b * 10),
+            (a, a * 10),
+            (d, d * 10),
+            (c, c * 10),
+            (e, e * 10),
+        ])
+        .thread(&[ScenarioOp::Remove(b)])
+        .thread(&[ScenarioOp::Scan(0, 100)])
+}
+
+/// Torn-scan scenario inside shard 0 of the hash forest (leaf remove of
+/// `a`, then a fresh insert of `c` under `d`): an unvalidated fan-out
+/// preempted between the two can collect both — a set no instant held.
+fn hash_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
+    let ([a, b, c, d], e) = hash_forest_keys();
+    ScheduleScenario::new(name)
+        .prefill(&[(b, b * 10), (a, a * 10), (d, d * 10), (e, e * 10)])
+        .thread(&[ScenarioOp::Remove(a), ScenarioOp::Insert(c, c * 10)])
+        .thread(&[ScenarioOp::Scan(0, 100)])
+}
+
+#[test]
+fn hash_forest_scan_window_sweep_is_clean() {
+    let _serial = exclusive("hash_forest_scan_window_sweep_is_clean");
+    let scenario = hash_forest_scan_scenario("hash-forest-scan-vs-two-child-delete");
+    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
+    report.assert_clean(scenario.name);
+    if !report.completed {
+        return;
+    }
+    assert!(report.schedules > 1, "sweep must enumerate real schedules");
+    for point in [
+        "citrus/scan/step",
+        "forest/scan/validate",
+        "citrus/remove/before-synchronize",
+    ] {
+        assert!(
+            report.points_hit.contains(point),
+            "sweep never reached {point}; hit: {:?}",
+            report.points_hit
+        );
+    }
+}
+
+/// The full fan-out's joint validation has teeth: with validation
+/// skipped, the explorer must find the torn traversal at a low
+/// preemption bound, the reported schedule must replay to the same
+/// failure, and the identical schedule must pass once validation is back.
+#[test]
+fn hash_forest_scan_skip_validation_mutant_is_caught() {
+    let _serial = exclusive("hash_forest_scan_skip_validation_mutant_is_caught");
+    let scenario = hash_forest_torn_scan_scenario("hash-forest-torn-scan-mutant");
+    let guard = enable_mutant("citrus/scan/skip-validation");
+    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
+    let failure = report
+        .failure
+        .expect("skipping the full fan-out's validation must be caught");
+    eprintln!("[mutant] hash-forest torn-scan minimal schedule: {failure}");
+    assert!(
+        failure.preemptions <= 2,
+        "iterative deepening must find a low-bound witness, got {}",
+        failure.preemptions
+    );
+    assert!(
+        failure.reason.contains("non-linearizable"),
+        "the witness must be a linearizability violation, got: {}",
+        failure.reason
+    );
+    let rerun = replay_schedule_with(
+        make_hash_forest,
+        &scenario,
+        &failure.schedule,
+        validate_forest,
+    );
+    assert!(
+        rerun.verdict.is_err() || !rerun.outcome.clean(),
+        "replaying the failing schedule must reproduce the failure"
+    );
+    drop(guard);
+    let fixed = replay_schedule_with(
+        make_hash_forest,
+        &scenario,
+        &failure.schedule,
+        validate_forest,
+    );
+    assert!(
+        fixed.outcome.clean() && fixed.verdict.is_ok(),
+        "the minimal schedule must pass once validation is restored: {:?}",
+        fixed.verdict
+    );
+}
+
+/// The same torn-scan scenario with validation on: every interleaving up
+/// to the bound restarts instead of returning a torn result.
+#[test]
+fn hash_forest_torn_scan_sweep_is_clean_with_validation() {
+    let _serial = exclusive("hash_forest_torn_scan_sweep_is_clean_with_validation");
+    let scenario = hash_forest_torn_scan_scenario("hash-forest-torn-scan-validated");
+    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
+    report.assert_clean(scenario.name);
+    if !report.completed {
+        return;
+    }
+    for point in ["citrus/scan/step", "forest/scan/validate"] {
+        assert!(
+            report.points_hit.contains(point),
+            "sweep never reached {point}; hit: {:?}",
+            report.points_hit
+        );
+    }
 }
 
 /// Finds one key per shard of a 2-shard forest by probing the shard trees
@@ -551,7 +710,7 @@ fn keys_in_distinct_shards() -> (u64, u64) {
 /// not just the ones a stress run happens to sample.
 #[test]
 fn forest_cross_shard_sweep_is_clean() {
-    let _wd = stress_watchdog("forest_cross_shard_sweep_is_clean");
+    let _serial = exclusive("forest_cross_shard_sweep_is_clean");
     let (a, b) = keys_in_distinct_shards();
     let scenario = ScheduleScenario::new("forest-cross-shard")
         .prefill(&[(a, 1)])
@@ -575,7 +734,7 @@ fn forest_cross_shard_sweep_is_clean() {
 /// budget must cut the sweep short and say so, not hang or lie.
 #[test]
 fn explore_budget_marks_sweep_incomplete() {
-    let _wd = stress_watchdog("explore_budget_marks_sweep_incomplete");
+    let _serial = exclusive("explore_budget_marks_sweep_incomplete");
     let config = ExploreConfig {
         max_preemptions: 2,
         budget: Some(Duration::from_millis(0)),

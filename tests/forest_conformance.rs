@@ -408,3 +408,108 @@ fn routed_shard_is_where_the_key_lives() {
         assert!(forest.session().insert(k, k));
     }
 }
+
+/// Keys for the interleaved-vs-sequential checks are drawn below this;
+/// query endpoints reach a little past it.
+const INTERLEAVE_KEY_RANGE: u64 = 1000;
+
+/// Interleaved fan-out equals sequential: a forest's ordered reads
+/// advance their per-shard walks round-robin, so on a quiescent forest
+/// every `range_scan` / `successor` / `predecessor` must return exactly
+/// what one tree holding the same entries returns — over seeded random
+/// spans and probes plus the edge cases (inverted span, single-point
+/// span, the full key space, probes at both ends of `u64`).
+fn ordered_reads_match_single_tree(forest: &CitrusForest<u64, u64>, keys: &[u64], label: &str) {
+    let oracle: CitrusTree<u64, u64> =
+        CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+    {
+        let mut f = forest.session();
+        let mut t = oracle.session();
+        for &k in keys {
+            assert_eq!(
+                f.insert(k, k ^ 0xA5A5),
+                t.insert(k, k ^ 0xA5A5),
+                "{label}: insert {k}"
+            );
+        }
+    }
+    let mut f = forest.session();
+    let mut t = oracle.session();
+
+    let mut spans: Vec<(u64, u64)> = vec![
+        (0, u64::MAX),
+        (u64::MAX, 0),
+        (7, 3),
+        (5, 5),
+        (u64::MAX, u64::MAX),
+    ];
+    let mut probes: Vec<u64> = vec![0, 1, u64::MAX - 1, u64::MAX];
+    probes.extend(keys.iter().take(16).copied());
+    spans.extend(keys.iter().take(16).map(|&k| (k, k)));
+    let mut rng = testkit::SplitMix64::new(0x1_4EAF ^ keys.len() as u64);
+    for _ in 0..200 {
+        let lo = rng.below(INTERLEAVE_KEY_RANGE + 100);
+        let hi = lo
+            .saturating_add(rng.below(300))
+            .saturating_sub(rng.below(20));
+        spans.push((lo, hi));
+        probes.push(rng.below(INTERLEAVE_KEY_RANGE + 100));
+    }
+    for (lo, hi) in spans {
+        assert_eq!(
+            f.range_scan(&lo, &hi),
+            t.range_scan(&lo, &hi),
+            "{label}: range_scan({lo}, {hi})"
+        );
+    }
+    for k in probes {
+        assert_eq!(f.successor(&k), t.successor(&k), "{label}: successor({k})");
+        assert_eq!(
+            f.predecessor(&k),
+            t.predecessor(&k),
+            "{label}: predecessor({k})"
+        );
+    }
+}
+
+/// The populations each router and shard count is checked on: an empty
+/// forest, a few keys below the first range splitter (every other shard
+/// empty under either router at 8 shards), and a dense random fill.
+fn interleave_populations(seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = testkit::SplitMix64::new(seed);
+    let dense: Vec<u64> = (0..400).map(|_| rng.below(INTERLEAVE_KEY_RANGE)).collect();
+    vec![Vec::new(), vec![3, 9, 12], dense]
+}
+
+#[test]
+fn interleaved_hash_fan_out_matches_single_tree() {
+    for shards in [1, 3, 8] {
+        for (i, keys) in interleave_populations(0x1A7E + shards as u64)
+            .iter()
+            .enumerate()
+        {
+            let forest = CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, false);
+            let label = format!("hash router, {shards} shards, population {i}");
+            ordered_reads_match_single_tree(&forest, keys, &label);
+        }
+    }
+}
+
+#[test]
+fn interleaved_range_fan_out_matches_single_tree() {
+    for shards in [1, 3, 8] {
+        for (i, keys) in interleave_populations(0x2A7E + shards as u64)
+            .iter()
+            .enumerate()
+        {
+            let forest = CitrusForest::with_range_router_options(
+                even_splitters(shards, INTERLEAVE_KEY_RANGE),
+                ReclaimMode::Epoch,
+                false,
+            );
+            assert_eq!(forest.shard_count(), shards);
+            let label = format!("range router, {shards} shards, population {i}");
+            ordered_reads_match_single_tree(&forest, keys, &label);
+        }
+    }
+}

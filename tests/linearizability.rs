@@ -41,7 +41,8 @@ fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64)
     let _watchdog = testkit::stress_watchdog("linearizability::lin_battery");
     let threads = lincheck::lin_threads(4);
     let ops = lincheck::lin_ops(250);
-    lincheck::check_linearizable(&make, threads, ops, 32, base_seed);
+    lincheck::check_linearizable(&make, threads, ops, 32, base_seed)
+        .unwrap_or_else(|failure| panic!("{failure}"));
     lincheck::sweep_lincheck_chaos_seeds(
         &make,
         threads,
@@ -65,7 +66,8 @@ where
     let _watchdog = testkit::stress_watchdog("linearizability::scan_battery");
     let threads = lincheck::lin_threads(3);
     let ops = lincheck::lin_ops(150);
-    lincheck::check_linearizable_scans(&make, threads, ops, 16, base_seed);
+    lincheck::check_linearizable_scans(&make, threads, ops, 16, base_seed)
+        .unwrap_or_else(|failure| panic!("{failure}"));
     lincheck::sweep_lincheck_scan_chaos_seeds(
         &make,
         threads,
@@ -307,17 +309,12 @@ impl MapSession<u64, u64> for StaleReadSession<'_> {
 /// successful remove) is non-linearizable under *every* schedule.
 #[test]
 fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
-    let outcome = std::panic::catch_unwind(|| {
-        lincheck::check_linearizable(StaleReadMap::default, 1, 60, 4, 0xBAD_5EED);
-    });
-    let payload = outcome.expect_err("the stale-read adapter must be rejected");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| "<non-string panic>".into());
+    let failure = lincheck::check_linearizable(StaleReadMap::default, 1, 60, 4, 0xBAD_5EED)
+        .expect_err("the stale-read adapter must be rejected");
+    let message = failure.to_string();
     assert!(
         message.contains("non-linearizable history for stale-read-adapter"),
-        "unexpected panic message:\n{message}"
+        "unexpected failure report:\n{message}"
     );
     assert!(
         message.contains("minimal non-linearizable sub-history on key"),
@@ -341,9 +338,12 @@ fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
         "counterexample not minimal ({n_ops} ops):\n{message}"
     );
 
-    // Satellite: the failed run must leave a forensic history dump whose
-    // path the panic message (and the stress watchdog) can name.
-    let dump = lincheck::last_history_dump().expect("a failing lincheck run must dump its history");
+    // The failed run must leave a forensic history dump whose path the
+    // report names. The path comes from this check's own failure, not the
+    // process-global watchdog slot that parallel checks overwrite.
+    let dump = failure
+        .dump
+        .expect("a failing lincheck run must dump its history");
     assert!(dump.exists(), "dump file {} missing", dump.display());
     let contents = std::fs::read_to_string(&dump).unwrap();
     assert!(
@@ -352,7 +352,7 @@ fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
     );
     assert!(
         message.contains(&dump.display().to_string()),
-        "panic message must name the dump path:\n{message}"
+        "failure report must name the dump path:\n{message}"
     );
 }
 

@@ -20,6 +20,17 @@
 use citrus_repro::citrus_api::{lincheck, testkit, ConcurrentMap, OrderedMapSession};
 use citrus_repro::citrus_serve::{ServeConfig, Server};
 use citrus_repro::prelude::*;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// Mutants are process-global: while the planted-mutant test below runs,
+/// every other check in this binary would drive the mutated drain loop
+/// and fail on a bug it never planted. Checks hold this lock shared; the
+/// mutant test holds it exclusively.
+static MUTANT_SCOPE: RwLock<()> = RwLock::new(());
+
+fn mutant_free() -> RwLockReadGuard<'static, ()> {
+    MUTANT_SCOPE.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Chaos sweep width, mirroring the chaos_regression convention. A
 /// malformed value is a hard error — a typo'd knob must not silently
@@ -63,10 +74,12 @@ fn range_server(deferred: bool) -> Server<u64, u64> {
 /// One direct check plus a chaos-seed sweep, as in
 /// `tests/linearizability.rs` — every op crossing the serve boundary.
 fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64) {
+    let _clean = mutant_free();
     let _watchdog = testkit::stress_watchdog("serve_lincheck::lin_battery");
     let threads = lincheck::lin_threads(4);
     let ops = lincheck::lin_ops(250);
-    lincheck::check_linearizable(&make, threads, ops, 32, base_seed);
+    lincheck::check_linearizable(&make, threads, ops, 32, base_seed)
+        .unwrap_or_else(|failure| panic!("{failure}"));
     lincheck::sweep_lincheck_chaos_seeds(
         &make,
         threads,
@@ -85,10 +98,12 @@ where
     M: ConcurrentMap<u64, u64>,
     for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
 {
+    let _clean = mutant_free();
     let _watchdog = testkit::stress_watchdog("serve_lincheck::scan_battery");
     let threads = lincheck::lin_threads(3);
     let ops = lincheck::lin_ops(150);
-    lincheck::check_linearizable_scans(&make, threads, ops, 16, base_seed);
+    lincheck::check_linearizable_scans(&make, threads, ops, 16, base_seed)
+        .unwrap_or_else(|failure| panic!("{failure}"));
     lincheck::sweep_lincheck_scan_chaos_seeds(
         &make,
         threads,
@@ -170,7 +185,7 @@ mod planted_mutant {
     use citrus_repro::citrus_chaos as chaos;
     use citrus_repro::citrus_serve::ServeSession;
 
-    /// Newtype so the checker's panic message names the mutant, not the
+    /// Newtype so the checker's failure report names the mutant, not the
     /// healthy server (`NAME` is a const on the map type).
     struct ReorderedAckServe(Server<u64, u64>);
 
@@ -191,24 +206,20 @@ mod planted_mutant {
     /// so only an immediately-following read observes the reorder.)
     #[test]
     fn reordered_ack_mutant_is_rejected_with_minimal_counterexample() {
+        let _exclusive = MUTANT_SCOPE.write().unwrap_or_else(PoisonError::into_inner);
         let _guard = chaos::enable_mutant("serve/drain/ack-before-apply");
-        let outcome = std::panic::catch_unwind(|| {
-            lincheck::check_linearizable(
-                || ReorderedAckServe(hash_server(1, false)),
-                1,
-                60,
-                4,
-                0x5E_3001,
-            );
-        });
-        let payload = outcome.expect_err("the reordered-ack mutant must be rejected");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string panic>".into());
+        let failure = lincheck::check_linearizable(
+            || ReorderedAckServe(hash_server(1, false)),
+            1,
+            60,
+            4,
+            0x5E_3001,
+        )
+        .expect_err("the reordered-ack mutant must be rejected");
+        let message = failure.to_string();
         assert!(
             message.contains("non-linearizable history for serve-reordered-ack"),
-            "unexpected panic message:\n{message}"
+            "unexpected failure report:\n{message}"
         );
         assert!(
             message.contains("minimal non-linearizable sub-history on key"),
@@ -234,9 +245,11 @@ mod planted_mutant {
         );
 
         // The failed run must leave a forensic history dump whose path
-        // the panic message names.
-        let dump =
-            lincheck::last_history_dump().expect("a failing lincheck run must dump its history");
+        // the report names — read from this check's own failure, not the
+        // process-global watchdog slot that parallel checks overwrite.
+        let dump = failure
+            .dump
+            .expect("a failing lincheck run must dump its history");
         assert!(dump.exists(), "dump file {} missing", dump.display());
         let contents = std::fs::read_to_string(&dump).unwrap();
         assert!(
@@ -245,7 +258,7 @@ mod planted_mutant {
         );
         assert!(
             message.contains(&dump.display().to_string()),
-            "panic message must name the dump path:\n{message}"
+            "failure report must name the dump path:\n{message}"
         );
     }
 
@@ -254,6 +267,8 @@ mod planted_mutant {
     /// boundary itself.
     #[test]
     fn same_server_passes_without_the_mutant() {
-        lincheck::check_linearizable(|| hash_server(1, false), 1, 60, 4, 0x5E_3001);
+        let _clean = mutant_free();
+        lincheck::check_linearizable(|| hash_server(1, false), 1, 60, 4, 0x5E_3001)
+            .unwrap_or_else(|failure| panic!("{failure}"));
     }
 }
