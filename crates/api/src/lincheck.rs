@@ -868,39 +868,54 @@ pub fn last_history_dump() -> Option<PathBuf> {
 /// binaries never overwrite each other's evidence.
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Writes the rendered history as
-/// `lincheck_<name>_<seed>_<pid>_<n>.history.txt` under
-/// `CITRUS_LIN_DUMP_DIR` (default: the OS temp directory) and notes the
-/// path for the stress watchdog. Returns `None` (with a warning) if the
-/// write fails — dump failure must never mask the actual linearizability
-/// verdict.
-fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
-    let dir =
-        std::env::var_os("CITRUS_LIN_DUMP_DIR").map_or_else(std::env::temp_dir, PathBuf::from);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "[citrus-lincheck] cannot create dump dir {}: {e}",
-            dir.display()
-        );
-        return None;
-    }
+/// The directory forensic dumps go to: `CITRUS_LIN_DUMP_DIR`, default
+/// the OS temp directory.
+pub(crate) fn dump_dir() -> PathBuf {
+    std::env::var_os("CITRUS_LIN_DUMP_DIR").map_or_else(std::env::temp_dir, PathBuf::from)
+}
+
+/// Writes `body` to a fresh `<stem>_<pid>_<n><suffix>` file under `dir`
+/// (created if missing) and returns its path.
+pub(crate) fn write_dump(
+    dir: &Path,
+    stem: &str,
+    suffix: &str,
+    body: &str,
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let n = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let pid = std::process::id();
-    let path = dir.join(format!("lincheck_{name}_{seed:#x}_{pid}_{n}.history.txt"));
+    let path = dir.join(format!("{stem}_{pid}_{n}{suffix}"));
+    std::fs::write(&path, body)?;
+    Ok(path)
+}
+
+/// Writes the rendered history as
+/// `lincheck_<name>_<seed>_<pid>_<n>.history.txt` under [`dump_dir`] and
+/// notes the path for the stress watchdog. Returns `None` (with a
+/// warning) if the write fails — dump failure must never mask the actual
+/// linearizability verdict.
+fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
+    let dir = dump_dir();
     let body = format!(
         "# lincheck history: structure {name}, seed {seed:#x}, {} ops\n{}",
         history.ops.len(),
         history.render()
     );
-    match std::fs::write(&path, body) {
-        Ok(()) => {
+    match write_dump(
+        &dir,
+        &format!("lincheck_{name}_{seed:#x}"),
+        ".history.txt",
+        &body,
+    ) {
+        Ok(path) => {
             note_history_dump(&path);
             Some(path)
         }
         Err(e) => {
             eprintln!(
-                "[citrus-lincheck] history dump to {} failed: {e}",
-                path.display()
+                "[citrus-lincheck] history dump under {} failed: {e}",
+                dir.display()
             );
             None
         }

@@ -28,6 +28,8 @@
 use crate::{ConcurrentMap, MapSession};
 use citrus_obs::MetricsSnapshot;
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -599,12 +601,22 @@ pub fn stress_watchdog(test: &str) -> StressWatchdog {
                             Some(recipe) => format!(" Replay: {recipe}."),
                             None => String::new(),
                         };
-                        eprintln!(
+                        let message = format!(
                             "[citrus-testkit] stress watchdog: test '{test}' still running after \
                              {timeout_secs}s — likely livelocked. Aborting with exit code 124. \
                              Tune with CITRUS_STRESS_TIMEOUT_SECS / CITRUS_STRESS_ITERS.\
                              {dump_note}{recipe_note}"
                         );
+                        let dir = crate::lincheck::dump_dir();
+                        let file_note = match write_watchdog_report(&dir, &test, &message) {
+                            Ok(path) => format!(" Report: {}.", path.display()),
+                            Err(e) => format!(" Report under {} failed: {e}.", dir.display()),
+                        };
+                        // Not `eprintln!`: this thread inherits libtest's
+                        // output capture, which `exit` would discard.
+                        let mut stderr = std::io::stderr().lock();
+                        let _ = writeln!(stderr, "{message}{file_note}");
+                        let _ = stderr.flush();
                         std::process::exit(124);
                     }
                 }
@@ -612,6 +624,13 @@ pub fn stress_watchdog(test: &str) -> StressWatchdog {
         });
     }
     StressWatchdog { state }
+}
+
+/// Saves the watchdog's timeout `message` for `test` as
+/// `watchdog_<test>_<pid>_<n>.txt` under `dir` (the lincheck dump
+/// naming), so an earlier report is never overwritten.
+fn write_watchdog_report(dir: &Path, test: &str, message: &str) -> std::io::Result<PathBuf> {
+    crate::lincheck::write_dump(dir, &format!("watchdog_{test}"), ".txt", message)
 }
 
 /// Runs a reduced conformance battery against `make()`-produced maps under
@@ -846,5 +865,24 @@ mod tests {
     fn stress_watchdog_disarms_on_drop() {
         // Dropping the guard must not terminate the process.
         drop(stress_watchdog("stress_watchdog_disarms_on_drop"));
+    }
+
+    #[test]
+    fn watchdog_report_lands_in_a_fresh_file() {
+        let dir = std::env::temp_dir().join(format!("citrus-watchdog-test-{}", std::process::id()));
+        let first = write_watchdog_report(&dir, "wedged", "first report").unwrap();
+        let second = write_watchdog_report(&dir, "wedged", "second report").unwrap();
+        assert_ne!(
+            first, second,
+            "a later report must not overwrite an earlier one"
+        );
+        let name = first.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(
+            name.starts_with("watchdog_wedged_") && name.contains(&std::process::id().to_string()),
+            "unexpected report name {name}"
+        );
+        assert_eq!(std::fs::read_to_string(&first).unwrap(), "first report");
+        assert_eq!(std::fs::read_to_string(&second).unwrap(), "second report");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,7 +6,7 @@
 //! sequential BST invariants — the weak BST property's duplicates
 //! (Definition 1) exist only transiently inside a two-child `delete`.
 
-use crate::node::{Dir, KeyBound, Node};
+use crate::node::{Dir, Node};
 use crate::tree::CitrusTree;
 use citrus_rcu::RcuFlavor;
 use core::fmt;
@@ -107,7 +107,7 @@ where
         // accessors; reachable nodes are alive until drop.
         unsafe {
             let root_ref = &*root;
-            if root_ref.key != KeyBound::NegInf {
+            if !root_ref.is_neg_inf() {
                 return Err(InvariantViolation::BrokenSentinels("root key is not −∞"));
             }
             let inf = root_ref.child(Dir::Right);
@@ -116,7 +116,7 @@ where
                     "root has no right child",
                 ));
             }
-            if (*inf).key != KeyBound::PosInf {
+            if !(*inf).is_pos_inf() {
                 return Err(InvariantViolation::BrokenSentinels(
                     "root's right child is not ∞",
                 ));
@@ -165,7 +165,7 @@ where
                 if node_ref.lock.is_locked() {
                     return Err(InvariantViolation::ReachableLocked);
                 }
-                let Some(key) = node_ref.key.as_key() else {
+                let Some(key) = node_ref.as_key() else {
                     return Err(InvariantViolation::BrokenSentinels(
                         "sentinel key inside the data subtree",
                     ));
@@ -212,7 +212,7 @@ where
                     current = (*current).child(Dir::Left);
                 }
                 let Some(node) = stack.pop() else { break };
-                if let (KeyBound::Key(k), Some(v)) = (&(*node).key, &(*node).value) {
+                if let Some((k, v)) = &(*node).entry {
                     f(k, v);
                 }
                 current = (*node).child(Dir::Right);

@@ -71,6 +71,7 @@ mod checks;
 mod forest;
 mod metrics;
 mod node;
+mod pool;
 mod tree;
 
 pub use checks::{InvariantViolation, TreeStats};

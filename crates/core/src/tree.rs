@@ -27,7 +27,7 @@
 //! after **one** shared grace period per batch.
 
 use crate::metrics::TreeMetrics;
-use crate::node::{Dir, KeyBound, Node};
+use crate::node::{Dir, Node};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::MetricsRegistry;
@@ -78,14 +78,16 @@ impl<K, V> ReclaimInner<K, V> {
     ///
     /// # Safety
     ///
-    /// `node` must be Box-allocated and unreachable from the root; threads
-    /// may still hold references acquired while pinned (Epoch) or before
-    /// tree drop (Leak).
+    /// `node` must come from a `Node` constructor and be unreachable from
+    /// the root; threads may still hold references acquired while pinned
+    /// (Epoch) or before tree drop (Leak).
     unsafe fn retire_node(&self, node: *mut Node<K, V>) {
         match self {
             ReclaimInner::Leak(graveyard) => graveyard.lock().push(node),
             // SAFETY: forwarded to the caller's contract.
-            ReclaimInner::Epoch(domain) => unsafe { domain.retire_shared(node) },
+            ReclaimInner::Epoch(domain) => unsafe {
+                domain.retire_shared_raw(node.cast(), Node::<K, V>::free_erased)
+            },
         }
     }
 }
@@ -98,7 +100,7 @@ impl<K, V> Drop for ReclaimInner<K, V> {
         if let ReclaimInner::Leak(graveyard) = self {
             for p in graveyard.lock().drain(..) {
                 // SAFETY: graveyard nodes were unlinked and never freed.
-                unsafe { drop(Box::from_raw(p)) };
+                unsafe { Node::free(p) };
             }
         }
         // Epoch mode: the EbrDomain's own Drop frees its retired nodes.
@@ -200,8 +202,8 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
         mode: ReclaimMode,
         deferred: Option<CallRcuConfig>,
     ) -> Self {
-        let inf = Node::new_leaf(KeyBound::PosInf, None);
-        let root = Node::new_leaf(KeyBound::NegInf, None);
+        let inf = Node::new_sentinel(false);
+        let root = Node::new_sentinel(true);
         // SAFETY: freshly allocated, exclusively owned until `Self` exists.
         unsafe { (*root).set_child(Dir::Right, inf) };
         let rcu = Arc::new(rcu);
@@ -381,18 +383,28 @@ impl<K, V, F: RcuFlavor> Drop for CitrusTree<K, V, F> {
         // reclamation sink are disjoint again (delete unlinks before
         // retiring).
         drop(self.deferred.take());
+        let mut nodes = Vec::new();
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
             if p.is_null() {
                 continue;
             }
-            // SAFETY: reachable nodes form a tree (Lemma 6: single parent),
-            // so each is visited exactly once.
+            // SAFETY: reachable nodes are allocated until freed below.
             unsafe {
                 stack.push((*p).child(Dir::Left));
                 stack.push((*p).child(Dir::Right));
-                drop(Box::from_raw(p));
             }
+            nodes.push(p);
+        }
+        // Free in descending address order: the line pool hands freed
+        // lines out last in, first out, so a tree built next reuses them
+        // in ascending order, line after line, instead of in this tree's
+        // scattered visit order.
+        nodes.sort_unstable_by(|a, b| b.cmp(a));
+        for p in nodes {
+            // SAFETY: reachable nodes form a tree (Lemma 6: single
+            // parent), so each is collected, and freed, exactly once.
+            unsafe { Node::free(p) };
         }
         // Leak graveyard and Epoch orphans are freed by `ReclaimInner`'s /
         // `EbrDomain`'s own Drop when the last `Arc` reference (normally
@@ -733,14 +745,11 @@ impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
             // SAFETY: allocated per contract; hits are real (non-sentinel)
             // nodes, whose key and value never change after construction.
             let node = unsafe { &*hit };
-            let key = node.key.as_key().expect("hits carry real keys");
+            let (key, value) = node.entry.as_ref().expect("hits carry real entries");
             if out.last().is_some_and(|(k, _)| k == key) {
                 continue;
             }
-            out.push((
-                key.clone(),
-                node.value.clone().expect("real nodes carry values"),
-            ));
+            out.push((key.clone(), value.clone()));
         }
         out
     }
@@ -755,13 +764,7 @@ impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
         self.hits.last().map(|&hit| {
             // SAFETY: as in `entries`.
             let node = unsafe { &*hit };
-            (
-                node.key
-                    .as_key()
-                    .expect("candidates carry real keys")
-                    .clone(),
-                node.value.clone().expect("real nodes carry values"),
-            )
+            node.entry.clone().expect("candidates carry real entries")
         })
     }
 }
@@ -850,22 +853,22 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
                     // Keys below `n` can only matter when n.key > lo
                     // (sentinels prune themselves: −∞ is never greater,
                     // so the root's left edge is skipped).
-                    if (*n).key.cmp_key(lo) == CmpOrdering::Greater {
+                    if (*n).cmp_key(lo) == CmpOrdering::Greater {
                         self.attempt.record_edge(n, Dir::Left)
                     } else {
                         ptr::null_mut()
                     }
                 }
                 (Frame::Visit(n), &WalkQuery::Range { lo, hi }) => {
-                    let key = &(*n).key;
+                    let node = &*n;
                     // Sentinels compare outside every [lo, hi].
-                    if key.cmp_key(lo) != CmpOrdering::Less
-                        && key.cmp_key(hi) != CmpOrdering::Greater
+                    if node.cmp_key(lo) != CmpOrdering::Less
+                        && node.cmp_key(hi) != CmpOrdering::Greater
                     {
                         self.attempt.hits.push(n);
                     }
                     // Keys above `n` can only matter when n.key < hi.
-                    if key.cmp_key(hi) == CmpOrdering::Less {
+                    if node.cmp_key(hi) == CmpOrdering::Less {
                         self.attempt.record_edge(n, Dir::Right)
                     } else {
                         ptr::null_mut()
@@ -873,7 +876,7 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
                 }
                 (Frame::Enter(n), &WalkQuery::Directed { key, side }) => {
                     chaos::point!("citrus/scan/step");
-                    let cmp = (*n).key.cmp_key(key);
+                    let cmp = (*n).cmp_key(key);
                     // Successor: any node with key > probe is a candidate,
                     // and the search continues left toward smaller ones;
                     // otherwise right. Predecessor is the mirror image.
@@ -884,7 +887,7 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
                         cmp == CmpOrdering::Less
                     };
                     let dir = if toward_probe {
-                        if (*n).key.as_key().is_some() {
+                        if (*n).as_key().is_some() {
                             self.attempt.hits.clear();
                             self.attempt.hits.push(n);
                         }
@@ -972,7 +975,7 @@ where
                 if curr.is_null() {
                     break;
                 }
-                let cmp = (*curr).key.cmp_key(key);
+                let cmp = (*curr).cmp_key(key);
                 if cmp == CmpOrdering::Equal {
                     break;
                 }
@@ -1004,7 +1007,7 @@ where
         // (Lemma 2) and its value never changes; it cannot be freed while
         // we are inside the section (Leak mode never frees; Epoch mode is
         // covered by the pin).
-        unsafe { (*curr).value.clone() }
+        unsafe { (*curr).value().cloned() }
     }
 
     /// Returns `true` iff `key` is present. Wait-free, and — unlike
@@ -1176,7 +1179,7 @@ where
                 {
                     chaos::point!("citrus/insert/after-validate");
                     let (key, value) = payload;
-                    let node = Node::new_leaf(KeyBound::Key(key), Some(value));
+                    let node = Node::new_leaf(key, value);
                     // Line 29: publish the new leaf.
                     (*prev).set_child(dir, node);
                     return true;
@@ -1279,8 +1282,7 @@ where
                     // structural change: if one panics, `locks` unwinds and
                     // the tree is untouched.
                     let node = Node::new_replacement(
-                        (*succ).key.clone(),
-                        (*succ).value.clone(),
+                        (*succ).entry.clone(),
                         (*curr).child(Dir::Left),
                         (*curr).child(Dir::Right),
                     );
@@ -1400,9 +1402,9 @@ where
     fn retire(&self, node: *mut Node<K, V>) {
         match &self.ebr {
             Some(handle) => {
-                // SAFETY: `node` is unlinked and Box-allocated; concurrent
-                // holders are covered by their pins.
-                unsafe { handle.retire(node) };
+                // SAFETY: `node` is unlinked and came from a `Node`
+                // constructor; concurrent holders are covered by their pins.
+                unsafe { handle.retire_raw(node.cast(), Node::<K, V>::free_erased) };
             }
             None => {
                 let mut local = self.graveyard.borrow_mut();

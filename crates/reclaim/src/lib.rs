@@ -107,23 +107,17 @@ struct Retired {
 // the thread that frees them.
 unsafe impl Send for Retired {}
 
-impl Retired {
-    /// # Safety
-    ///
-    /// `ptr` must be a valid `Box<T>`-allocated pointer, exclusively owned
-    /// by the reclamation machinery from this point on.
-    unsafe fn new<T>(ptr: *mut T, epoch: u64) -> Self {
-        unsafe fn drop_box<T>(p: *mut u8) {
-            // SAFETY: `p` was created from `Box::into_raw` of a `T`.
-            drop(unsafe { Box::from_raw(p.cast::<T>()) });
-        }
-        Self {
-            ptr: ptr.cast(),
-            drop_fn: drop_box::<T>,
-            epoch,
-        }
-    }
+/// The deleter the generic retire entry points pair with a `Box<T>`.
+///
+/// # Safety
+///
+/// `p` must come from `Box::into_raw` of a `T`, not yet freed.
+unsafe fn drop_box<T>(p: *mut u8) {
+    // SAFETY: forwarded to the caller's contract.
+    drop(unsafe { Box::from_raw(p.cast::<T>()) });
+}
 
+impl Retired {
     /// # Safety
     ///
     /// A grace period must have elapsed since retirement (or all threads
@@ -204,9 +198,24 @@ impl EbrDomain {
     ///
     /// Same contract as [`EbrHandle::retire`].
     pub unsafe fn retire_shared<T>(&self, ptr: *mut T) {
-        let epoch = self.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: ownership transferred per this function's contract.
-        let retired = unsafe { Retired::new(ptr, epoch) };
+        // SAFETY: forwarded; `drop_box::<T>` frees a `Box<T>`.
+        unsafe { self.retire_shared_raw(ptr.cast(), drop_box::<T>) }
+    }
+
+    /// [`retire_shared`](Self::retire_shared) for an allocation with its
+    /// own deleter: after the grace period the domain calls
+    /// `drop_fn(ptr)` instead of freeing a `Box`. For objects that live
+    /// outside the global allocator, such as pool-allocated tree nodes.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`EbrHandle::retire_raw`].
+    pub unsafe fn retire_shared_raw(&self, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
+        let retired = Retired {
+            ptr,
+            drop_fn,
+            epoch: self.global_epoch.load(Ordering::Relaxed),
+        };
         let depth = {
             let mut orphans = self.orphans.lock();
             orphans.push(retired);
@@ -363,9 +372,28 @@ impl<'d> EbrHandle<'d> {
     /// * Threads may still hold *old* references, but only ones acquired
     ///   while pinned.
     pub unsafe fn retire<T>(&self, ptr: *mut T) {
-        let epoch = self.domain.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: ownership transferred per this function's contract.
-        let retired = unsafe { Retired::new(ptr, epoch) };
+        // SAFETY: forwarded; `drop_box::<T>` frees a `Box<T>`.
+        unsafe { self.retire_raw(ptr.cast(), drop_box::<T>) }
+    }
+
+    /// [`retire`](Self::retire) for an allocation with its own deleter:
+    /// after the grace period the domain calls `drop_fn(ptr)` instead of
+    /// freeing a `Box`. For objects that live outside the global
+    /// allocator, such as pool-allocated tree nodes.
+    ///
+    /// # Safety
+    ///
+    /// * `drop_fn(ptr)` must be sound to call exactly once, from any
+    ///   thread, and must release the object.
+    /// * `ptr` must be exclusively owned by the caller, as for
+    ///   [`retire`](Self::retire): unlinked, with old references held
+    ///   only by pinned threads.
+    pub unsafe fn retire_raw(&self, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
+        let retired = Retired {
+            ptr,
+            drop_fn,
+            epoch: self.domain.global_epoch.load(Ordering::Relaxed),
+        };
         let limbo_depth = {
             let mut garbage = self.garbage.borrow_mut();
             garbage.push(retired);
@@ -489,6 +517,29 @@ mod tests {
         h.collect();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         assert_eq!(domain.freed_count(), 1);
+        drop(h);
+    }
+
+    #[test]
+    fn raw_retirements_run_their_own_deleter() {
+        static DELETED: AtomicU64 = AtomicU64::new(0);
+        unsafe fn delete(p: *mut u8) {
+            // SAFETY: `p` comes from `Box::into_raw` of a `u32` below.
+            drop(unsafe { Box::from_raw(p.cast::<u32>()) });
+            DELETED.fetch_add(1, Ordering::SeqCst);
+        }
+        let domain = EbrDomain::new();
+        let h = domain.register();
+        // SAFETY: fresh, exclusively owned allocations; `delete` frees them.
+        unsafe {
+            h.retire_raw(Box::into_raw(Box::new(1u32)).cast(), delete);
+            domain.retire_shared_raw(Box::into_raw(Box::new(2u32)).cast(), delete);
+        }
+        assert_eq!(DELETED.load(Ordering::SeqCst), 0, "no grace period yet");
+        for _ in 0..3 {
+            h.collect();
+        }
+        assert_eq!(DELETED.load(Ordering::SeqCst), 2);
         drop(h);
     }
 
