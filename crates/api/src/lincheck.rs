@@ -28,10 +28,12 @@
 //!    per-key subhistory is checked independently, which keeps the search
 //!    tractable (the full-history search space is the product of the
 //!    per-key ones; see DESIGN.md §6f for the compositionality argument).
-//! 3. On failure the offending per-key subhistory is **shrunk** to a
+//! 3. On failure the offending per-key subhistory is cut at its **first
+//!    violation** (the shortest failing prefix) and **shrunk** to a
 //!    1-minimal non-linearizable sub-history (greedily dropping every
-//!    operation whose removal preserves the violation) and pretty-printed
-//!    in timestamp order.
+//!    operation whose removal preserves the violation, except the insert
+//!    behind a value a kept read returns) and pretty-printed in timestamp
+//!    order.
 //!
 //! [`check_linearizable`] drives the whole pipeline from a seed: run a
 //! mixed workload, record, dump the history to a file (forensic evidence
@@ -362,7 +364,15 @@ pub struct NonLinearizable {
     /// involved).
     pub keys: Vec<u64>,
     /// The 1-minimal non-linearizable sub-history, in invocation order.
+    /// It keeps the insert behind every value a kept read returns.
     pub ops: Vec<RecordedOp>,
+    /// Where the first violation happens: the response ticket that ends
+    /// the shortest failing prefix. The events up to and including this
+    /// ticket are already non-linearizable, and every shorter prefix is
+    /// linearizable. `ops` comes from this prefix.
+    pub cut: u64,
+    /// Operations invoked within that prefix, out of the whole history.
+    pub prefix_ops: usize,
 }
 
 impl fmt::Display for NonLinearizable {
@@ -378,8 +388,18 @@ impl fmt::Display for NonLinearizable {
             "minimal non-linearizable sub-history on key(s) {keys} ({} ops, invocation order):",
             self.ops.len()
         )?;
+        writeln!(
+            f,
+            "  first violation: the history up to ticket {} is already non-linearizable \
+             ({} operations invoked by then)",
+            self.cut, self.prefix_ops
+        )?;
         for op in &self.ops {
-            writeln!(f, "  {op}")?;
+            if op.ret_at > self.cut {
+                writeln!(f, "  {op}  [responded after the cut]")?;
+            } else {
+                writeln!(f, "  {op}")?;
+            }
         }
         write!(
             f,
@@ -491,6 +511,10 @@ fn clear_bit(mask: &mut [u64], i: usize) {
 /// be respected). Visited `(linearized-set, state)` configurations are
 /// memoized: reaching the same set of linearized operations with the same
 /// abstract state again cannot succeed where the first visit failed.
+///
+/// An operation with `ret_at == PENDING` had not responded when the
+/// history was cut: it may linearize anywhere after its invocation, or
+/// not at all, and it never constrains another operation's position.
 fn is_linearizable(ops: &[RecordedOp]) -> bool {
     let n = ops.len();
     if n == 0 {
@@ -498,17 +522,26 @@ fn is_linearizable(ops: &[RecordedOp]) -> bool {
     }
     let mut done = vec![0u64; n.div_ceil(64)];
     let mut memo: HashSet<(Box<[u64]>, Option<u64>)> = HashSet::new();
-    dfs(ops, &mut done, 0, None, &mut memo)
+    dfs(ops, &mut done, required(ops), None, &mut memo)
+}
+
+/// The response ticket of an operation still running at a cut.
+const PENDING: u64 = u64::MAX;
+
+/// How many operations a linearization must include: every one that
+/// responded.
+fn required(ops: &[RecordedOp]) -> usize {
+    ops.iter().filter(|o| o.ret_at != PENDING).count()
 }
 
 fn dfs(
     ops: &[RecordedOp],
     done: &mut [u64],
-    n_done: usize,
+    left: usize,
     state: Option<u64>,
     memo: &mut HashSet<(Box<[u64]>, Option<u64>)>,
 ) -> bool {
-    if n_done == ops.len() {
+    if left == 0 {
         return true;
     }
     if !memo.insert((done.to_vec().into_boxed_slice(), state)) {
@@ -538,7 +571,8 @@ fn dfs(
         }
         if let Some(next) = apply(op, state) {
             set_bit(done, i);
-            if dfs(ops, done, n_done + 1, next, memo) {
+            let left = left - usize::from(op.ret_at != PENDING);
+            if dfs(ops, done, left, next, memo) {
                 return true;
             }
             clear_bit(done, i);
@@ -561,17 +595,17 @@ fn is_linearizable_multi(ops: &[RecordedOp]) -> bool {
     }
     let mut done = vec![0u64; n.div_ceil(64)];
     let mut memo: MultiMemo = HashSet::new();
-    dfs_multi(ops, &mut done, 0, &BTreeMap::new(), &mut memo)
+    dfs_multi(ops, &mut done, required(ops), &BTreeMap::new(), &mut memo)
 }
 
 fn dfs_multi(
     ops: &[RecordedOp],
     done: &mut [u64],
-    n_done: usize,
+    left: usize,
     state: &BTreeMap<u64, u64>,
     memo: &mut MultiMemo,
 ) -> bool {
-    if n_done == ops.len() {
+    if left == 0 {
         return true;
     }
     let snapshot: Vec<(u64, u64)> = state.iter().map(|(&k, &v)| (k, v)).collect();
@@ -601,7 +635,8 @@ fn dfs_multi(
         }
         if let Some(next) = apply_multi(op, state) {
             set_bit(done, i);
-            if dfs_multi(ops, done, n_done + 1, &next, memo) {
+            let left = left - usize::from(op.ret_at != PENDING);
+            if dfs_multi(ops, done, left, &next, memo) {
                 return true;
             }
             clear_bit(done, i);
@@ -620,14 +655,63 @@ fn component_linearizable(ops: &[RecordedOp]) -> bool {
     }
 }
 
-/// Greedily shrinks a non-linearizable component subhistory to a
-/// 1-minimal one: repeatedly drop any operation whose removal preserves
-/// non-linearizability, until no single removal does.
+/// The component cut at response ticket `cut`: the operations invoked
+/// before it, with those still running at the cut marked [`PENDING`].
+fn cut_at(ops: &[RecordedOp], cut: u64) -> Vec<RecordedOp> {
+    ops.iter()
+        .filter(|o| o.inv < cut)
+        .map(|o| RecordedOp {
+            ret_at: if o.ret_at > cut { PENDING } else { o.ret_at },
+            ..o.clone()
+        })
+        .collect()
+}
+
+/// The response ticket ending the shortest non-linearizable prefix of a
+/// non-linearizable component. Failure is monotone in the cut (a
+/// linearization of a longer prefix, cut at a shorter one, linearizes
+/// the shorter one), so a binary search over the response tickets finds
+/// it.
+fn first_failing_cut(ops: &[RecordedOp]) -> u64 {
+    let mut cuts: Vec<u64> = ops.iter().map(|o| o.ret_at).collect();
+    cuts.sort_unstable();
+    let first = cuts.partition_point(|&cut| component_linearizable(&cut_at(ops, cut)));
+    cuts[first.min(cuts.len() - 1)]
+}
+
+/// Whether `ops[i]` is the insert behind a value another operation in
+/// `ops` returned: a read's counterexample must show where its value
+/// came from.
+fn supports_a_read(ops: &[RecordedOp], i: usize) -> bool {
+    let (Op::Insert { key, value }, Ret::Granted(true)) = (&ops[i].op, &ops[i].ret) else {
+        return false;
+    };
+    let entry = (*key, *value);
+    ops.iter().enumerate().any(|(j, o)| {
+        j != i
+            && match &o.ret {
+                Ret::Found(Some(v)) => o.op.key() == Some(*key) && *v == *value,
+                Ret::Entries(es) => es.contains(&entry),
+                Ret::Entry(e) => *e == Some(entry),
+                _ => false,
+            }
+    })
+}
+
+/// Greedily shrinks a non-linearizable component subhistory to a core
+/// that is 1-minimal among the operations it may drop: repeatedly drop
+/// any operation whose removal preserves non-linearizability, until no
+/// single removal does. The insert behind a value a kept read returns is
+/// never dropped, or the core would blame a read for a write it omits.
 fn shrink(mut ops: Vec<RecordedOp>) -> Vec<RecordedOp> {
     loop {
         let mut changed = false;
         let mut i = 0;
         while i < ops.len() {
+            if supports_a_read(&ops, i) {
+                i += 1;
+                continue;
+            }
             let mut candidate = ops.clone();
             candidate.remove(i);
             if !component_linearizable(&candidate) {
@@ -640,6 +724,28 @@ fn shrink(mut ops: Vec<RecordedOp>) -> Vec<RecordedOp> {
         if !changed {
             return ops;
         }
+    }
+}
+
+/// Localizes a non-linearizable component whose first failing cut is
+/// `cut`: the core shrunk from the prefix it ends, reported with the
+/// original response tickets.
+fn localize(ops: &[RecordedOp], cut: u64, history: &History) -> NonLinearizable {
+    let core = shrink(cut_at(ops, cut));
+    let ops: Vec<RecordedOp> = core
+        .iter()
+        .map(|c| {
+            ops.iter()
+                .find(|o| (o.thread, o.inv, &o.op, &o.ret) == (c.thread, c.inv, &c.op, &c.ret))
+                .expect("the core comes from the component")
+                .clone()
+        })
+        .collect();
+    NonLinearizable {
+        keys: touched_keys(&ops),
+        ops,
+        cut,
+        prefix_ops: history.ops.iter().filter(|o| o.inv < cut).count(),
     }
 }
 
@@ -701,13 +807,18 @@ impl UnionFind {
 /// operation ever touches or observes are absent at every instant (the
 /// map starts empty), so they impose no cross-component constraints.
 /// Point-only components run the fast single-key WGL DFS; components
-/// with ordered reads run the multi-key variant. The first violating
-/// component is shrunk to a minimal counterexample.
+/// with ordered reads run the multi-key variant.
+///
+/// A violating component is localized to its shortest failing prefix:
+/// the earliest response ticket by which the events already admit no
+/// linearization (operations still running then may linearize or not).
+/// The core is shrunk from that prefix and keeps the insert behind every
+/// value a kept read returns.
 ///
 /// # Errors
 ///
-/// Returns the shrunk counterexample for the first violating component
-/// (ordered by smallest key).
+/// Returns the counterexample of the component that fails first in time
+/// (ties go to the smallest key).
 pub fn check_history(history: &History) -> Result<(), NonLinearizable> {
     // Relevant keys, sorted: point-op keys plus keys ordered reads
     // returned.
@@ -747,6 +858,8 @@ pub fn check_history(history: &History) -> Result<(), NonLinearizable> {
     }
 
     // Bucket ops by component, ordered by the component's smallest key.
+    // Each violating component with its first failing cut.
+    let mut failures: Vec<(u64, Vec<RecordedOp>)> = Vec::new();
     let mut components: BTreeMap<usize, Vec<RecordedOp>> = BTreeMap::new();
     let mut min_index_of_root: BTreeMap<usize, usize> = BTreeMap::new();
     for i in 0..keys.len() {
@@ -763,10 +876,7 @@ pub fn check_history(history: &History) -> Result<(), NonLinearizable> {
                     // whole region is untouched, hence empty at every
                     // instant. It must have observed exactly that.
                     if apply_multi(op, &BTreeMap::new()).is_none() {
-                        return Err(NonLinearizable {
-                            keys: touched_keys(std::slice::from_ref(op)),
-                            ops: vec![op.clone()],
-                        });
+                        failures.push((op.ret_at, vec![op.clone()]));
                     }
                     continue;
                 }
@@ -781,14 +891,15 @@ pub fn check_history(history: &History) -> Result<(), NonLinearizable> {
 
     for ops in components.into_values() {
         if !component_linearizable(&ops) {
-            let shrunk = shrink(ops);
-            return Err(NonLinearizable {
-                keys: touched_keys(&shrunk),
-                ops: shrunk,
-            });
+            failures.push((first_failing_cut(&ops), ops));
         }
     }
-    Ok(())
+    // Only the first violation in time (ties to the smallest key) is
+    // shrunk and reported.
+    match failures.into_iter().min_by_key(|(cut, _)| *cut) {
+        Some((cut, ops)) => Err(localize(&ops, cut, history)),
+        None => Ok(()),
+    }
 }
 
 /// Runs a seeded mixed workload (≈40% insert / 30% remove / 30% get over
@@ -1399,6 +1510,75 @@ mod tests {
     }
 
     #[test]
+    fn core_keeps_the_insert_a_read_depends_on() {
+        // get(3) returns a value that was removed before it started.
+        // Dropping the insert would leave a one-op "core" that blames the
+        // read for a value nothing wrote.
+        let h = history(vec![
+            ins(0, 0, 1, 3, 99, true),
+            rem(0, 2, 3, 3, true),
+            get(1, 4, 5, 3, Some(99)),
+            ins(0, 6, 7, 3, 100, true),
+            get(1, 8, 9, 3, Some(100)),
+        ]);
+        let err = check_history(&h).unwrap_err();
+        assert_eq!(
+            err.ops.len(),
+            3,
+            "insert, remove and the stale read:\n{err}"
+        );
+        assert!(
+            err.ops
+                .iter()
+                .any(|o| o.op == Op::Insert { key: 3, value: 99 }),
+            "the core must show where 99 came from:\n{err}"
+        );
+        assert_eq!(
+            err.cut, 5,
+            "the violation is complete at the read's response"
+        );
+        assert_eq!(err.prefix_ops, 3);
+        let text = err.to_string();
+        assert!(text.contains("up to ticket 5"), "{text}");
+    }
+
+    #[test]
+    fn first_violation_in_time_wins_over_the_smaller_key() {
+        let h = history(vec![
+            // Key 2 goes wrong early: a read misses a completed insert.
+            ins(0, 0, 1, 2, 20, true),
+            get(1, 2, 3, 2, None),
+            // Key 1 goes wrong late.
+            ins(0, 10, 11, 1, 10, true),
+            get(1, 12, 13, 1, None),
+        ]);
+        let err = check_history(&h).unwrap_err();
+        assert_eq!(err.keys, vec![2]);
+        assert_eq!(err.cut, 3);
+        assert_eq!(err.prefix_ops, 2);
+    }
+
+    #[test]
+    fn operations_running_at_the_cut_may_still_linearize() {
+        // The first get overlaps the insert it observed; the insert
+        // responds after the get. Cut at the get's response, the insert
+        // is still running and may linearize first, so that prefix is
+        // fine. The violation is the second get, after the remove.
+        let h = history(vec![
+            get(1, 0, 10, 4, Some(7)),
+            ins(0, 5, 12, 4, 7, true),
+            rem(0, 13, 14, 4, true),
+            get(1, 15, 16, 4, Some(7)),
+        ]);
+        let err = check_history(&h).unwrap_err();
+        assert_eq!(err.cut, 16, "{err}");
+        // A cut marks the still-running insert as pending, and a pending
+        // operation is optional.
+        assert!(is_linearizable(&cut_at(&h.ops, 10)));
+        assert!(!is_linearizable(&cut_at(&h.ops, 16)));
+    }
+
+    #[test]
     fn pretty_printer_names_the_key_and_ops() {
         let err = check_history(&history(vec![
             ins(0, 0, 1, 9, 5, true),
@@ -1521,7 +1701,16 @@ mod tests {
             scan(1, 4, 8, 0, 100, vec![(10, 1), (25, 2)]),
         ]);
         let err = check_history(&h).unwrap_err();
-        assert!(err.ops.len() <= 3, "want ≤3 ops: {err}");
+        // The core keeps both inserts the scan observed, plus the remove
+        // that makes (10, 1) stale: nothing else.
+        assert_eq!(err.ops.len(), 4, "{err}");
+        for op in [
+            Op::Insert { key: 10, value: 1 },
+            Op::Insert { key: 25, value: 2 },
+            Op::Remove { key: 10 },
+        ] {
+            assert!(err.ops.iter().any(|o| o.op == op), "{op:?} missing: {err}");
+        }
     }
 
     #[test]

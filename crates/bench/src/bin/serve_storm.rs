@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Shards (and drain workers) per server. Fixed so rows keep a stable
+/// Shards (and shard queues) per server. Fixed so rows keep a stable
 /// gate identity across hosts.
 const SHARDS: usize = 4;
 /// Tenants in the session-store scenario; each owns a `tenant << 40` key
@@ -53,7 +53,7 @@ const NOTES: &str = "closed-loop paced clients at a fixed aggregate RPS; latenci
      runs quantize to powers of two. ops_per_s is the achieved per-class rate; at a \
      sustainable target it tracks the mix shares of target_rps, and a large shortfall \
      (or a rejected count exploding) means the host could not hold the target. \
-     1-core bench host: thread-per-shard workers and clients all timeshare one CPU, \
+     1-core bench host: the clients, which also execute the requests, timeshare one CPU, \
      so tail percentiles carry scheduler noise; the gate threshold is sized for that.";
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -64,6 +64,35 @@ fn env_u64(name: &str, default: u64) -> u64 {
         Err(std::env::VarError::NotPresent) => default,
         Err(e) => panic!("invalid {name}: {e}"),
     }
+}
+
+/// The server configuration from the `CITRUS_SERVE_HIGH_WATER`,
+/// `CITRUS_SERVE_BATCH_MAX` and `CITRUS_SERVE_RETRY_AFTER_US` knobs over
+/// [`ServeConfig::default`].
+///
+/// # Panics
+///
+/// Panics on a malformed value, on a zero high-water mark, or on a zero
+/// combining bound: a typo'd knob must not silently fall back to a
+/// default.
+fn serve_config_from_env() -> ServeConfig {
+    let defaults = ServeConfig::default();
+    let high_water = usize::try_from(env_u64(
+        "CITRUS_SERVE_HIGH_WATER",
+        defaults.high_water as u64,
+    ))
+    .expect("CITRUS_SERVE_HIGH_WATER out of range");
+    let batch_max = usize::try_from(env_u64("CITRUS_SERVE_BATCH_MAX", defaults.batch_max as u64))
+        .expect("CITRUS_SERVE_BATCH_MAX out of range");
+    assert!(high_water > 0, "CITRUS_SERVE_HIGH_WATER must be > 0");
+    assert!(batch_max > 0, "CITRUS_SERVE_BATCH_MAX must be > 0");
+    defaults
+        .with_high_water(high_water)
+        .with_batch_max(batch_max)
+        .with_retry_after(Duration::from_micros(env_u64(
+            "CITRUS_SERVE_RETRY_AFTER_US",
+            defaults.retry_after.as_micros() as u64,
+        )))
 }
 
 #[derive(Debug, Clone)]
@@ -138,7 +167,7 @@ fn run_cell(
         ),
         other => panic!("unknown router {other}"),
     };
-    let server = Server::with_config(forest, ServeConfig::from_env());
+    let server = Server::with_config(forest, serve_config_from_env());
 
     // Prefill half of each tenant's local range (uniform, like every
     // other bench: skewed runs start from the same occupancy).
@@ -349,5 +378,30 @@ fn main() {
     match benchjson::write("serve", &body) {
         Ok(path) => println!("(bench json: {})", path.display()),
         Err(e) => eprintln!("(bench json write failed: {e})"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serve knobs round-trip from the environment, and a malformed
+    /// one is a hard error rather than a default. One test, so no other
+    /// test in this binary reads these variables while they are set.
+    #[test]
+    fn config_from_env_reads_knobs() {
+        std::env::set_var("CITRUS_SERVE_HIGH_WATER", "7");
+        std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3");
+        std::env::set_var("CITRUS_SERVE_RETRY_AFTER_US", "250");
+        let config = serve_config_from_env();
+        std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3x");
+        let malformed = std::panic::catch_unwind(serve_config_from_env);
+        std::env::remove_var("CITRUS_SERVE_HIGH_WATER");
+        std::env::remove_var("CITRUS_SERVE_BATCH_MAX");
+        std::env::remove_var("CITRUS_SERVE_RETRY_AFTER_US");
+        assert_eq!(config.high_water, 7);
+        assert_eq!(config.batch_max, 3);
+        assert_eq!(config.retry_after, Duration::from_micros(250));
+        assert!(malformed.is_err(), "a malformed knob must panic");
     }
 }

@@ -1,15 +1,13 @@
-//! Server tuning knobs: queue depth, batch width, retry-after, and the
-//! session-recycling churn knob.
+//! Server tuning knobs: queue depth, combining bound, retry-after, and
+//! the session-recycling churn knob.
 
 use std::time::Duration;
 
 /// Tuning for a [`Server`](crate::Server).
 ///
-/// The defaults are sized for the test and smoke workloads; the
-/// `serve_storm` load generator and the CI lane override them through the
-/// `CITRUS_SERVE_*` environment knobs (see [`ServeConfig::from_env`]).
-/// Per the repo convention, malformed knob values are hard errors — a
-/// typo'd variable must not silently fall back to a default.
+/// The defaults are sized for the test and smoke workloads. The library
+/// reads no environment: binaries that take knobs from it (the
+/// `serve_storm` load generator) build a config and pass it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Admission high-water mark: a shard queue at or above this depth
@@ -18,18 +16,24 @@ pub struct ServeConfig {
     ///
     /// [`SubmitError::Rejected`]: crate::SubmitError::Rejected
     pub high_water: usize,
-    /// Maximum requests a shard worker drains per batch. Larger batches
-    /// amortize queue locking; smaller ones bound per-request latency.
+    /// The combining bound: the most queued requests from *other*
+    /// callers that one executor pass serves before its caller's
+    /// `submit` returns. The pass then releases the shard and wakes the
+    /// oldest queued request whose holder is blocked in `wait` to take it
+    /// over. Larger values amortize
+    /// more hand-offs; smaller ones bound how long a combining caller
+    /// works for others. The drains of `resume` and `shutdown` are not
+    /// bounded.
     pub batch_max: usize,
     /// The back-off hint returned with a rejection. Honoring it is the
     /// client's job; the blocking session API sleeps this long before
     /// resubmitting.
     pub retry_after: Duration,
-    /// Worker-session churn: after every `recycle_ops` executed requests
-    /// a shard worker drops its forest session (deregistering its RCU
-    /// reader slots and reclamation bags) and opens a fresh one —
-    /// mid-batch when this is smaller than the batch width. `0` (the
-    /// default) never recycles. The churn stress suite uses small values
+    /// Executor-session churn: after every `recycle_ops` executed
+    /// requests a shard drops its executor's forest session
+    /// (deregistering its RCU reader slots and reclamation bags) and
+    /// opens a fresh one — mid-pass when this is smaller than the pass.
+    /// `0` (the default) never recycles. The churn stress suite uses small values
     /// to hammer the registry paths; production-shaped configs leave it
     /// off.
     pub recycle_ops: u64,
@@ -46,52 +50,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Parses one `CITRUS_SERVE_*` integer knob, hard-erroring on malformed
-/// values (repo convention: a typo must not silently shrink a limit).
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(e) => panic!("invalid {name}: {e}"),
-    }
-}
-
 impl ServeConfig {
-    /// Reads the environment knobs over the defaults:
-    /// `CITRUS_SERVE_HIGH_WATER`, `CITRUS_SERVE_BATCH_MAX`, and
-    /// `CITRUS_SERVE_RETRY_AFTER_US`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value, on a zero high-water mark, or on a
-    /// zero batch width.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let cfg = Self {
-            high_water: usize::try_from(env_u64(
-                "CITRUS_SERVE_HIGH_WATER",
-                defaults.high_water as u64,
-            ))
-            .expect("CITRUS_SERVE_HIGH_WATER out of range"),
-            batch_max: usize::try_from(env_u64(
-                "CITRUS_SERVE_BATCH_MAX",
-                defaults.batch_max as u64,
-            ))
-            .expect("CITRUS_SERVE_BATCH_MAX out of range"),
-            retry_after: Duration::from_micros(env_u64(
-                "CITRUS_SERVE_RETRY_AFTER_US",
-                defaults.retry_after.as_micros() as u64,
-            )),
-            recycle_ops: 0,
-        };
-        assert!(cfg.high_water > 0, "CITRUS_SERVE_HIGH_WATER must be > 0");
-        assert!(cfg.batch_max > 0, "CITRUS_SERVE_BATCH_MAX must be > 0");
-        cfg
-    }
-
     /// The same configuration with a different high-water mark.
     #[must_use]
     pub fn with_high_water(mut self, high_water: usize) -> Self {
@@ -100,7 +59,7 @@ impl ServeConfig {
         self
     }
 
-    /// The same configuration with a different batch width.
+    /// The same configuration with a different combining bound.
     #[must_use]
     pub fn with_batch_max(mut self, batch_max: usize) -> Self {
         assert!(batch_max > 0, "batch_max must be > 0");
@@ -115,7 +74,7 @@ impl ServeConfig {
         self
     }
 
-    /// The same configuration recycling worker sessions every
+    /// The same configuration recycling executor sessions every
     /// `recycle_ops` executed requests (`0` disables).
     #[must_use]
     pub fn with_recycle_ops(mut self, recycle_ops: u64) -> Self {

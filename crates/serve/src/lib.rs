@@ -1,15 +1,19 @@
-//! `citrus-serve`: a batched, backpressured ordered-KV request layer over
+//! `citrus-serve`: a combining, backpressured ordered-KV request layer over
 //! [`CitrusForest`](citrus::CitrusForest).
 //!
 //! The forest gives linearizable point ops and ordered scans per shard;
 //! this crate puts a serving front end on it:
 //!
-//! - **Thread-per-core drain workers** — one worker thread per shard owns
-//!   a long-lived forest session and a bounded mailbox
-//!   ([`BatchQueue`]); requests route to shards with the forest's own
-//!   router, so data and execution stay colocated.
-//! - **Per-shard batching** — workers drain up to `batch_max` requests
-//!   per queue-lock acquisition and execute them in arrival order.
+//! - **Caller-run combining, no threads of its own** — requests route to
+//!   shards with the forest's own router. A submitter that finds its
+//!   shard idle runs its own request on its own thread, then serves up to
+//!   `batch_max` requests that queued behind it, in the style of flat
+//!   combining; only a submitter that finds the shard busy queues on its
+//!   bounded mailbox ([`BatchQueue`]) and waits on a [`Ticket`]. Each
+//!   shard keeps one long-lived forest session that passes between
+//!   threads with the right to execute.
+//! - **Per-shard order** — a shard executes its requests one at a time,
+//!   in admission order.
 //! - **Admission control** — a shard queue at its `high_water` mark
 //!   rejects with [`SubmitError::Rejected`] carrying a `retry_after`
 //!   hint instead of queueing unboundedly; the blocking
@@ -21,7 +25,7 @@
 //! Correctness is proven *at this boundary*: [`Server`] implements
 //! [`ConcurrentMap`](citrus_api::ConcurrentMap), so the WGL
 //! linearizability checker and the oracle-conformance harness drive the
-//! full submit → queue → batch → respond pipeline, not just the
+//! full submit → queue → execute → respond pipeline, not just the
 //! underlying map. A planted `serve/drain/ack-before-apply` mutant
 //! (acknowledge a write with a predicted result before executing it)
 //! exists purely so the test suite can demonstrate the checker rejects a
@@ -40,7 +44,7 @@
 //! client.insert(9, 900);
 //! assert_eq!(client.get(&7), Some(700));
 //! assert_eq!(client.range_scan(&0, &10), vec![(7, 700), (9, 900)]);
-//! server.shutdown(); // drains in-flight batches, then joins workers
+//! server.shutdown(); // drains queued requests on this thread
 //! ```
 
 #![warn(missing_docs)]
@@ -52,7 +56,7 @@ mod server;
 
 pub use config::ServeConfig;
 pub use metrics::ServeMetrics;
-pub use queue::{Batch, BatchQueue, OfferError};
+pub use queue::{Admission, BatchQueue, HandOff, OfferError, Waiter};
 pub use server::{
     OpClass, Request, Response, ServeCounters, ServeSession, Server, ServerClosed, SubmitError,
     Ticket,

@@ -1,4 +1,4 @@
-//! Server-side instruments: per-op-class latency histograms, batch-size
+//! Server-side instruments: per-op-class latency histograms, pass-size
 //! distribution, and the queue-depth high-water mark.
 //!
 //! Everything here is `citrus-obs`-backed and therefore zero-sized (and
@@ -19,7 +19,7 @@ pub struct ServeMetrics {
     pub write_ns: Log2Histogram,
     /// End-to-end latency for ordered ops (scans, successor/predecessor).
     pub scan_ns: Log2Histogram,
-    /// Number of requests per drained batch.
+    /// Number of requests per executor pass.
     pub batch_size: Log2Histogram,
     /// Deepest shard queue ever observed at admission time.
     pub depth_hwm: HighWaterMark,

@@ -1,20 +1,34 @@
-//! The server proper: shard-owned drain workers over a [`CitrusForest`],
-//! plus the client-side [`ServeSession`] that makes the whole pipeline
-//! look like an ordinary [`MapSession`].
+//! The server proper: caller-run combining over a [`CitrusForest`], plus
+//! the client-side [`ServeSession`] that makes the whole pipeline look
+//! like an ordinary [`MapSession`].
 //!
 //! # Shape
 //!
-//! One worker thread per forest shard (the thread-per-core layout) owns a
-//! [`BatchQueue`] mailbox and a long-lived `ForestSession`. Clients route
-//! each request to its shard with the forest's own router
-//! ([`CitrusForest::shard_for`]), so a request and the data it touches
-//! always meet on the same worker; the worker drains up to
-//! `batch_max` requests per queue-lock acquisition and executes them in
-//! arrival order against its session.
+//! The server owns no thread. Clients route each request to its shard
+//! with the forest's own router ([`CitrusForest::shard_for`]); each shard
+//! has a [`BatchQueue`] whose executor flag says who may run the shard's
+//! requests right now. A submit that finds its shard idle takes the flag,
+//! runs its own request on its own thread, then serves up to `batch_max`
+//! requests that queued behind it (flat combining). A submit that finds
+//! the shard busy queues and gets a [`Ticket`]. A combiner that stops at
+//! its bound releases the flag and wakes the oldest queued request whose
+//! holder is blocked in [`wait`](Ticket::wait); that holder takes over
+//! and drains in turn. Any unresolved ticket's [`wait`](Ticket::wait),
+//! [`is_ready`](Ticket::is_ready) or drop also takes over a shard it
+//! finds idle with queued work, so work left behind a release reaches
+//! whichever holder acts next. A queued request that panics is caught
+//! in the pass and its panic resumes in its own ticket's `wait`, not on
+//! the combiner's caller.
+//!
+//! Whoever holds a shard's flag also uses the shard's executor state: one
+//! long-lived forest session, the `recycle_ops` count, and the planted
+//! mutant's stash. They live with the shard, not with a thread, and pass
+//! between threads only with the flag.
 //!
 //! # Correctness at this boundary
 //!
-//! Each response is delivered *after* its request executes, so every
+//! A shard executes its requests one at a time, in admission order, and
+//! each response is delivered *after* its request executes, so every
 //! operation's linearization point falls inside its invocation/response
 //! window and the server composition preserves the forest's
 //! linearizability — that is exactly what the end-to-end lincheck suite
@@ -22,20 +36,21 @@
 //! (which acknowledges a write with a predicted result before executing
 //! it) deliberately breaks.
 
+use std::any::Any;
 use std::hash::Hash;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
-use citrus::{CitrusForest, RcuFlavor, ScalableRcu};
+use citrus::{CitrusForest, ForestSession, RcuFlavor, ScalableRcu};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::Stopwatch;
 
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
-use crate::queue::{BatchQueue, OfferError};
+use crate::queue::{Admission, BatchQueue, HandOff, OfferError, Waiter};
 
 /// The three latency classes a request falls into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -159,76 +174,225 @@ impl std::fmt::Display for ServerClosed {
 
 impl std::error::Error for ServerClosed {}
 
-/// The response rendezvous: the worker delivers into it, the client waits
-/// on it.
+/// What a queued request's slot holds, under the slot's mutex.
+struct SlotState<K, V> {
+    resp: Option<Response<K, V>>,
+    /// The request panicked while executing; its ticket's `wait` resumes
+    /// the panic.
+    panic: Option<Box<dyn Any + Send>>,
+    /// The ticket holder is in `wait`: it set this before it first tried
+    /// to take over, so a combiner that releases later sees it and wakes
+    /// it, and one that released earlier left the shard to its try.
+    waiting: bool,
+    /// A releasing combiner woke the waiting holder to take over.
+    nudged: bool,
+    /// The ticket was dropped; nobody can take over for this request.
+    abandoned: bool,
+}
+
+impl<K, V> SlotState<K, V> {
+    /// Whether the request has executed (or panicked).
+    fn settled(&self) -> bool {
+        self.resp.is_some() || self.panic.is_some()
+    }
+}
+
+/// The response rendezvous of a queued request: the executor delivers
+/// into it, the ticket holder waits on it.
 struct Slot<K, V> {
-    resp: Mutex<Option<Response<K, V>>>,
+    state: Mutex<SlotState<K, V>>,
     cv: Condvar,
 }
 
 impl<K, V> Slot<K, V> {
     fn new() -> Self {
         Self {
-            resp: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                resp: None,
+                panic: None,
+                waiting: false,
+                nudged: false,
+                abandoned: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
-    fn deliver(&self, resp: Response<K, V>) {
-        let mut g = self.resp.lock().unwrap_or_else(PoisonError::into_inner);
-        *g = Some(resp);
-        drop(g);
-        self.cv.notify_one();
+    fn lock(&self) -> MutexGuard<'_, SlotState<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn deliver(&self, resp: Result<Response<K, V>, Box<dyn Any + Send>>) {
+        let mut st = self.lock();
+        match resp {
+            Ok(resp) => st.resp = Some(resp),
+            Err(payload) => st.panic = Some(payload),
+        }
+        if st.waiting {
+            self.cv.notify_one();
+        }
     }
 }
 
-/// A claim check for one accepted request. Every accepted request is
-/// eventually delivered — including during a shutdown drain — so
-/// [`wait`](Ticket::wait) always returns. Dropping a ticket abandons the
-/// response harmlessly (the worker still executes the request).
-pub struct Ticket<K, V> {
+/// A request in a shard queue.
+struct Envelope<K, V> {
+    req: Request<K, V>,
     slot: Arc<Slot<K, V>>,
+}
+
+impl<K, V> HandOff for Envelope<K, V> {
+    fn hand_off(&self) -> Waiter {
+        let mut st = self.slot.lock();
+        if st.abandoned {
+            Waiter::Gone
+        } else if st.waiting {
+            st.nudged = true;
+            self.slot.cv.notify_one();
+            Waiter::Blocked
+        } else {
+            Waiter::Holding
+        }
+    }
+}
+
+/// How a ticket reaches back into its server to take over a shard,
+/// without naming the server's RCU flavor in the ticket's type.
+trait TakeOver: Send + Sync {
+    /// Takes `shard`'s executor if it is free and has runnable work, and
+    /// runs one bounded pass.
+    fn take_over(&self, shard: usize);
+}
+
+enum TicketState<K, V> {
+    /// Executed by the submitting caller itself.
+    Done(Option<Response<K, V>>),
+    /// Queued behind a busy shard.
+    Queued {
+        slot: Arc<Slot<K, V>>,
+        server: Weak<dyn TakeOver>,
+        shard: usize,
+    },
+}
+
+/// A claim check for one accepted request. Every accepted request is
+/// eventually executed and delivered — including during a shutdown
+/// drain — so [`wait`](Ticket::wait) always returns (or, if the request
+/// itself panicked, resumes that panic).
+///
+/// An unresolved ticket may run its shard's queue: [`wait`](Ticket::wait),
+/// [`is_ready`](Ticket::is_ready) and dropping the ticket each take over
+/// the shard if it is idle with queued work, and a `wait` also takes over
+/// when a combiner that stops at its bound wakes it. They then run queued
+/// requests, the ticket's own and others', on the calling thread. That is
+/// what keeps requests from being stranded: a combiner releases only
+/// while some queued request's holder can still act. Dropping a ticket
+/// abandons the response harmlessly: the request is still executed.
+pub struct Ticket<K, V> {
+    state: TicketState<K, V>,
 }
 
 impl<K, V> std::fmt::Debug for Ticket<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket")
-            .field("ready", &self.is_ready())
-            .finish()
+        let ready = match &self.state {
+            TicketState::Done(resp) => resp.is_some(),
+            TicketState::Queued { slot, .. } => slot.lock().settled(),
+        };
+        f.debug_struct("Ticket").field("ready", &ready).finish()
+    }
+}
+
+fn take_over(server: &Weak<dyn TakeOver>, shard: usize) {
+    if let Some(server) = server.upgrade() {
+        server.take_over(shard);
     }
 }
 
 impl<K, V> Ticket<K, V> {
-    /// Blocks until the worker delivers this request's response.
+    /// Blocks until this request's response is delivered, taking over the
+    /// shard when it is idle with queued work and whenever a releasing
+    /// combiner wakes this ticket to.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the request's own panic if executing it panicked.
     #[must_use]
-    pub fn wait(self) -> Response<K, V> {
-        let mut g = self
-            .slot
-            .resp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(r) = g.take() {
-                return r;
+    pub fn wait(mut self) -> Response<K, V> {
+        match std::mem::replace(&mut self.state, TicketState::Done(None)) {
+            TicketState::Done(resp) => resp.expect("a ticket's response is taken only once"),
+            TicketState::Queued {
+                slot,
+                server,
+                shard,
+            } => {
+                let mut st = slot.lock();
+                // Registered before the first try: see `SlotState::waiting`.
+                st.waiting = true;
+                let mut first_try = true;
+                loop {
+                    if let Some(resp) = st.resp.take() {
+                        return resp;
+                    }
+                    if let Some(payload) = st.panic.take() {
+                        drop(st);
+                        panic::resume_unwind(payload);
+                    }
+                    if std::mem::take(&mut st.nudged) | std::mem::take(&mut first_try) {
+                        drop(st);
+                        take_over(&server, shard);
+                        st = slot.lock();
+                        continue;
+                    }
+                    st = slot.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
             }
-            g = self.slot.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// `true` once the response has been delivered (non-blocking).
+    /// `true` once the response has been delivered (or the request
+    /// panicked). Never blocks on the response; if the shard is idle with
+    /// queued work, it first runs a bounded pass of the shard's queue.
     #[must_use]
     pub fn is_ready(&self) -> bool {
-        self.slot
-            .resp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        match &self.state {
+            TicketState::Done(resp) => resp.is_some(),
+            TicketState::Queued {
+                slot,
+                server,
+                shard,
+            } => {
+                let mut st = slot.lock();
+                if !st.settled() {
+                    drop(st);
+                    take_over(server, *shard);
+                    st = slot.lock();
+                }
+                st.settled()
+            }
+        }
     }
 }
 
-struct Envelope<K, V> {
-    req: Request<K, V>,
-    slot: Arc<Slot<K, V>>,
+impl<K, V> Drop for Ticket<K, V> {
+    fn drop(&mut self) {
+        if let TicketState::Queued {
+            slot,
+            server,
+            shard,
+        } = &self.state
+        {
+            let mut st = slot.lock();
+            if st.settled() {
+                return;
+            }
+            st.abandoned = true;
+            drop(st);
+            // A combiner that released while this ticket was held may
+            // have left the queue to it: take over rather than strand it.
+            // Later combiners see the mark and run this request
+            // themselves when no one else is left to.
+            take_over(server, *shard);
+        }
+    }
 }
 
 /// Always-on counters (plain atomics, *not* `stats`-gated): the
@@ -241,10 +405,11 @@ pub struct ServeCounters {
     executed: AtomicU64,
     acked_writes: AtomicU64,
     recycled_sessions: AtomicU64,
+    most_served_for_others: AtomicU64,
 }
 
 impl ServeCounters {
-    /// Requests admitted into a shard queue.
+    /// Requests admitted, whether run at once or queued.
     #[must_use]
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
@@ -256,7 +421,7 @@ impl ServeCounters {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Batches drained by shard workers.
+    /// Executor passes that ran at least one request.
     #[must_use]
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
@@ -276,36 +441,92 @@ impl ServeCounters {
         self.acked_writes.load(Ordering::Relaxed)
     }
 
-    /// Worker forest-sessions dropped and reopened by the
+    /// Executor forest-sessions dropped and reopened by the
     /// `recycle_ops` churn knob.
     #[must_use]
     pub fn recycled_sessions(&self) -> u64 {
         self.recycled_sessions.load(Ordering::Relaxed)
     }
+
+    /// The most queued requests one combining pass has served for other
+    /// callers. It stays at or below `batch_max` unless a pass found only
+    /// requests whose tickets were dropped, which nobody else can run.
+    /// The drains of `resume` and `shutdown` are not combining passes and
+    /// do not count.
+    #[must_use]
+    pub fn most_served_for_others(&self) -> u64 {
+        self.most_served_for_others.load(Ordering::Relaxed)
+    }
 }
 
-struct ServerInner<K, V, F: RcuFlavor> {
-    forest: CitrusForest<K, V, F>,
-    queues: Vec<BatchQueue<Envelope<K, V>>>,
-    config: ServeConfig,
-    counters: ServeCounters,
-    metrics: ServeMetrics,
+/// A shard executor's forest session. It is stored beside the forest it
+/// borrows and used by whichever thread holds the shard's executor flag.
+struct ExecSession<K: 'static, V: 'static, F: RcuFlavor>(ForestSession<'static, K, V, F>);
+
+// SAFETY: a forest session is `!Send` because its per-thread RCU and
+// epoch slots must not migrate in the middle of a read-side section or a
+// pin. An executor session is only used between operations by the holder
+// of its shard's executor flag, with its shard's `exec` mutex held; the
+// flag passes between threads under the queue mutex. No section is open
+// while it moves, and the mutexes order every use after the previous one.
+// Its other fields go with it: the forest reference (`K`, `V: Sync`), the
+// buffer of unlinked nodes awaiting a flush, which only this session
+// touches, and plain counters.
+unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static, F: RcuFlavor> Send
+    for ExecSession<K, V, F>
+{
 }
 
-/// The batched, backpressured request layer over a [`CitrusForest`].
-///
-/// Construction spawns one named worker thread per shard; [`Drop`] (or an
-/// explicit [`shutdown`](Server::shutdown)) closes admission, drains every
-/// queued request, and joins the workers — no acknowledged write is ever
-/// lost to a shutdown.
-pub struct Server<K, V, F: RcuFlavor = ScalableRcu>
+impl<K, V, F> ExecSession<K, V, F>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
+    F: RcuFlavor,
 {
-    inner: Arc<ServerInner<K, V, F>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    closed: AtomicBool,
+    /// Opens a session on `forest` with the borrow's lifetime erased.
+    ///
+    /// # Safety
+    ///
+    /// `forest` must stay where it is, and alive, until the session is
+    /// dropped. The server keeps its forest in the same `Arc` as the
+    /// sessions, declares the shards (and so the sessions) before the
+    /// forest so they drop first, and drops every session in `shutdown`
+    /// before `into_forest` moves the forest out.
+    unsafe fn open(forest: &CitrusForest<K, V, F>) -> Self {
+        // SAFETY: the caller keeps `forest` in place for the session's life.
+        let forest: &'static CitrusForest<K, V, F> = unsafe { &*std::ptr::from_ref(forest) };
+        Self(forest.session())
+    }
+}
+
+/// The executor state of one shard: used only by the flag holder.
+struct Executor<K: 'static, V: 'static, F: RcuFlavor> {
+    /// Opened on the first pass, dropped by `shutdown`.
+    session: Option<ExecSession<K, V, F>>,
+    since_recycle: u64,
+    /// The `serve/drain/ack-before-apply` mutant stashes at most one
+    /// acknowledged-but-unexecuted write here. The stash is applied after
+    /// the *next* request executes (that misordering is the planted
+    /// bug), before a session recycle, and at shutdown — so even the
+    /// mutant never loses an acknowledged write, it only reorders it. It
+    /// belongs to the shard, not to a pass: a stash dropped with its pass
+    /// would reach no later request and hide the reordering.
+    stash: Option<Request<K, V>>,
+}
+
+struct Shard<K: 'static, V: 'static, F: RcuFlavor> {
+    queue: BatchQueue<Envelope<K, V>>,
+    exec: Mutex<Executor<K, V, F>>,
+}
+
+struct ServerInner<K: 'static, V: 'static, F: RcuFlavor> {
+    /// Declared before `forest`: the executor sessions borrow the forest
+    /// and must drop first.
+    shards: Vec<Shard<K, V, F>>,
+    forest: CitrusForest<K, V, F>,
+    config: ServeConfig,
+    counters: ServeCounters,
+    metrics: ServeMetrics,
 }
 
 /// Executes one request against a forest session, consuming the request.
@@ -324,80 +545,179 @@ where
     }
 }
 
-fn worker_loop<K, V, F>(inner: &ServerInner<K, V, F>, shard: usize)
+impl<K, V, F> Executor<K, V, F>
 where
-    K: Ord + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
     F: RcuFlavor,
 {
-    let mut session = inner.forest.session();
-    let mut since_recycle = 0u64;
-    // The `serve/drain/ack-before-apply` mutant stashes at most one
-    // acknowledged-but-unexecuted write here. The stash is applied after
-    // the *next* request executes (that misordering is the planted bug),
-    // before a session recycle, and at worker exit — so even the mutant
-    // never loses an acknowledged write, it only reorders it.
-    let mut stashed: Option<Request<K, V>> = None;
-    loop {
-        let batch = inner.queues[shard].take_batch(inner.config.batch_max);
-        if batch.closing {
-            chaos::point!("serve/shutdown/drain");
-            if batch.items.is_empty() {
-                break;
-            }
+    fn session(&mut self, forest: &CitrusForest<K, V, F>) -> &mut ForestSession<'static, K, V, F> {
+        // SAFETY: `forest` is the server's own (see `ExecSession::open`).
+        &mut self
+            .session
+            .get_or_insert_with(|| unsafe { ExecSession::open(forest) })
+            .0
+    }
+
+    fn apply_stash(&mut self, forest: &CitrusForest<K, V, F>) {
+        if let Some(prev) = self.stash.take() {
+            let _ = exec(self.session(forest), prev);
         }
-        if batch.items.is_empty() {
-            continue;
+    }
+
+    /// Executes one request and returns its response. The counters
+    /// include the request before the response can reach its client.
+    fn run(&mut self, inner: &ServerInner<K, V, F>, req: Request<K, V>) -> Response<K, V> {
+        let forest = &inner.forest;
+        if chaos::mutant_enabled("serve/drain/ack-before-apply") && req.is_write() {
+            self.apply_stash(forest);
+            let session = self.session(forest);
+            let predicted = match &req {
+                Request::Insert(k, _) => Response::Flag(!session.contains(k)),
+                Request::Remove(k) => Response::Flag(session.contains(k)),
+                _ => unreachable!("is_write() covers exactly insert/remove"),
+            };
+            inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+            self.stash = Some(req);
+            return predicted;
         }
+        let is_write = req.is_write();
+        let resp = exec(self.session(forest), req);
+        inner.counters.executed.fetch_add(1, Ordering::Relaxed);
+        if is_write {
+            inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.apply_stash(forest);
+        self.since_recycle += 1;
+        if inner.config.recycle_ops > 0 && self.since_recycle >= inner.config.recycle_ops {
+            // SAFETY: `forest` is the server's own (see `ExecSession::open`).
+            self.session = Some(unsafe { ExecSession::open(forest) });
+            inner
+                .counters
+                .recycled_sessions
+                .fetch_add(1, Ordering::Relaxed);
+            self.since_recycle = 0;
+        }
+        resp
+    }
+}
+
+/// Releases a shard's executor flag if its holder unwinds before the
+/// pass released it, so a panic in the holder's own request does not
+/// wedge the shard.
+struct ReleaseOnUnwind<'a, K, V>(Option<&'a BatchQueue<Envelope<K, V>>>);
+
+impl<K, V> Drop for ReleaseOnUnwind<'_, K, V> {
+    fn drop(&mut self) {
+        if let Some(queue) = self.0 {
+            queue.release();
+        }
+    }
+}
+
+/// How many queued requests a pass may serve.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// A combining pass: at most `batch_max` requests of other callers.
+    Combine,
+    /// `resume`'s drain: until the queue is empty.
+    Drain,
+    /// `shutdown`'s drain: until the queue is empty, then apply the
+    /// stash and drop the session.
+    Final,
+}
+
+impl<K, V, F> ServerInner<K, V, F>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    F: RcuFlavor,
+{
+    /// Runs one executor pass on `shard`: `own` first (the submitting
+    /// caller's request), then queued requests from the front. The caller
+    /// holds the executor flag; the pass releases it.
+    fn pass(&self, shard: usize, own: Option<Request<K, V>>, kind: Pass) -> Option<Response<K, V>> {
+        let shard = &self.shards[shard];
+        let mut release = ReleaseOnUnwind(Some(&shard.queue));
+        let mut exec = shard.exec.lock().unwrap_or_else(PoisonError::into_inner);
         chaos::point!("serve/batch/drain");
-        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.batch_size.record(batch.items.len() as u64);
-        for env in batch.items {
-            if chaos::mutant_enabled("serve/drain/ack-before-apply") && env.req.is_write() {
-                if let Some(prev) = stashed.take() {
-                    let _ = exec(&mut session, prev);
-                }
-                let predicted = match &env.req {
-                    Request::Insert(k, _) => Response::Flag(!session.contains(k)),
-                    Request::Remove(k) => Response::Flag(session.contains(k)),
-                    _ => unreachable!("is_write() covers exactly insert/remove"),
-                };
-                // Count before delivering: once a client sees its
-                // response, the counter must already include it.
-                inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
-                env.slot.deliver(predicted);
-                stashed = Some(env.req);
-                continue;
+        let own = own.map(|req| exec.run(self, req));
+        let budget = match kind {
+            Pass::Combine => self.config.batch_max,
+            Pass::Drain | Pass::Final => usize::MAX,
+        };
+        let mut served = 0;
+        let mut next = |served| {
+            let env = shard.queue.next(served < budget);
+            if env.is_none() {
+                // `next` released the flag.
+                release.0 = None;
             }
-            let is_write = env.req.is_write();
-            let resp = exec(&mut session, env.req);
-            // Count before delivering: once a client sees its response,
-            // the counters must already include it.
-            inner.counters.executed.fetch_add(1, Ordering::Relaxed);
-            if is_write {
-                inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
-            }
+            env
+        };
+        while let Some(env) = next(served) {
+            served += 1;
+            // A panic in another caller's request belongs to that caller:
+            // its ticket's `wait` resumes it, and this pass goes on.
+            let resp = panic::catch_unwind(AssertUnwindSafe(|| exec.run(self, env.req)));
             env.slot.deliver(resp);
-            if let Some(prev) = stashed.take() {
-                let _ = exec(&mut session, prev);
-            }
-            since_recycle += 1;
-            if inner.config.recycle_ops > 0 && since_recycle >= inner.config.recycle_ops {
-                if let Some(prev) = stashed.take() {
-                    let _ = exec(&mut session, prev);
-                }
-                session = inner.forest.session();
-                inner
-                    .counters
-                    .recycled_sessions
-                    .fetch_add(1, Ordering::Relaxed);
-                since_recycle = 0;
-            }
+        }
+        if kind == Pass::Final {
+            // The queue is closed and empty, so no one can take the flag
+            // again: settle the stash and drop the session while the
+            // forest is still in place.
+            exec.apply_stash(&self.forest);
+            exec.session = None;
+        }
+        drop(exec);
+        let ran = served + usize::from(own.is_some());
+        if ran > 0 {
+            self.counters.batches.fetch_add(1, Ordering::Relaxed);
+            self.metrics.batch_size.record(ran as u64);
+        }
+        if kind == Pass::Combine {
+            self.counters
+                .most_served_for_others
+                .fetch_max(served as u64, Ordering::Relaxed);
+        }
+        own
+    }
+
+    /// Drains `shard` to empty on the calling thread, waiting for a busy
+    /// executor to finish first.
+    fn drain(&self, shard: usize, kind: Pass) {
+        self.shards[shard].queue.acquire_wait();
+        self.pass(shard, None, kind);
+    }
+}
+
+impl<K, V, F> TakeOver for ServerInner<K, V, F>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    F: RcuFlavor,
+{
+    fn take_over(&self, shard: usize) {
+        if self.shards[shard].queue.acquire() {
+            self.pass(shard, None, Pass::Combine);
         }
     }
-    if let Some(prev) = stashed.take() {
-        let _ = exec(&mut session, prev);
-    }
+}
+
+/// The combining, backpressured request layer over a [`CitrusForest`].
+///
+/// Construction spawns no thread: requests run on the threads that submit
+/// them (see the [module docs](self)). [`Drop`] (or an explicit
+/// [`shutdown`](Server::shutdown)) closes admission and drains every
+/// queued request on the calling thread — no acknowledged write is ever
+/// lost to a shutdown.
+pub struct Server<K, V, F: RcuFlavor = ScalableRcu>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    inner: Arc<ServerInner<K, V, F>>,
+    closed: AtomicBool,
 }
 
 impl<K, V> Server<K, V, ScalableRcu>
@@ -418,62 +738,84 @@ where
     V: Clone + Send + Sync + 'static,
     F: RcuFlavor,
 {
-    /// Takes ownership of `forest` and spawns one drain worker per shard
-    /// (threads named `citrus-serve-<shard>`).
+    /// Takes ownership of `forest` and sets up one queue and executor slot
+    /// per shard. Spawns no thread.
     #[must_use]
     pub fn with_config(forest: CitrusForest<K, V, F>, config: ServeConfig) -> Self {
-        let shards = forest.shard_count();
-        let inner = Arc::new(ServerInner {
-            forest,
-            queues: (0..shards).map(|_| BatchQueue::new()).collect(),
-            config,
-            counters: ServeCounters::default(),
-            metrics: ServeMetrics::new(),
-        });
-        let workers = (0..shards)
-            .map(|shard| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("citrus-serve-{shard}"))
-                    .spawn(move || worker_loop(&inner, shard))
-                    .expect("spawn citrus-serve worker")
+        let shards = (0..forest.shard_count())
+            .map(|_| Shard {
+                queue: BatchQueue::new(),
+                exec: Mutex::new(Executor {
+                    session: None,
+                    since_recycle: 0,
+                    stash: None,
+                }),
             })
             .collect();
         Self {
-            inner,
-            workers: Mutex::new(workers),
+            inner: Arc::new(ServerInner {
+                shards,
+                forest,
+                config,
+                counters: ServeCounters::default(),
+                metrics: ServeMetrics::new(),
+            }),
             closed: AtomicBool::new(false),
         }
     }
 
-    /// Routes `req` to its shard queue. On success the returned
-    /// [`Ticket`] will always resolve; on rejection the caller owns the
-    /// back-off (the blocking [`ServeSession`] API does it for you).
+    /// Routes `req` to its shard. If the shard is idle the request runs
+    /// now, on this thread, and the caller then serves up to `batch_max`
+    /// requests that queued behind it; the returned [`Ticket`] is already
+    /// resolved. Otherwise the request queues and the ticket resolves
+    /// later. On rejection the caller owns the back-off (the blocking
+    /// [`ServeSession`] API does it for you).
     ///
     /// # Errors
     ///
     /// [`SubmitError::Rejected`] past the high-water mark,
     /// [`SubmitError::Closed`] after shutdown began.
     pub fn submit(&self, req: Request<K, V>) -> Result<Ticket<K, V>, SubmitError<K, V>> {
-        let shard = self.inner.forest.shard_for(req.route_key());
+        let inner = &*self.inner;
+        let shard = inner.forest.shard_for(req.route_key());
         chaos::point!("serve/batch/enqueue");
         let slot = Arc::new(Slot::new());
         let env = Envelope {
             req,
             slot: Arc::clone(&slot),
         };
-        match self.inner.queues[shard].offer(env, self.inner.config.high_water) {
-            Ok(depth) => {
-                self.inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.depth_hwm.observe(depth as u64);
-                Ok(Ticket { slot })
+        match inner.shards[shard]
+            .queue
+            .admit(env, inner.config.high_water)
+        {
+            Ok(Admission::Run(env)) => {
+                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                let resp = inner.pass(shard, Some(env.req), Pass::Combine);
+                Ok(Ticket {
+                    state: TicketState::Done(resp),
+                })
+            }
+            Ok(Admission::Queued { depth, execute }) => {
+                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.depth_hwm.observe(depth as u64);
+                if execute {
+                    inner.pass(shard, None, Pass::Combine);
+                }
+                let server: Weak<dyn TakeOver> = Arc::downgrade(&self.inner) as _;
+                Ok(Ticket {
+                    state: TicketState::Queued {
+                        slot,
+                        server,
+                        shard,
+                    },
+                })
             }
             Err(OfferError::Rejected { item, depth }) => {
                 chaos::point!("serve/admission/reject");
-                self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Rejected {
                     req: item.req,
-                    retry_after: self.inner.config.retry_after,
+                    retry_after: inner.config.retry_after,
                     depth,
                 })
             }
@@ -481,10 +823,10 @@ where
         }
     }
 
-    /// Number of shards (== worker threads, == queues).
+    /// Number of shards (== queues).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.inner.queues.len()
+        self.inner.shards.len()
     }
 
     /// The shard `key` routes to (the forest router's verdict).
@@ -493,14 +835,15 @@ where
         self.inner.forest.shard_for(key)
     }
 
-    /// Current depth of one shard queue (racy, for reporting/tests).
+    /// Current depth of one shard queue (racy, for reporting/tests). A
+    /// request run at once by its submitter never counts.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn queue_len(&self, shard: usize) -> usize {
-        self.inner.queues[shard].len()
+        self.inner.shards[shard].queue.len()
     }
 
     /// The always-on request counters.
@@ -509,7 +852,7 @@ where
         &self.inner.counters
     }
 
-    /// The `stats`-gated latency/batch instruments.
+    /// The `stats`-gated latency/pass-size instruments.
     #[must_use]
     pub fn metrics(&self) -> &ServeMetrics {
         &self.inner.metrics
@@ -521,43 +864,39 @@ where
         &self.inner.config
     }
 
-    /// Freezes every shard worker (admission continues): the
-    /// deterministic way to fill queues up to the high-water mark in
-    /// tests. Shutdown overrides a pause, so a paused server still drains
-    /// cleanly.
+    /// Stops every shard from executing (admission continues, and every
+    /// admitted request queues): the deterministic way to fill queues up
+    /// to the high-water mark in tests. Shutdown overrides a pause, so a
+    /// paused server still drains cleanly.
     pub fn pause(&self) {
-        for q in &self.inner.queues {
-            q.pause();
+        for shard in &self.inner.shards {
+            shard.queue.pause();
         }
     }
 
-    /// Undoes [`pause`](Server::pause).
+    /// Undoes [`pause`](Server::pause) and drains every queue on the
+    /// calling thread.
     pub fn resume(&self) {
-        for q in &self.inner.queues {
-            q.resume();
+        for (i, shard) in self.inner.shards.iter().enumerate() {
+            shard.queue.resume();
+            self.inner.drain(i, Pass::Drain);
         }
     }
 
-    /// Graceful shutdown: closes admission, lets every worker drain its
-    /// queue to empty (delivering all outstanding responses), and joins
-    /// the worker threads. Idempotent; also run by [`Drop`].
+    /// Graceful shutdown: closes admission, then drains every queue to
+    /// empty on the calling thread (delivering all outstanding
+    /// responses) and drops the executor sessions. Idempotent; also run
+    /// by [`Drop`].
     pub fn shutdown(&self) {
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        for q in &self.inner.queues {
-            // A paused worker must still drain: resume before closing.
-            q.resume();
-            q.close();
+        for shard in &self.inner.shards {
+            shard.queue.close();
         }
-        let workers =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
-        for w in workers {
-            // A worker that panicked already delivered or abandoned its
-            // batch; surface the panic instead of hiding it.
-            if let Err(e) = w.join() {
-                std::panic::resume_unwind(e);
-            }
+        for i in 0..self.inner.shards.len() {
+            chaos::point!("serve/shutdown/drain");
+            self.inner.drain(i, Pass::Final);
         }
     }
 
@@ -566,12 +905,21 @@ where
     #[must_use]
     pub fn into_forest(self) -> CitrusForest<K, V, F> {
         self.shutdown();
-        let inner = Arc::clone(&self.inner);
+        let mut inner = Arc::clone(&self.inner);
         drop(self);
-        match Arc::try_unwrap(inner) {
-            Ok(inner) => inner.forest,
-            Err(_) => unreachable!("workers are joined; no other owners remain"),
-        }
+        // A ticket that raced the shutdown may still hold its server
+        // handle for a moment; nothing is left for it to run.
+        let inner = loop {
+            match Arc::try_unwrap(inner) {
+                Ok(inner) => break inner,
+                Err(again) => {
+                    inner = again;
+                    std::thread::yield_now();
+                }
+            }
+        };
+        // `shutdown` already dropped the sessions that borrow the forest.
+        inner.forest
     }
 }
 
@@ -601,7 +949,7 @@ where
     }
 }
 
-/// A client handle: submits through the full queue/batch/response path
+/// A client handle: submits through the full admission/execution/response path
 /// and blocks for each response, honoring `retry-after` back-off on
 /// rejection. This is the adapter the end-to-end lincheck and conformance
 /// suites drive — through it, `citrus-serve` *is* a [`ConcurrentMap`].
@@ -836,7 +1184,7 @@ mod tests {
         server.pause();
         let ticket = server.submit(Request::Insert(3, 30)).unwrap();
         std::thread::sleep(Duration::from_millis(10));
-        assert!(!ticket.is_ready(), "paused workers must not execute");
+        assert!(!ticket.is_ready(), "a paused shard must not execute");
         server.resume();
         assert_eq!(ticket.wait(), Response::Flag(true));
     }

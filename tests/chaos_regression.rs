@@ -64,7 +64,7 @@ fn bonsai_pinned_seed() {
 /// The serve boundary: the whole testkit battery (including the
 /// concurrent lost-update and mixed-consistency checks) with every
 /// operation crossing a `citrus-serve` submit → batch → response path.
-/// Small batches plus a short recycle period keep the worker-side
+/// A small combining bound plus a short recycle period keep the executor
 /// failpoints (`serve/batch/*`, `serve/shutdown/drain`) hot under the
 /// pinned schedule.
 #[test]

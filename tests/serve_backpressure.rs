@@ -7,10 +7,10 @@
 //! from) the forest recovered after shutdown, verified by replaying the
 //! acked stream against a model.
 //!
-//! Determinism comes from `pause()`: with the drain workers parked,
-//! queue depths are exact functions of the submits issued, so the
-//! high-water tests assert exact rejection points rather than racing the
-//! workers.
+//! Determinism comes from `pause()`: while a server is paused every
+//! admitted request queues and nothing executes, so queue depths are
+//! exact functions of the submits issued and the high-water tests assert
+//! exact rejection points rather than racing the executors.
 
 use citrus_repro::citrus_api::{testkit, ConcurrentMap, MapSession};
 use citrus_repro::citrus_serve::{Request, Response, ServeConfig, Server, SubmitError};
@@ -27,7 +27,7 @@ fn server_with(config: ServeConfig) -> Server<u64, u64> {
 
 // ---- Admission control -------------------------------------------------
 
-/// With workers paused, the queue admits exactly `high_water` requests
+/// With the server paused, the queue admits exactly `high_water` requests
 /// and rejects the next one, reporting the configured retry-after and
 /// the observed depth, and handing the request back intact for retry.
 #[test]
@@ -42,7 +42,7 @@ fn rejects_exactly_at_high_water() {
         let ticket = server
             .submit(Request::Insert(1, i as u64))
             .unwrap_or_else(|_| panic!("submit {i} within high-water must be admitted"));
-        assert!(!ticket.is_ready(), "workers are paused");
+        assert!(!ticket.is_ready(), "the server is paused");
     }
     assert_eq!(server.queue_len(shard), high_water);
 
@@ -117,8 +117,8 @@ fn session_retries_honor_retry_after() {
 
 // ---- Graceful shutdown -------------------------------------------------
 
-/// Shutdown drains: requests queued behind a paused worker are all
-/// executed and answered before the workers exit, and the recovered
+/// Shutdown drains: requests queued on a paused server are all
+/// executed and answered before shutdown returns, and the recovered
 /// forest reflects them.
 #[test]
 fn shutdown_drains_queued_requests() {
@@ -131,7 +131,10 @@ fn shutdown_drains_queued_requests() {
                 .expect("queue is large enough")
         })
         .collect();
-    assert!(tickets.iter().all(|t| !t.is_ready()), "workers are paused");
+    assert!(
+        tickets.iter().all(|t| !t.is_ready()),
+        "the server is paused"
+    );
 
     // Shutdown resumes paused queues, closes admission, and joins the
     // workers only after every queued request is answered.
@@ -223,25 +226,4 @@ fn shutdown_is_idempotent() {
     server.shutdown();
     server.shutdown();
     drop(server);
-}
-
-// ---- Env-derived configuration ----------------------------------------
-
-/// `ServeConfig::from_env` round-trips through the real knobs: a
-/// serve-storm run in CI configures admission entirely from the
-/// environment, so a misparsed knob must be a hard error, not a default.
-#[test]
-fn config_from_env_reads_knobs() {
-    // Set-and-remove is racy if tests in this binary ran concurrently
-    // with other env readers; these names are owned by this test alone.
-    std::env::set_var("CITRUS_SERVE_HIGH_WATER", "7");
-    std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3");
-    std::env::set_var("CITRUS_SERVE_RETRY_AFTER_US", "250");
-    let config = ServeConfig::from_env();
-    std::env::remove_var("CITRUS_SERVE_HIGH_WATER");
-    std::env::remove_var("CITRUS_SERVE_BATCH_MAX");
-    std::env::remove_var("CITRUS_SERVE_RETRY_AFTER_US");
-    assert_eq!(config.high_water, 7);
-    assert_eq!(config.batch_max, 3);
-    assert_eq!(config.retry_after, Duration::from_micros(250));
 }

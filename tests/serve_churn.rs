@@ -1,15 +1,16 @@
 //! Thread/session churn through the serve boundary (ROADMAP item 4
 //! slice): waves of client threads register, hammer the server, and die
 //! mid-run — some abandoning tickets they never wait on (a client that
-//! disconnects with requests still queued) — while the drain workers'
-//! own forest sessions are recycled every few operations (mid-batch,
-//! since batches are larger than the recycle period).
+//! disconnects with requests still queued) — while the shards'
+//! executor sessions are recycled every few operations (mid-pass, since
+//! the combining bound is larger than the recycle period).
 //!
 //! The invariants: the server never wedges or panics under churn, every
 //! acknowledged write survives into the recovered forest (replay check,
 //! as in `tests/serve_backpressure.rs`), abandoned tickets are still
 //! executed and delivered into their (unobserved) slots without leaking
-//! or blocking the drain, and worker-session recycling actually happened.
+//! or blocking the drain, and executor-session recycling actually
+//! happened.
 
 use citrus_repro::citrus_api::{testkit, ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_repro::citrus_serve::{Request, ServeConfig, Server};
@@ -59,7 +60,7 @@ fn writer(server: &Server<u64, u64>, block: u64, seed: u64) -> BTreeMap<u64, u64
 }
 
 /// A disconnecting client: submits read requests and drops the tickets
-/// without ever waiting — then dies. The worker must still execute and
+/// without ever waiting — then dies. The server must still execute and
 /// deliver into the abandoned slots.
 fn dropper(server: &Server<u64, u64>, seed: u64) {
     let mut rng = testkit::SplitMix64::new(seed);
@@ -72,8 +73,8 @@ fn dropper(server: &Server<u64, u64>, seed: u64) {
 #[test]
 fn client_churn_loses_no_acked_writes() {
     let _watchdog = testkit::stress_watchdog("serve_churn::client_churn");
-    // recycle_ops(3) < batch_max(8): worker sessions are recycled in the
-    // middle of draining a batch, not just between batches.
+    // recycle_ops(3) < batch_max(8): executor sessions are recycled in
+    // the middle of a pass, not just between passes.
     let server: Server<u64, u64> = Server::with_config(
         CitrusForest::with_options(4, 0x5EED, ReclaimMode::Epoch, true),
         ServeConfig::default().with_batch_max(8).with_recycle_ops(3),
@@ -107,7 +108,7 @@ fn client_churn_loses_no_acked_writes() {
     let counters = server.counters();
     assert!(
         counters.recycled_sessions() > 0,
-        "recycle_ops=3 over {} executed ops must have recycled worker sessions",
+        "recycle_ops=3 over {} executed ops must have recycled executor sessions",
         counters.executed()
     );
     // Every submit was either answered or (dropper reads) at least

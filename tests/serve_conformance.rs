@@ -30,8 +30,8 @@ fn seeds_from_env() -> u64 {
     }
 }
 
-/// Small batches + frequent worker-session recycling: one agreement
-/// stream then spans many drain cycles and session lifetimes.
+/// A small combining bound + frequent executor-session recycling: one
+/// agreement stream then spans many hand-offs and session lifetimes.
 fn serve_config() -> ServeConfig {
     ServeConfig::default()
         .with_batch_max(4)
@@ -155,7 +155,7 @@ fn serve_failpoints_register() {
         assert_eq!(s.get(&1), Some(10));
     }
 
-    // Admission rejection: pause the workers so the queue cannot drain,
+    // Admission rejection: pause the server so the queue cannot drain,
     // then overflow the high-water mark of 1.
     server.pause();
     let shard = server.shard_for(&1);

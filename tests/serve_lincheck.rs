@@ -1,7 +1,7 @@
 //! Linearizability *through the server*: the WGL checker
 //! (`citrus_api::lincheck`, DESIGN.md §6f) drives `citrus-serve` sessions
 //! whose every operation crosses the full client boundary — submit into a
-//! bounded per-shard queue, batch drain by a worker thread, response
+//! bounded per-shard queue, execution by a combining caller, response
 //! delivery back through a ticket. A linearizable forest composed with a
 //! buggy batching layer is *not* linearizable at this boundary, so these
 //! checks cover strictly more than `tests/linearizability.rs` does for
@@ -47,7 +47,7 @@ fn seeds_from_env() -> u64 {
 
 /// A serving config sized for lincheck: tiny batches so a single history
 /// spans many drain cycles (the interesting interleavings), and a
-/// non-zero recycle period so worker sessions restart mid-history.
+/// non-zero recycle period so executor sessions restart mid-history.
 fn lincheck_config() -> ServeConfig {
     ServeConfig::default()
         .with_batch_max(4)
@@ -136,8 +136,8 @@ fn serve_range_deferred() {
     lin_battery(|| range_server(true), 0x5E_1004);
 }
 
-/// Degenerate single-shard server: one worker drains every batch, so
-/// per-batch execution order is total — the boundary case where a
+/// Degenerate single-shard server: one executor runs every request, so
+/// execution order is total — the boundary case where a
 /// response-delivery bug is most visible.
 #[test]
 fn serve_one_shard() {
