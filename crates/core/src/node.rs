@@ -412,7 +412,7 @@ mod tests {
 
     /// Lines move between threads, and a tree churning over a fixed live
     /// set recycles its own lines instead of carving new ones. Measured on
-    /// the churning thread: the chunk count is process-wide and parallel
+    /// the churning thread: the block count is process-wide and parallel
     /// tests move it too.
     #[test]
     fn pool_lines_are_reused_across_threads_and_churn() {

@@ -92,38 +92,53 @@ fn grace_periods_track_successor_moves() {
 
 /// Validation failures are observable through the retry counters when two
 /// updaters fight over the same keys (the paper's restart path, lines 32
-/// and 84).
+/// and 84). Left to the scheduler, one thread could run its whole loop
+/// before the next one starts, so a barrier starts every round on all
+/// threads at once, and rounds continue until some update has retried.
 #[test]
 fn contention_produces_validation_retries() {
+    const THREADS: usize = 4;
+    const BURST: usize = 500;
+    const MAX_ROUNDS: usize = 2_000;
     let tree = Tree::with_reclaim(ReclaimMode::Epoch);
     let total_retries = AtomicU64::new(0);
-    let barrier = Barrier::new(4);
+    let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
-        for t in 0..4u64 {
+        for t in 0..THREADS as u64 {
             let (tree, barrier, total_retries) = (&tree, &barrier, &total_retries);
             scope.spawn(move || {
                 let mut rng = SplitMix64::new(t);
                 let mut s = tree.session();
-                barrier.wait();
-                // Tiny key range → constant same-node contention.
-                for _ in 0..20_000 {
-                    let k = rng.below(8);
-                    if rng.below(2) == 0 {
-                        s.insert(k, k);
-                    } else {
-                        s.remove(&k);
+                let mut reported = 0;
+                for _ in 0..MAX_ROUNDS {
+                    barrier.wait();
+                    // Tiny key range → constant same-node contention.
+                    for _ in 0..BURST {
+                        let k = rng.below(8);
+                        if rng.below(2) == 0 {
+                            s.insert(k, k);
+                        } else {
+                            s.remove(&k);
+                        }
+                    }
+                    let retries = s.stats().insert_retries() + s.stats().remove_retries();
+                    total_retries.fetch_add(retries - reported, Ordering::Relaxed);
+                    reported = retries;
+                    // Every thread has reported this round, and none
+                    // reports again before all have read the total: they
+                    // all stop after the same round.
+                    barrier.wait();
+                    if total_retries.load(Ordering::Relaxed) > 0 {
+                        break;
                     }
                 }
-                total_retries.fetch_add(
-                    s.stats().insert_retries() + s.stats().remove_retries(),
-                    Ordering::Relaxed,
-                );
             });
         }
     });
     assert!(
         total_retries.load(Ordering::Relaxed) > 0,
-        "4 threads × 20k updates on 8 keys must trip validation at least once"
+        "{THREADS} threads × {MAX_ROUNDS} rounds of {BURST} updates on 8 keys \
+         must trip validation at least once"
     );
     let mut tree = tree;
     tree.validate_structure().unwrap();

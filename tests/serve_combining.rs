@@ -15,7 +15,7 @@
 //! the test opens the gate, and everything submitted meanwhile queues.
 
 use citrus_repro::citrus_api::{testkit, ConcurrentMap, MapSession};
-use citrus_repro::citrus_serve::{Request, Response, ServeConfig, Server};
+use citrus_repro::citrus_serve::{Request, Response, ServeConfig, Server, Ticket};
 use citrus_repro::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -345,4 +345,57 @@ fn four_clients_on_one_key_all_return_within_the_bound() {
         c.most_served_for_others()
     );
     assert_eq!(server.queue_len(server.shard_for(&7)), 0);
+}
+
+/// A ticket leaked with `mem::forget` never acts for its request, and
+/// tickets nobody polls do not either: a combiner that stops at its bound
+/// releases with them queued, and they stay queued. The next submit to
+/// the shard runs them from the front, up to its bound, and shutdown
+/// drains the rest. No acknowledged write is lost.
+#[test]
+fn leaked_ticket_leaves_work_for_the_next_submit_and_shutdown() {
+    let _watchdog = testkit::stress_watchdog("serve_combining::leaked");
+    let gate = Arc::new(Gate::default());
+    let server = one_shard_with(2, &gate, 0..1);
+    let insert = |k: u64| {
+        let v = Gated {
+            value: k * 10,
+            gate: Arc::clone(&gate),
+        };
+        server.submit(Request::Insert(k, v)).expect("admitted")
+    };
+    // Reads a ticket's state through `Debug`, which never takes over.
+    let ready = |t: &Ticket<u64, Gated>| format!("{t:?}").contains("ready: true");
+    let flag = |t: Ticket<u64, Gated>| matches!(t.wait(), Response::Flag(true));
+    let mut tickets = while_shard_is_held(&server, &gate, 0, || {
+        let mut tickets = vec![insert(1), insert(2)];
+        std::mem::forget(insert(3));
+        tickets.extend((4..=6).map(insert));
+        assert_eq!(server.queue_len(0), 6);
+        tickets
+    });
+    // The holder served inserts 1 and 2, then released: the leaked ticket
+    // and the unpolled ones all still "hold" their requests.
+    assert!(ready(&tickets[0]) && ready(&tickets[1]));
+    assert_eq!(server.queue_len(0), 4, "queued work stays queued");
+    assert!(!tickets[2..].iter().any(ready), "nobody acted for 4–6");
+    // The next submit takes the idle shard and runs the queue from the
+    // front within its bound: the leaked insert 3, then insert 4.
+    std::mem::forget(insert(7));
+    assert_eq!(server.queue_len(0), 3);
+    assert!(ready(&tickets[2]));
+    assert!(!ready(&tickets[3]) && !ready(&tickets[4]));
+    // Shutdown drains inserts 5, 6 and the leaked 7.
+    server.shutdown();
+    assert_eq!(server.queue_len(0), 0);
+    assert!(tickets.iter().all(ready));
+    assert!(tickets.drain(..).all(flag));
+    let c = server.counters();
+    assert_eq!(c.executed(), c.accepted());
+    assert_eq!(c.acked_writes(), 8, "the prefill and seven inserts");
+    let forest = server.into_forest();
+    let mut s = forest.session();
+    for k in 1..=7u64 {
+        assert_eq!(s.get(&k).map(|g| g.value), Some(k * 10), "insert {k}");
+    }
 }
