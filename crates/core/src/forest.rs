@@ -67,11 +67,12 @@
 //! collects a traversal per shard, and only then re-checks all recorded
 //! edges across those shards, restarting the whole fan-out if any moved.
 //! All reads precede all re-checks, so a successful pass observed every
-//! entered shard simultaneously at one instant; the per-shard results
-//! k-way merge into one ascending list. The per-shard traversals advance
-//! round-robin, one edge each per round, prefetching the node each step
-//! will read next: the shards' independent chains of cache misses overlap
-//! instead of running back to back. Joint validation only needs every
+//! entered shard simultaneously at one instant; the per-shard hits k-way
+//! merge straight into the one result list, and each shard session
+//! reuses its walk buffers from read to read. The per-shard traversals
+//! advance round-robin, one edge each per round, prefetching the node
+//! each step will read next: the shards' independent chains of cache
+//! misses overlap instead of running back to back. Joint validation only needs every
 //! read before every re-check, not any order among the reads.
 //!
 //! Which shards are "relevant" is the routers' big divergence. Under hash
@@ -98,10 +99,8 @@ use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::{Counter, Log2Histogram, MetricsRegistry};
 use citrus_rcu::{RcuFlavor, ScalableRcu};
-use core::cmp::Reverse;
 use core::fmt;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
 /// Default shard count for [`CitrusForest::new`].
@@ -859,12 +858,15 @@ where
     /// round, each step prefetching its next node: the shards' misses
     /// overlap instead of queueing. Every edge read still precedes every
     /// re-check, which is all the joint validation needs.
+    ///
+    /// Each walk records into its shard session's reused buffers, which
+    /// go back to that session after extraction or before a restart.
     fn fan_out<'q, T>(
         &mut self,
         first: usize,
         last: usize,
         walk: impl Fn(&CitrusSession<'t, K, V, F>) -> ScanWalk<'q, K, V>,
-        extract: impl Fn(&[ScanAttempt<K, V>]) -> T,
+        extract: impl Fn(&mut [ScanAttempt<K, V>]) -> T,
     ) -> T
     where
         K: 'q,
@@ -873,13 +875,14 @@ where
         for idx in first..=last {
             self.ensure_session(idx);
         }
-        let sessions: Vec<&CitrusSession<'t, K, V, F>> = self.sessions[first..=last]
-            .iter()
-            .map(|slot| slot.as_ref().expect("materialized above"))
-            .collect();
+        let sessions = || {
+            self.sessions[first..=last]
+                .iter()
+                .map(|slot| slot.as_ref().expect("materialized above"))
+        };
         loop {
-            let guards: Vec<_> = sessions.iter().map(|s| s.ordered_read_enter()).collect();
-            let mut walks: Vec<ScanWalk<'q, K, V>> = sessions.iter().map(|&s| walk(s)).collect();
+            let guards: Vec<_> = sessions().map(|s| s.ordered_read_enter()).collect();
+            let mut walks: Vec<ScanWalk<'q, K, V>> = sessions().map(&walk).collect();
             // SAFETY (both blocks): `guards` has held every entered
             // shard's read-side section and pin since before its walk
             // started.
@@ -890,7 +893,7 @@ where
                     pending |= unsafe { w.step() };
                 }
             }
-            let attempts: Vec<ScanAttempt<K, V>> =
+            let mut attempts: Vec<ScanAttempt<K, V>> =
                 walks.into_iter().map(|w| unsafe { w.finish() }).collect();
             chaos::point!("forest/scan/validate");
             // SAFETY: `guards` still holds every entered shard's
@@ -898,16 +901,17 @@ where
             // under.
             let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
                 || attempts.iter().all(|a| unsafe { a.validate() });
-            if ok {
-                let out = extract(&attempts);
-                drop(guards);
+            let out = ok.then(|| extract(&mut attempts));
+            drop(guards);
+            let fanout = attempts.len();
+            for (session, attempt) in sessions().zip(attempts) {
+                session.recycle(attempt);
+            }
+            if let Some(out) = out {
                 self.forest.metrics.record_scan(self.stripe);
-                self.forest
-                    .metrics
-                    .record_fanout(attempts.len(), self.stripe);
+                self.forest.metrics.record_fanout(fanout, self.stripe);
                 return out;
             }
-            drop(guards);
             self.forest.metrics.record_scan_restart(self.stripe);
             chaos::point!("forest/scan/restart");
         }
@@ -919,7 +923,9 @@ where
     /// count) work per scan no matter how narrow the range, though the
     /// shards' walks run interleaved so their cache misses overlap; range
     /// routing enters only the shards `[lo, hi]` overlaps (module docs).
-    /// The per-shard results k-way merge into one ascending list.
+    /// The shards' hits k-way merge straight into the one result `Vec`,
+    /// which is the only allocation a warmed session's scan makes beyond
+    /// a few per-call vectors of shard length.
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, V)> {
         if lo > hi {
             // An empty span holds at every instant; no shard need be
@@ -931,11 +937,9 @@ where
             first,
             last,
             |session| session.range_walk(lo, hi),
-            |attempts| {
-                // SAFETY: `fan_out` extracts while every shard guard is
-                // still held.
-                merge_sorted(attempts.iter().map(|a| unsafe { a.entries() }).collect())
-            },
+            // SAFETY: `fan_out` extracts while every shard guard is still
+            // held.
+            |attempts| unsafe { ScanAttempt::merge_entries(attempts) },
         )
     }
 
@@ -1040,27 +1044,31 @@ where
             // section and pin the attempts were collected under.
             let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
                 || attempts.iter().all(|a| unsafe { a.validate() });
+            // The last probed shard is the first in probe order with a
+            // candidate (or the probe exhausted the forest empty); range
+            // partitioning orders whole shards, so its candidate beats
+            // every key in the shards beyond it.
+            let done = ok && (found || width == max_width);
+            // SAFETY: as above — guards still held.
+            let out = done.then(|| attempts.last().and_then(|a| unsafe { a.candidate() }));
+            drop(guards);
+            let probed = attempts.len();
+            for (step, attempt) in attempts.into_iter().enumerate() {
+                self.sessions[shard_at(step)]
+                    .as_ref()
+                    .expect("ensured above")
+                    .recycle(attempt);
+            }
             if !ok {
-                drop(guards);
                 self.forest.metrics.record_scan_restart(self.stripe);
                 chaos::point!("forest/scan/restart");
                 continue;
             }
-            if found || width == max_width {
-                // The last probed shard is the first in probe order with
-                // a candidate (or the probe exhausted the forest empty);
-                // range partitioning orders whole shards, so its
-                // candidate beats every key in the shards beyond it.
-                // SAFETY: as above — guards still held.
-                let out = attempts.last().and_then(|a| unsafe { a.candidate() });
-                drop(guards);
+            if let Some(out) = out {
                 self.forest.metrics.record_scan(self.stripe);
-                self.forest
-                    .metrics
-                    .record_fanout(attempts.len(), self.stripe);
+                self.forest.metrics.record_fanout(probed, self.stripe);
                 return out;
             }
-            drop(guards);
             width += 1;
         }
     }
@@ -1070,28 +1078,6 @@ where
     pub fn live_shard_sessions(&self) -> usize {
         self.sessions.iter().filter(|s| s.is_some()).count()
     }
-}
-
-/// K-way merges per-shard, individually ascending entry runs into one
-/// ascending list. Shards partition the key space, so no key appears in
-/// two runs; the run index is only a total-order tiebreak for the heap.
-fn merge_sorted<K: Ord + Clone, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut iters: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = iters
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, it)| it.peek().map(|(k, _)| Reverse((k.clone(), i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let (k, v) = iters[i].next().expect("heap entries mirror run heads");
-        out.push((k, v));
-        if let Some((next, _)) = iters[i].peek() {
-            heap.push(Reverse((next.clone(), i)));
-        }
-    }
-    out
 }
 
 impl<K, V, F: RcuFlavor> fmt::Debug for ForestSession<'_, K, V, F> {

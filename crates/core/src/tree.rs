@@ -354,6 +354,7 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
                 ReclaimInner::Leak(_) => None,
             },
             graveyard: RefCell::new(Vec::new()),
+            walk_bufs: Cell::default(),
             stats: SessionStats::default(),
             stripe: self.metrics.assign_stripe(),
         }
@@ -495,10 +496,20 @@ pub struct CitrusSession<'t, K, V, F: RcuFlavor> {
     stats: SessionStats,
     /// This session's tree-metric counter stripe.
     stripe: usize,
+    /// The ordered reads' walk buffers, empty between reads: a walk takes
+    /// them and [`recycle`](Self::recycle) hands them back, so a warmed
+    /// session's reads allocate nothing but their results.
+    walk_bufs: Cell<ScanAttempt<K, V>>,
 }
 
 /// Batch size for flushing the session graveyard to the shared one.
 const GRAVEYARD_FLUSH: usize = 256;
+
+/// The most entries of capacity each walk buffer keeps between ordered
+/// reads (at most 96 KiB per session in all): enough for a walk over a
+/// few hundred keys, so one full-range scan does not leave megabytes
+/// attached to the session.
+const WALK_BUF_RETAIN: usize = 2048;
 
 /// RAII set of node locks held by one update operation.
 ///
@@ -653,7 +664,8 @@ enum ScanEdge<K, V> {
 
 /// A collected, not-yet-validated ordered-read traversal: every edge the
 /// walk crossed plus the nodes whose keys answered the query (in visit
-/// order).
+/// order). Its buffers belong to the session that walked: they come from
+/// and go back to [`CitrusSession::recycle`], so their capacity is reused.
 ///
 /// Collection and validation are deliberately split: all edge *reads*
 /// happen before all edge *re-checks*, so when [`validate`](Self::validate)
@@ -665,14 +677,35 @@ enum ScanEdge<K, V> {
 pub(crate) struct ScanAttempt<K, V> {
     edges: Vec<ScanEdge<K, V>>,
     hits: Vec<*mut Node<K, V>>,
+    /// The walk's frame stack. Empty once the walk has finished; it rides
+    /// along only so its capacity returns to the session with the rest.
+    frames: Vec<Frame<K, V>>,
 }
 
-impl<K, V> ScanAttempt<K, V> {
-    fn new() -> Self {
+impl<K, V> Default for ScanAttempt<K, V> {
+    fn default() -> Self {
         Self {
             edges: Vec::new(),
             hits: Vec::new(),
+            frames: Vec::new(),
         }
+    }
+}
+
+impl<K, V> ScanAttempt<K, V> {
+    fn is_empty(&self) -> bool {
+        self.edges.is_empty() && self.hits.is_empty() && self.frames.is_empty()
+    }
+
+    /// Empties the buffers for the next walk, keeping at most
+    /// [`WALK_BUF_RETAIN`] entries of capacity in each.
+    fn reset(&mut self) {
+        self.edges.clear();
+        self.edges.shrink_to(WALK_BUF_RETAIN);
+        self.hits.clear();
+        self.hits.shrink_to(WALK_BUF_RETAIN);
+        self.frames.clear();
+        self.frames.shrink_to(WALK_BUF_RETAIN);
     }
 
     /// Loads and records `parent`'s `dir` edge, returning the child.
@@ -730,28 +763,47 @@ impl<K, V> ScanAttempt<K, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
-    /// Clones the matched entries in key order, collapsing the adjacent
-    /// duplicate the two-child delete's replacement window can expose:
-    /// between splice and unlink, the replacement copy and the old
-    /// successor both carry the successor's key *and value*, and sit next
-    /// to each other in visit order.
+    /// Clones the matched entries of `attempts`, walks of trees whose key
+    /// sets are disjoint, into one ascending list: a k-way merge of the
+    /// attempts' hit lists, which are each ascending, that needs no heap
+    /// or buffer beyond the result. It collapses the adjacent duplicate
+    /// the two-child delete's replacement window can expose: between
+    /// splice and unlink, the replacement copy and the old successor both
+    /// carry the successor's key *and value*, and sit next to each other
+    /// in visit order. The hit lists are consumed.
     ///
     /// # Safety
     ///
-    /// As for [`validate`](Self::validate).
-    pub(crate) unsafe fn entries(&self) -> Vec<(K, V)> {
-        let mut out: Vec<(K, V)> = Vec::with_capacity(self.hits.len());
-        for &hit in &self.hits {
-            // SAFETY: allocated per contract; hits are real (non-sentinel)
-            // nodes, whose key and value never change after construction.
-            let node = unsafe { &*hit };
-            let (key, value) = node.entry.as_ref().expect("hits carry real entries");
+    /// As for [`validate`](Self::validate), for every attempt.
+    pub(crate) unsafe fn merge_entries(attempts: &mut [Self]) -> Vec<(K, V)> {
+        let total = attempts.iter().map(|a| a.hits.len()).sum();
+        let mut out: Vec<(K, V)> = Vec::with_capacity(total);
+        // Reversed, each list pops its least remaining hit from the end.
+        for attempt in attempts.iter_mut() {
+            attempt.hits.reverse();
+        }
+        loop {
+            let mut least: Option<(usize, &(K, V))> = None;
+            for (i, attempt) in attempts.iter().enumerate() {
+                if let Some(&hit) = attempt.hits.last() {
+                    // SAFETY: allocated per contract; hits are real
+                    // (non-sentinel) nodes, whose key and value never
+                    // change after construction.
+                    let entry = unsafe { (*hit).entry.as_ref() }.expect("hits carry real entries");
+                    if least.is_none_or(|(_, best)| entry.0 < best.0) {
+                        least = Some((i, entry));
+                    }
+                }
+            }
+            let Some((i, (key, value))) = least else {
+                return out;
+            };
+            attempts[i].hits.pop();
             if out.last().is_some_and(|(k, _)| k == key) {
                 continue;
             }
             out.push((key.clone(), value.clone()));
         }
-        out
     }
 
     /// Clones the single candidate entry (successor / predecessor probes
@@ -799,17 +851,20 @@ enum Frame<K, V> {
 /// (DESIGN.md §6i).
 pub(crate) struct ScanWalk<'q, K, V> {
     query: WalkQuery<'q, K>,
-    stack: Vec<Frame<K, V>>,
     attempt: ScanAttempt<K, V>,
 }
 
 impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
-    fn new(query: WalkQuery<'q, K>, start: Option<*mut Node<K, V>>) -> Self {
-        Self {
-            query,
-            stack: start.map(Frame::Enter).into_iter().collect(),
-            attempt: ScanAttempt::new(),
-        }
+    /// Starts a walk at `start` that records into `attempt`, a session's
+    /// emptied walk buffers.
+    fn new(
+        query: WalkQuery<'q, K>,
+        start: Option<*mut Node<K, V>>,
+        mut attempt: ScanAttempt<K, V>,
+    ) -> Self {
+        debug_assert!(attempt.is_empty(), "walk buffers are recycled empty");
+        attempt.frames.extend(start.map(Frame::Enter));
+        Self { query, attempt }
     }
 
     /// Advances the walk until it records a new non-null child edge (or
@@ -822,7 +877,7 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
     /// ([`CitrusSession::ordered_read_enter`]) must have been held
     /// continuously since the walk started.
     pub(crate) unsafe fn step(&mut self) -> bool {
-        while let Some(frame) = self.stack.pop() {
+        while let Some(frame) = self.attempt.frames.pop() {
             // SAFETY: every frame's pointer was read from a live edge
             // inside the read-side section the caller has held since, so
             // it stays allocated (Leak never frees; Epoch is covered by
@@ -830,7 +885,7 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
             let child = unsafe { self.advance(frame) };
             if !child.is_null() {
                 Node::prefetch(child);
-                self.stack.push(Frame::Enter(child));
+                self.attempt.frames.push(Frame::Enter(child));
                 return true;
             }
         }
@@ -849,7 +904,7 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
             match (frame, &self.query) {
                 (Frame::Enter(n), &WalkQuery::Range { lo, .. }) => {
                     chaos::point!("citrus/scan/step");
-                    self.stack.push(Frame::Visit(n));
+                    self.attempt.frames.push(Frame::Visit(n));
                     // Keys below `n` can only matter when n.key > lo
                     // (sentinels prune themselves: −∞ is never greater,
                     // so the root's left edge is skipped).
@@ -909,7 +964,8 @@ impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
     }
 
     /// Steps the walk to completion and hands back the collected,
-    /// not-yet-validated attempt.
+    /// not-yet-validated attempt, whose buffers go back to the session
+    /// through [`CitrusSession::recycle`] once it has been used.
     ///
     /// # Safety
     ///
@@ -1044,7 +1100,7 @@ where
         debug_assert!(self.rcu.in_read_section());
         // An empty span starts finished: there is nothing to traverse.
         let start = if lo > hi { None } else { Some(self.tree.root) };
-        ScanWalk::new(WalkQuery::Range { lo, hi }, start)
+        ScanWalk::new(WalkQuery::Range { lo, hi }, start, self.walk_bufs.take())
     }
 
     /// Starts a walk down the successor (`side == Dir::Right`) or
@@ -1057,7 +1113,21 @@ where
     /// [`range_walk`](Self::range_walk).
     pub(crate) fn directed_walk<'q>(&self, key: &'q K, side: Dir) -> ScanWalk<'q, K, V> {
         debug_assert!(self.rcu.in_read_section());
-        ScanWalk::new(WalkQuery::Directed { key, side }, Some(self.tree.root))
+        ScanWalk::new(
+            WalkQuery::Directed { key, side },
+            Some(self.tree.root),
+            self.walk_bufs.take(),
+        )
+    }
+
+    /// Hands a walk's buffers back, emptied, for this session's next
+    /// ordered read. Called after extraction on the validated path and
+    /// on the restart path alike. A walk whose buffers never come back
+    /// (a panic during extraction) costs only an allocation: the next
+    /// walk then starts from empty buffers.
+    pub(crate) fn recycle(&self, mut attempt: ScanAttempt<K, V>) {
+        attempt.reset();
+        self.walk_bufs.set(attempt);
     }
 
     /// Runs one ordered read to a validated completion: collect inside
@@ -1069,7 +1139,7 @@ where
     fn ordered_read<'q, T>(
         &self,
         walk: impl Fn(&Self) -> ScanWalk<'q, K, V>,
-        extract: impl Fn(&ScanAttempt<K, V>) -> T,
+        extract: impl Fn(&mut ScanAttempt<K, V>) -> T,
     ) -> T
     where
         K: 'q,
@@ -1079,7 +1149,7 @@ where
                 let _guard = self.ordered_read_enter();
                 // SAFETY: `_guard` has held this session's read-side
                 // context since before the walk started.
-                let attempt = unsafe { walk(self).finish() };
+                let mut attempt = unsafe { walk(self).finish() };
                 chaos::point!("citrus/scan/validate");
                 // The mutant is a test-only planted bug (chaos builds
                 // only): skipping validation can tear the read across a
@@ -1087,13 +1157,15 @@ where
                 // resulting non-linearizable result.
                 // SAFETY: `_guard` still holds the read-side section and
                 // pin `collect` ran under.
-                if chaos::mutant_enabled("citrus/scan/skip-validation")
+                let out = if chaos::mutant_enabled("citrus/scan/skip-validation")
                     || unsafe { attempt.validate() }
                 {
-                    Some(extract(&attempt))
+                    Some(extract(&mut attempt))
                 } else {
                     None
-                }
+                };
+                self.recycle(attempt);
+                out
             };
             match out {
                 Some(value) => {
@@ -1121,7 +1193,7 @@ where
         self.ordered_read(
             |s| s.range_walk(lo, hi),
             // SAFETY: `ordered_read` extracts under its read-side guard.
-            |attempt| unsafe { attempt.entries() },
+            |attempt| unsafe { ScanAttempt::merge_entries(core::slice::from_mut(attempt)) },
         )
     }
 

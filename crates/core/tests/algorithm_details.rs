@@ -3,7 +3,7 @@
 //! the exact retire/synchronize pattern of `delete`.
 
 use citrus::{CitrusTree, RcuFlavor, ReclaimMode, ScalableRcu};
-use citrus_api::testkit::SplitMix64;
+use citrus_api::testkit::{stress_watchdog, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -97,6 +97,7 @@ fn grace_periods_track_successor_moves() {
 /// threads at once, and rounds continue until some update has retried.
 #[test]
 fn contention_produces_validation_retries() {
+    let _watchdog = stress_watchdog("contention_produces_validation_retries");
     const THREADS: usize = 4;
     const BURST: usize = 500;
     const MAX_ROUNDS: usize = 2_000;
@@ -150,6 +151,7 @@ fn contention_produces_validation_retries() {
 /// must retry (observable: no lost updates, structure intact).
 #[test]
 fn tag_aba_hammer() {
+    let _watchdog = stress_watchdog("tag_aba_hammer");
     let tree = Tree::new();
     {
         let mut s = tree.session();

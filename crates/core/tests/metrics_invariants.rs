@@ -6,7 +6,7 @@
 //! passes vacuously, so this file compiles and runs in both modes.
 
 use citrus::{CitrusTree, GlobalLockRcu, RcuFlavor, ScalableRcu};
-use citrus_api::testkit::{check_counter_dominates, SplitMix64};
+use citrus_api::testkit::{check_counter_dominates, stress_watchdog, SplitMix64};
 use citrus_obs::MetricsRegistry;
 use std::sync::Barrier;
 
@@ -87,6 +87,7 @@ fn lock_acquisitions_dominate_retries() {
 /// after all sessions quiesce dominate the tree's synchronize count.
 #[test]
 fn invariant_holds_under_concurrency() {
+    let _watchdog = stress_watchdog("invariant_holds_under_concurrency");
     const THREADS: u64 = 4;
     let tree: CitrusTree<u64, u64, ScalableRcu> = CitrusTree::new();
     {

@@ -5,7 +5,11 @@
 //! top-level `linearizability.rs` scan battery and the explore-window
 //! suite; this file pins the single-threaded semantics and accounting.
 
-use citrus::{CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
+use citrus::{even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
+use citrus_api::testkit::SplitMix64;
+use citrus_api::OrderedMapSession;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -134,4 +138,132 @@ fn contains_never_clones_the_value() {
         baseline + 1,
         "get clones the value exactly once"
     );
+}
+
+/// Keys of the buffer-reuse run: dense enough that a full-range scan
+/// outgrows the walk buffers' retention cap, plus both `u64` extremes.
+const REUSE_KEYS: u64 = 6_000;
+
+fn oracle_scan(oracle: &BTreeMap<u64, u64>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    if lo > hi {
+        return Vec::new();
+    }
+    oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect()
+}
+
+fn oracle_successor(oracle: &BTreeMap<u64, u64>, key: u64) -> Option<(u64, u64)> {
+    oracle
+        .range((Bound::Excluded(key), Bound::Unbounded))
+        .next()
+        .map(|(&k, &v)| (k, v))
+}
+
+fn oracle_predecessor(oracle: &BTreeMap<u64, u64>, key: u64) -> Option<(u64, u64)> {
+    oracle.range(..key).next_back().map(|(&k, &v)| (k, v))
+}
+
+/// Drives one long-lived session through mixed updates and ordered reads,
+/// checking every read against a `BTreeMap`. The session reuses its walk
+/// buffers from read to read, so a buffer that came back uncleared, or
+/// was capped badly, shows up as a wrong answer here.
+fn reuse_run(name: &str, s: &mut impl OrderedMapSession<u64, u64>) {
+    let mut oracle = BTreeMap::new();
+    let mut rng = SplitMix64::new(0x5EED);
+    // A scan larger than the retention cap, then small ones: the capped
+    // buffers must still answer correctly.
+    for k in 0..REUSE_KEYS {
+        let k = k * 3;
+        s.insert(k, k + 1);
+        oracle.insert(k, k + 1);
+    }
+    assert_eq!(
+        s.range_scan(&0, &u64::MAX),
+        oracle_scan(&oracle, 0, u64::MAX),
+        "{name}: full scan"
+    );
+    for lo in [0, 1, 300, 3 * REUSE_KEYS - 64] {
+        assert_eq!(
+            s.range_scan(&lo, &(lo + 64)),
+            oracle_scan(&oracle, lo, lo + 64),
+            "{name}: [{lo}, +64] after a full scan"
+        );
+    }
+    let key_space = 3 * REUSE_KEYS;
+    for op in 0..12_000u32 {
+        let r = rng.next_u64();
+        let key = match r % 50 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.below(key_space),
+        };
+        match (r >> 8) % 16 {
+            0..=3 => {
+                // An insert of a present key keeps the old value.
+                let fresh = !oracle.contains_key(&key);
+                if fresh {
+                    oracle.insert(key, r);
+                }
+                assert_eq!(s.insert(key, r), fresh, "{name}: op {op} insert {key}");
+            }
+            4..=7 => assert_eq!(
+                s.remove(&key),
+                oracle.remove(&key).is_some(),
+                "{name}: op {op} remove {key}"
+            ),
+            8..=11 => {
+                let (lo, hi) = match (r >> 16) % 7 {
+                    0 => (key, key),
+                    1 => (key, key.saturating_add(1)),
+                    2 => (key, key.saturating_add(64)),
+                    3 => (key, key.saturating_add(4096)),
+                    4 => (key.saturating_add(1), key),
+                    5 if (r >> 24).is_multiple_of(8) => (0, u64::MAX),
+                    _ => (key.saturating_sub(64), key),
+                };
+                assert_eq!(
+                    s.range_scan(&lo, &hi),
+                    oracle_scan(&oracle, lo, hi),
+                    "{name}: op {op} range_scan [{lo}, {hi}]"
+                );
+            }
+            12 | 13 => assert_eq!(
+                s.successor(&key),
+                oracle_successor(&oracle, key),
+                "{name}: op {op} successor {key}"
+            ),
+            _ => assert_eq!(
+                s.predecessor(&key),
+                oracle_predecessor(&oracle, key),
+                "{name}: op {op} predecessor {key}"
+            ),
+        }
+    }
+    for key in [0, 1, u64::MAX - 1, u64::MAX] {
+        assert_eq!(
+            s.successor(&key),
+            oracle_successor(&oracle, key),
+            "{name}: final successor {key}"
+        );
+        assert_eq!(
+            s.predecessor(&key),
+            oracle_predecessor(&oracle, key),
+            "{name}: final predecessor {key}"
+        );
+    }
+    assert_eq!(
+        s.range_scan(&0, &u64::MAX),
+        oracle_scan(&oracle, 0, u64::MAX),
+        "{name}: final full scan"
+    );
+}
+
+#[test]
+fn long_lived_sessions_reuse_walk_buffers_correctly() {
+    let tree: CitrusTree<u64, u64> = CitrusTree::new();
+    reuse_run("tree", &mut tree.session());
+    let hash: CitrusForest<u64, u64> = CitrusForest::with_shards(8);
+    reuse_run("hash forest", &mut hash.session());
+    let range: CitrusForest<u64, u64> =
+        CitrusForest::with_range_router(even_splitters(8, 3 * REUSE_KEYS));
+    reuse_run("range forest", &mut range.session());
 }

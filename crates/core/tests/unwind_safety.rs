@@ -4,7 +4,9 @@
 //! held, or corrupt the structure. These tests run with default features —
 //! unwind safety is an RAII property, not a chaos-mode one.
 
-use citrus::CitrusTree;
+use citrus::{CitrusForest, CitrusTree};
+use citrus_api::testkit::stress_watchdog;
+use citrus_rcu::{RcuFlavor, RcuHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -138,6 +140,7 @@ fn panic_under_node_locks_releases_them() {
 /// — here via a two-child delete — must not wait on the dead section.
 #[test]
 fn panic_inside_read_section_does_not_block_synchronize() {
+    let _watchdog = stress_watchdog("panic_inside_read_section_does_not_block_synchronize");
     let armed = Arc::new(AtomicBool::new(false));
     let mut tree: CitrusTree<PanickyKey, u64> = CitrusTree::new();
     {
@@ -189,4 +192,63 @@ fn panic_inside_read_section_does_not_block_synchronize() {
 
     tree.validate_structure()
         .expect("tree must satisfy all structural invariants after both panics");
+}
+
+/// The ids of a scan's entries, for comparing results of `Bomb` values.
+fn ids(entries: &[(u64, Bomb)]) -> Vec<(u64, u64)> {
+    entries.iter().map(|(k, v)| (*k, v.id)).collect()
+}
+
+/// A panic out of `Clone` while a scan extracts its entries — inside the
+/// read-side section, with the walk's buffers taken from the session —
+/// must leave that session able to scan correctly (its next walk starts
+/// from fresh buffers), and must not leave a read section open that
+/// another thread's `synchronize` would wait on.
+#[test]
+fn panic_during_scan_extraction_leaves_the_session_usable() {
+    let _watchdog = stress_watchdog("panic_during_scan_extraction_leaves_the_session_usable");
+    let armed = Arc::new(AtomicBool::new(false));
+    let expected: Vec<(u64, u64)> = (10..=40).map(|k| (k, k)).collect();
+
+    let tree: CitrusTree<u64, Bomb> = CitrusTree::new();
+    let forest: CitrusForest<u64, Bomb> = CitrusForest::with_shards(8);
+    let mut t = tree.session();
+    let mut f = forest.session();
+    for k in 0..64u64 {
+        assert!(t.insert(k, Bomb::new(k, &armed)));
+        assert!(f.insert(k, Bomb::new(k, &armed)));
+    }
+    // Warm both sessions so the panicking scans run on reused buffers.
+    assert_eq!(ids(&t.range_scan(&10, &40)), expected);
+    assert_eq!(ids(&f.range_scan(&10, &40)), expected);
+
+    armed.store(true, Ordering::Relaxed);
+    catch_unwind(AssertUnwindSafe(|| t.range_scan(&10, &40)))
+        .expect_err("the armed bomb must panic the tree scan");
+    catch_unwind(AssertUnwindSafe(|| f.range_scan(&10, &40)))
+        .expect_err("the armed bomb must panic the forest scan");
+    armed.store(false, Ordering::Relaxed);
+
+    // Another thread's grace period on every domain the scans read in.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            tree.rcu().register().synchronize();
+            for shard in 0..forest.shard_count() {
+                forest.shard(shard).rcu().register().synchronize();
+            }
+        });
+    });
+
+    assert_eq!(
+        ids(&t.range_scan(&10, &40)),
+        expected,
+        "tree scan after the panic"
+    );
+    assert_eq!(
+        ids(&f.range_scan(&10, &40)),
+        expected,
+        "forest scan after the panic"
+    );
+    assert_eq!(ids(&t.range_scan(&0, &u64::MAX)).len(), 64);
+    assert_eq!(ids(&f.range_scan(&0, &u64::MAX)).len(), 64);
 }

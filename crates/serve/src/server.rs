@@ -470,8 +470,9 @@ struct ExecSession<K: 'static, V: 'static, F: RcuFlavor>(ForestSession<'static, 
 // flag passes between threads under the queue mutex. No section is open
 // while it moves, and the mutexes order every use after the previous one.
 // Its other fields go with it: the forest reference (`K`, `V: Sync`), the
-// buffer of unlinked nodes awaiting a flush, which only this session
-// touches, and plain counters.
+// buffer of unlinked nodes awaiting a flush and the ordered reads' walk
+// buffers (node pointers, empty between operations), which only this
+// session touches, and plain counters.
 unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static, F: RcuFlavor> Send
     for ExecSession<K, V, F>
 {
