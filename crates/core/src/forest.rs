@@ -22,14 +22,16 @@
 //! configuration, and under both `get`/`contains` stay wait-free — one
 //! shard lookup, then one RCU read-side section in that shard alone.
 //!
-//! * **Hash** (the default): a *seeded multiplicative hash*. The key's
-//!   standard [`Hash`] digest is XORed with the forest's sharding seed,
-//!   multiplied by the 64-bit golden-ratio constant, and the product's
-//!   high bits select the shard (a multiply-shift, which for power-of-two
-//!   shard counts equals taking the top `log2(n)` bits — no shift-by-64
-//!   edge case at `n = 1`). Skew-resistant: adversarial or hot adjacent
-//!   keys scatter across shards. The cost shows up in ordered reads,
-//!   which must fan out to every shard (next section).
+//! * **Hash** (the default): a *seeded hash*. The key's standard
+//!   [`Hash`] input is folded into an in-crate hasher whose state starts
+//!   at the forest's sharding seed (one multiply per word, then the
+//!   splitmix64 finalizer), and the result's high bits select the shard (a
+//!   multiply-shift, which for power-of-two shard counts equals taking the
+//!   top `log2(n)` bits — no shift-by-64 edge case at `n = 1`). The hash
+//!   is defined here rather than taken from std, so a key's shard is the
+//!   same on every platform and toolchain. Skew-resistant: adversarial or
+//!   hot adjacent keys scatter across shards. The cost shows up in ordered
+//!   reads, which must fan out to every shard (next section).
 //! * **Range** ([`with_range_router`](CitrusForest::with_range_router)):
 //!   a strictly ascending splitter array partitions the key space into
 //!   contiguous per-shard ranges — with splitters `s₀ < s₁ < … < sₘ`,
@@ -39,11 +41,10 @@
 //!   overlaps, at the price of hash routing's skew resistance: hot
 //!   adjacent keys all land in one shard.
 //!
-//! `u64`-keyed forests can pick the policy at run time via
-//! `CITRUS_ROUTER=hash|range`
-//! ([`with_env_router`](CitrusForest::with_env_router)), with evenly
-//! spaced default splitters ([`even_splitters`]) over the workload's key
-//! range.
+//! The library takes the policy as a constructor choice only; the
+//! benchmark harness's `forest_with_env_router` picks it at run time from
+//! `CITRUS_ROUTER=hash|range`, with evenly spaced splitters
+//! ([`even_splitters`]) over the workload's key range.
 //!
 //! # What stays per-shard vs. global
 //!
@@ -110,16 +111,82 @@ const DEFAULT_SHARDS: usize = 8;
 const STRIPES: usize = 32;
 
 /// 64-bit golden-ratio multiplier (`⌊2⁶⁴/φ⌋`, odd), the standard
-/// Fibonacci-hashing constant; spreads the seeded digest across the high
-/// bits the multiply-shift router reads.
+/// Fibonacci-hashing constant and splitmix64's increment; each word
+/// [`RouteHasher`] folds in is multiplied by it.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The hash router's [`Hasher`]: a seeded multiply fold with the
+/// splitmix64 finalizer, defined here so that routing is a fixed function
+/// of `(key, seed, shard count)` — std leaves `DefaultHasher`'s algorithm
+/// unspecified, and it costs a SipHash per point operation.
+///
+/// The state starts at the sharding seed. Each fixed-width integer is
+/// folded in with one multiply, `state ← (state ⊕ word)·γ`; byte strings
+/// are folded eight bytes at a time, little-endian, the last (partial)
+/// word carrying its byte count in its top byte. `finish` applies the
+/// splitmix64 finalizer, so the high bits the multiply-shift reads depend
+/// on every input bit. Integers are folded by value, not by their
+/// native-endian bytes, so the result is the same on every platform.
+struct RouteHasher(u64);
+
+impl RouteHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(GOLDEN_GAMMA);
+    }
+}
+
+impl Hasher for RouteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        last[7] = rest.len() as u8;
+        self.fold(u64::from_le_bytes(last));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.fold(n as u64);
+        self.fold((n >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
 
 /// Which routing policy a [`CitrusForest`] maps keys to shards with (see
 /// the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterKind {
-    /// Seeded multiplicative hash (the default): skew-resistant, but
-    /// ordered reads fan out to every shard.
+    /// Seeded hash (the default): skew-resistant, but ordered reads fan
+    /// out to every shard.
     Hash,
     /// Ordered splitter array: each shard owns a contiguous key range, so
     /// ordered reads enter only the shards their span overlaps — at the
@@ -152,20 +219,6 @@ impl RouterKind {
             other => panic!("invalid {name}={other:?}: expected \"hash\" or \"range\""),
         }
     }
-
-    /// Reads the `CITRUS_ROUTER` environment knob (`hash` when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value (see [`parse`](Self::parse)).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("CITRUS_ROUTER") {
-            Ok(raw) => Self::parse("CITRUS_ROUTER", &raw),
-            Err(std::env::VarError::NotPresent) => Self::Hash,
-            Err(err) => panic!("invalid CITRUS_ROUTER: {err}"),
-        }
-    }
 }
 
 impl fmt::Display for RouterKind {
@@ -176,9 +229,9 @@ impl fmt::Display for RouterKind {
 
 /// The routing policy instance behind [`CitrusForest::shard_for`].
 enum Router<K> {
-    /// Seeded multiplicative hash over the key's [`Hash`] digest.
+    /// Seeded [`RouteHasher`] over the key's [`Hash`] input.
     Hash {
-        /// XORed into the digest before the golden-ratio multiply.
+        /// The hasher's initial state.
         seed: u64,
     },
     /// Strictly ascending splitters: shard `i` owns
@@ -188,9 +241,9 @@ enum Router<K> {
 }
 
 /// Evenly spaced splitters partitioning `[0, key_range)` into `shards`
-/// contiguous ranges — the default splitter set `CITRUS_ROUTER=range`
-/// uses. Keys at or above `key_range` all land in the last shard, which
-/// additionally owns `[key_range · (shards-1)/shards, ∞)`.
+/// contiguous ranges — the benchmark harness's default splitter set for
+/// range routing. Keys at or above `key_range` all land in the last
+/// shard, which additionally owns `[key_range · (shards-1)/shards, ∞)`.
 ///
 /// # Panics
 ///
@@ -318,7 +371,7 @@ impl ForestMetrics {
 }
 
 /// A fixed array of independent [`CitrusTree`] shards routed by a seeded
-/// multiplicative key hash.
+/// key hash or by a splitter array.
 ///
 /// Each shard owns a private RCU domain and a private reclamation domain;
 /// see the [module docs](self) for why. Threads operate through
@@ -437,31 +490,6 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
                 splitters: splitters.into_boxed_slice(),
             },
             metrics: ForestMetrics::new(n),
-        }
-    }
-}
-
-impl<V: Send + Sync, F: RcuFlavor> CitrusForest<u64, V, F> {
-    /// Builds a `u64`-keyed forest with the router picked by the
-    /// `CITRUS_ROUTER` environment knob: `hash` (the default) behaves
-    /// exactly like [`with_config`](Self::with_config); `range`
-    /// partitions `[0, key_range)` with [`even_splitters`] (the seed is
-    /// then unused). `n` is rounded up to a power of two in **both** arms
-    /// so the two routers sweep identical shard counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `CITRUS_ROUTER` value, or in `range`
-    /// mode when `key_range` is smaller than the rounded shard count.
-    #[must_use]
-    pub fn with_env_router(n: usize, seed: u64, mode: ReclaimMode, key_range: u64) -> Self {
-        let deferred = citrus_reclaim::deferred_free_from_env();
-        let n = n.max(1).next_power_of_two();
-        match RouterKind::from_env() {
-            RouterKind::Hash => Self::with_options(n, seed, mode, deferred),
-            RouterKind::Range => {
-                Self::with_range_router_options(even_splitters(n, key_range), mode, deferred)
-            }
         }
     }
 }
@@ -612,9 +640,10 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
 }
 
 impl<K: Hash + Ord, V, F: RcuFlavor> CitrusForest<K, V, F> {
-    /// Routes `key` to its shard index. Hash router: seeded digest →
-    /// golden-ratio multiply → multiply-shift by the shard count, pure in
-    /// `(key, seed, shard_count)`. Range router: binary search of the
+    /// Routes `key` to its shard index. Hash router: the key's [`Hash`]
+    /// fed to a `RouteHasher` started at the seed → multiply-shift by
+    /// the shard count, pure in `(key, seed, shard_count)` and the same
+    /// on every platform and toolchain. Range router: binary search of the
     /// splitter array, pure in `(key, splitters)` — a key equal to a
     /// splitter routes to the upper shard (splitter ranges are
     /// low-inclusive).
@@ -622,13 +651,12 @@ impl<K: Hash + Ord, V, F: RcuFlavor> CitrusForest<K, V, F> {
     pub fn shard_for(&self, key: &K) -> usize {
         match &self.router {
             Router::Hash { seed } => {
-                let mut hasher = std::hash::DefaultHasher::new();
+                let mut hasher = RouteHasher(*seed);
                 key.hash(&mut hasher);
-                let mixed = (hasher.finish() ^ seed).wrapping_mul(GOLDEN_GAMMA);
-                // Lemire multiply-shift: maps the 64-bit mix uniformly
+                // Lemire multiply-shift: maps the 64-bit hash uniformly
                 // onto [0, n). For power-of-two n this is exactly the top
                 // log2(n) bits, with no undefined shift at n = 1.
-                ((u128::from(mixed) * self.shards.len() as u128) >> 64) as usize
+                ((u128::from(hasher.finish()) * self.shards.len() as u128) >> 64) as usize
             }
             // Shard i owns [splitters[i-1], splitters[i]): the key's
             // shard is the count of splitters at or below it.
@@ -1162,6 +1190,83 @@ mod tests {
             differs |= s != c.shard_for(&key);
         }
         assert!(differs, "different seeds should shuffle at least one key");
+    }
+
+    /// Pins the hash router's output, so that a hasher edit or a
+    /// toolchain bump cannot silently move keys to other shards. The
+    /// 8-byte string covers the whole-word path of `RouteHasher::write`,
+    /// the 6-byte one its partial last word.
+    #[test]
+    fn hash_routing_matches_golden_values() {
+        let keys = [0u64, 1, 2, 7, 1 << 32, 0xDEAD_BEEF, u64::MAX - 1, u64::MAX];
+        let strings = ["citrus", "key-0001"];
+        for (seed, want_ints, want_strs) in [
+            (0, [0, 7, 3, 1, 5, 7, 3, 1], [0, 7]),
+            (0x5EED, [7, 4, 0, 0, 2, 4, 3, 1], [6, 4]),
+        ] {
+            let ints = Forest::with_sharding_seed(8, seed);
+            let strs = CitrusForest::<String, u64>::with_sharding_seed(8, seed);
+            assert_eq!(
+                keys.map(|k| ints.shard_for(&k)),
+                want_ints,
+                "u64 keys, seed {seed:#x}"
+            );
+            assert_eq!(
+                strings.map(|k| strs.shard_for(&k.to_string())),
+                want_strs,
+                "string keys, seed {seed:#x}"
+            );
+        }
+    }
+
+    /// Routes `keys` over a `shards`-shard hash forest (seed 0) and
+    /// asserts that every shard receives within ±10% of the mean.
+    fn assert_spread<K: Hash + Ord + Send + Sync>(
+        shards: usize,
+        name: &str,
+        keys: impl Iterator<Item = K>,
+    ) {
+        let forest = CitrusForest::<K, u64>::with_shards(shards);
+        let mut counts = vec![0u64; shards];
+        for key in keys {
+            counts[forest.shard_for(&key)] += 1;
+        }
+        let mean = counts.iter().sum::<u64>() as f64 / shards as f64;
+        for (shard, &n) in counts.iter().enumerate() {
+            assert!(
+                (n as f64 - mean).abs() <= 0.10 * mean,
+                "{name} keys at {shards} shards: shard {shard} got {n}, mean {mean}"
+            );
+        }
+    }
+
+    /// Sequential, strided, random and string keys, 2^16 of each, spread
+    /// evenly over 8 and 64 shards.
+    #[test]
+    fn hash_routing_spreads_structured_keys() {
+        const KEYS: u64 = 1 << 16;
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let random: Vec<u64> = (0..KEYS)
+            .map(|_| {
+                // xorshift64*
+                rng ^= rng >> 12;
+                rng ^= rng << 25;
+                rng ^= rng >> 27;
+                rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
+            })
+            .collect();
+        for shards in [8, 64] {
+            assert_spread(shards, "sequential", 0..KEYS);
+            for shift in [3, 12, 32] {
+                assert_spread(
+                    shards,
+                    &format!("stride 2^{shift}"),
+                    (0..KEYS).map(|i| i << shift),
+                );
+            }
+            assert_spread(shards, "random", random.iter().copied());
+            assert_spread(shards, "string", (0..KEYS).map(|i| format!("k{i}")));
+        }
     }
 
     #[test]

@@ -30,12 +30,21 @@ pub(crate) enum Dir {
 
 impl Dir {
     /// The paper's `direction ← (currentKey > key ? left : right)`.
+    ///
+    /// Branch-free: with uniform keys the direction is a coin flip at
+    /// every level, so a conditional jump mispredicts about every other
+    /// step of a descent. `select_unpredictable` asks for a conditional
+    /// move instead, which makes the next child load `child[dir]` an
+    /// indexed load (DESIGN.md §3, *Branch-free descent*). The function
+    /// must inline into the search loop: called out of line it costs more
+    /// than the branch it removes.
+    #[inline(always)]
     pub(crate) fn from_cmp(current_vs_search: CmpOrdering) -> Self {
-        if current_vs_search == CmpOrdering::Greater {
-            Dir::Left
-        } else {
-            Dir::Right
-        }
+        core::hint::select_unpredictable(
+            current_vs_search == CmpOrdering::Greater,
+            Dir::Left,
+            Dir::Right,
+        )
     }
 
     pub(crate) fn index(self) -> usize {

@@ -2,8 +2,12 @@
 //! behavior (`incrementTag`, Lemma 3), validation-retry accounting, and
 //! the exact retire/synchronize pattern of `delete`.
 
-use citrus::{CitrusTree, RcuFlavor, ReclaimMode, ScalableRcu};
+use citrus::{
+    CitrusForest, CitrusTree, InvariantViolation, RcuFlavor, ReclaimMode, ScalableRcu, TreeStats,
+};
 use citrus_api::testkit::{stress_watchdog, SplitMix64};
+use citrus_api::{ConcurrentMap, MapSession};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -232,4 +236,103 @@ fn session_stats_are_per_session() {
     assert_eq!(b.stats().synchronize_calls(), 0);
     b.remove(&20);
     assert!(b.stats().synchronize_calls() <= 1);
+}
+
+/// Drives the search descent (lines 1–15) through the key space's
+/// extremes on `map`, against a `BTreeMap`, validating the structure after
+/// every step: `u64::MIN` and `1` sit just above the `−1` sentinel, and
+/// `u64::MAX - 1` and `u64::MAX` just below `∞`. First comes a two-child
+/// delete whose successor is `u64::MAX`, so the successor walk (lines
+/// 63–67) ends at the largest key. `route` names a key's shard, so the
+/// two-child shape is built inside `u64::MAX`'s shard.
+fn descent_edges<M: ConcurrentMap<u64, u64>>(
+    mut map: M,
+    route: impl Fn(&M, &u64) -> usize,
+    validate: impl Fn(&mut M) -> Result<TreeStats, InvariantViolation>,
+) {
+    let mut model = BTreeMap::new();
+    let check = |map: &mut M, model: &BTreeMap<u64, u64>, step: &str| -> TreeStats {
+        let stats = validate(map).unwrap_or_else(|e| panic!("after {step}: {e:?}"));
+        assert_eq!(stats.len, model.len(), "key count after {step}");
+        stats
+    };
+
+    let home = route(&map, &u64::MAX);
+    let mut same_shard = (2u64..).filter(|k| route(&map, k) == home);
+    let (a, b) = (same_shard.next().unwrap(), same_shard.next().unwrap());
+    for k in [b, a, u64::MAX] {
+        assert!(map.session().insert(k, k));
+        model.insert(k, k);
+        check(&mut map, &model, &format!("insert({k})"));
+    }
+    let stats = check(&mut map, &model, "building the two-child node");
+    assert_eq!(stats.height, 2, "{b} must have children {a} and u64::MAX");
+    assert!(map.session().remove(&b), "two-child delete of {b}");
+    model.remove(&b);
+    check(&mut map, &model, &format!("remove({b})"));
+    {
+        let mut s = map.session();
+        assert_eq!(s.get(&b), None);
+        assert_eq!(s.get(&a), Some(a));
+        assert_eq!(s.get(&u64::MAX), Some(u64::MAX), "the moved successor");
+        assert!(s.remove(&a) && s.remove(&u64::MAX));
+    }
+    model.clear();
+    check(&mut map, &model, "emptying");
+
+    let edges = [u64::MIN, 1, u64::MAX - 1, u64::MAX];
+    let reads = |map: &M, model: &BTreeMap<u64, u64>, step: &str| {
+        let mut s = map.session();
+        for k in edges {
+            assert_eq!(s.get(&k), model.get(&k).copied(), "get({k}) after {step}");
+            assert_eq!(
+                s.contains(&k),
+                model.contains_key(&k),
+                "contains({k}) after {step}"
+            );
+        }
+    };
+    reads(&map, &model, "emptying");
+    for (round, order) in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]]
+        .iter()
+        .enumerate()
+    {
+        let value = round as u64;
+        for &i in order {
+            let k = edges[i];
+            let step = format!("round {round}: insert({k})");
+            assert_eq!(
+                map.session().insert(k, value),
+                !model.contains_key(&k),
+                "{step}"
+            );
+            model.entry(k).or_insert(value);
+            check(&mut map, &model, &step);
+            reads(&map, &model, &step);
+        }
+        for &i in order.iter().rev() {
+            let k = edges[i];
+            let step = format!("round {round}: remove({k})");
+            assert_eq!(
+                map.session().remove(&k),
+                model.remove(&k).is_some(),
+                "{step}"
+            );
+            check(&mut map, &model, &step);
+            reads(&map, &model, &step);
+            assert!(!map.session().remove(&k), "second {step}");
+        }
+    }
+}
+
+/// The descent at the extreme keys, on a tree and on 1- and 8-shard
+/// forests (hash-routed, so the forests' shards see different key mixes).
+#[test]
+fn descent_handles_extreme_keys() {
+    descent_edges(inline_tree(), |_, _| 0, |t| t.validate_structure());
+    for shards in [1, 8] {
+        let forest: CitrusForest<u64, u64, ScalableRcu> =
+            CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, false);
+        descent_edges(forest, |f, k| f.shard_for(k), |f| f.validate_structure());
+    }
 }

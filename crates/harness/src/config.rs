@@ -1,7 +1,7 @@
 //! Environment-driven scaling of the benchmark suite.
 
 use crate::keydist::KeyDist;
-use citrus::RouterKind;
+use citrus::{even_splitters, CitrusForest, RcuFlavor, ReclaimMode, RouterKind};
 use std::time::Duration;
 
 /// Global benchmark parameters.
@@ -21,7 +21,7 @@ use std::time::Duration;
 /// | `CITRUS_SHARDS` | comma-separated forest shard counts | `1,2,4,8` | — |
 /// | `CITRUS_METRICS` | attach internal-metrics sections to reports | unset | — |
 /// | `CITRUS_DEFERRED_FREE` | defer two-child-delete unlinks to `call_rcu` batches (`1`/`true`/`yes`) in env-driven constructors; the forest sweep A/Bs both modes regardless | unset | — |
-/// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) in env-driven constructors; the forest sweep A/Bs both routers regardless | `hash` | — |
+/// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) for [`forest_with_env_router`] and [`BenchConfig::router`]; the forest sweep A/Bs both routers regardless | `hash` | — |
 /// | `CITRUS_KEY_DIST` | key distribution for timed workload draws (`uniform`/`zipf:<theta>`); prefill stays uniform | `uniform` | — |
 ///
 /// Metric collection also requires the `stats` feature (on by default in
@@ -105,6 +105,49 @@ fn env_counts(name: &str, default: &str) -> Vec<usize> {
     parse_count_list(name, &raw)
 }
 
+/// Reads the `CITRUS_ROUTER` knob (`hash` when unset).
+///
+/// # Panics
+///
+/// Panics on an unrecognized value (see [`RouterKind::parse`]).
+#[must_use]
+pub(crate) fn router_from_env() -> RouterKind {
+    match std::env::var("CITRUS_ROUTER") {
+        Ok(raw) => RouterKind::parse("CITRUS_ROUTER", &raw),
+        Err(std::env::VarError::NotPresent) => RouterKind::Hash,
+        Err(err) => panic!("invalid CITRUS_ROUTER: {err}"),
+    }
+}
+
+/// Builds a `u64`-keyed forest with the router picked by `CITRUS_ROUTER`:
+/// `hash` (the default) is
+/// [`CitrusForest::with_options`] with `seed`; `range` partitions
+/// `[0, key_range)` with [`even_splitters`] (the seed is then unused).
+/// `n` is rounded up to a power of two in **both** arms so the two routers
+/// sweep identical shard counts. Two-child deletes defer their unlink per
+/// `CITRUS_DEFERRED_FREE` ([`citrus::deferred_free_from_env`]).
+///
+/// # Panics
+///
+/// Panics on an unrecognized `CITRUS_ROUTER` value, or in `range` mode
+/// when `key_range` is smaller than the rounded shard count.
+#[must_use]
+pub fn forest_with_env_router<V: Send + Sync, F: RcuFlavor>(
+    n: usize,
+    seed: u64,
+    mode: ReclaimMode,
+    key_range: u64,
+) -> CitrusForest<u64, V, F> {
+    let deferred = citrus::deferred_free_from_env();
+    let n = n.max(1).next_power_of_two();
+    match router_from_env() {
+        RouterKind::Hash => CitrusForest::with_options(n, seed, mode, deferred),
+        RouterKind::Range => {
+            CitrusForest::with_range_router_options(even_splitters(n, key_range), mode, deferred)
+        }
+    }
+}
+
 impl BenchConfig {
     /// Reads the configuration from the environment (see type docs).
     pub fn from_env() -> Self {
@@ -123,7 +166,7 @@ impl BenchConfig {
             shards: env_counts("CITRUS_SHARDS", "1,2,4,8"),
             collect_metrics: std::env::var("CITRUS_METRICS")
                 .is_ok_and(|v| v != "0" && !v.is_empty()),
-            router: RouterKind::from_env(),
+            router: router_from_env(),
             key_dist: KeyDist::from_env(),
         }
     }

@@ -10,13 +10,15 @@
 //! cover the boundary cases: 1 (degenerate single-tree forest), 3
 //! (rounds up to 4 — non-power-of-two request), and 8.
 //!
-//! The sweeps construct their forests through `with_env_router`, so the
-//! whole battery runs against the hash router by default and against the
-//! range router when CI's router lane sets `CITRUS_ROUTER=range`. The
+//! The sweeps construct their forests through the harness's
+//! `forest_with_env_router`, so the whole battery runs against the hash
+//! router by default and against the range router when CI's router lane
+//! sets `CITRUS_ROUTER=range`. The
 //! explicitly range-routed tests at the bottom (splitter boundaries,
 //! planted misroutes) run in both lanes regardless.
 
 use citrus_repro::citrus_api::testkit;
+use citrus_repro::citrus_harness::forest_with_env_router;
 use citrus_repro::prelude::*;
 
 /// Seed count, mirroring the chaos_regression sweep convention.
@@ -39,7 +41,7 @@ fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
         let seed = base_seed.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let forest: CitrusForest<u64, u64, F> =
-            CitrusForest::with_env_router(shards, seed, ReclaimMode::Epoch, 128);
+            forest_with_env_router(shards, seed, ReclaimMode::Epoch, 128);
         let oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
         testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
 

@@ -17,6 +17,7 @@
 //! minimal counterexample.
 
 use citrus_repro::citrus_api::{lincheck, testkit, ConcurrentMap, MapSession, OrderedMapSession};
+use citrus_repro::citrus_harness::forest_with_env_router;
 use citrus_repro::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -117,7 +118,7 @@ fn citrus_global_lock_leak() {
 #[test]
 fn forest_one_shard() {
     lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(1, 0x5EED, ReclaimMode::Epoch, 32),
+        || forest_with_env_router::<u64, ScalableRcu>(1, 0x5EED, ReclaimMode::Epoch, 32),
         0x11A_0011,
     );
 }
@@ -125,7 +126,7 @@ fn forest_one_shard() {
 #[test]
 fn forest_four_shards() {
     lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(4, 0x5EED, ReclaimMode::Epoch, 32),
+        || forest_with_env_router::<u64, ScalableRcu>(4, 0x5EED, ReclaimMode::Epoch, 32),
         0x11A_0014,
     );
 }
@@ -133,7 +134,7 @@ fn forest_four_shards() {
 #[test]
 fn forest_eight_shards() {
     lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(8, 0x5EED, ReclaimMode::Epoch, 32),
+        || forest_with_env_router::<u64, ScalableRcu>(8, 0x5EED, ReclaimMode::Epoch, 32),
         0x11A_0018,
     );
 }
@@ -215,7 +216,7 @@ fn scan_citrus_global_lock_deferred() {
 #[test]
 fn scan_forest_one_shard() {
     scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(1, 0x5EED, ReclaimMode::Epoch, 16),
+        || forest_with_env_router::<u64, ScalableRcu>(1, 0x5EED, ReclaimMode::Epoch, 16),
         0x5CA_0011,
     );
 }
@@ -223,7 +224,7 @@ fn scan_forest_one_shard() {
 #[test]
 fn scan_forest_four_shards() {
     scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(4, 0x5EED, ReclaimMode::Epoch, 16),
+        || forest_with_env_router::<u64, ScalableRcu>(4, 0x5EED, ReclaimMode::Epoch, 16),
         0x5CA_0014,
     );
 }
@@ -231,7 +232,7 @@ fn scan_forest_four_shards() {
 #[test]
 fn scan_forest_eight_shards() {
     scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(8, 0x5EED, ReclaimMode::Epoch, 16),
+        || forest_with_env_router::<u64, ScalableRcu>(8, 0x5EED, ReclaimMode::Epoch, 16),
         0x5CA_0018,
     );
 }
