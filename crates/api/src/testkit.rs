@@ -536,6 +536,14 @@ pub fn stress_iters(default: u64) -> u64 {
     env_u64_knob("CITRUS_STRESS_ITERS", default)
 }
 
+/// Seed count for chaos-sweeping tests: the value of the
+/// `CITRUS_CHAOS_SEEDS` environment variable when set, otherwise
+/// `default`. A malformed value is a hard error, as in [`stress_iters`]:
+/// a typo'd knob must not silently shrink the sweep.
+pub fn chaos_seeds(default: u64) -> u64 {
+    env_u64_knob("CITRUS_CHAOS_SEEDS", default)
+}
+
 /// Shared hard-error reader for numeric testkit knobs.
 fn env_u64_knob(name: &str, default: u64) -> u64 {
     match std::env::var(name) {

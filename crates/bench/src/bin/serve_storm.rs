@@ -159,11 +159,10 @@ fn run_cell(
     duration: Duration,
 ) -> Vec<Row> {
     let forest: CitrusForest<u64, u64> = match router {
-        "hash" => CitrusForest::with_options(SHARDS, 0x5E47E, ReclaimMode::Epoch, false),
-        "range" => CitrusForest::with_range_router_options(
+        "hash" => CitrusForest::with_config(SHARDS, 0x5E47E, ReclaimMode::Epoch),
+        "range" => CitrusForest::with_range_router_config(
             even_splitters(SHARDS, scenario.key_space()),
             ReclaimMode::Epoch,
-            false,
         ),
         other => panic!("unknown router {other}"),
     };

@@ -8,7 +8,7 @@
 //! throughput field ([`METRIC_KEYS`]) as a *row*, identified by its
 //! position-independent fingerprint: the JSON path of object keys leading
 //! to it plus its configuration fields ([`IDENTITY_KEYS`]: `flavor`,
-//! `shards`, `deferred`, `label`, …). Measured side-channel fields
+//! `shards`, `router`, `label`, …). Measured side-channel fields
 //! (`piggybacks`, `grace_periods`) are neither identity nor metric, so
 //! run-to-run noise in them cannot unmatch a row. Rows are matched by
 //! fingerprint — reordering cells or appending new ones never confuses
@@ -24,18 +24,12 @@ use std::fmt;
 
 /// Object fields the gate treats as throughput metrics (higher is
 /// better). Everything else in a row is identity.
-pub const METRIC_KEYS: [&str; 5] = [
-    "ops_per_s",
-    "synchronize_per_s",
-    "retires_per_s",
-    "scans_per_s",
-    "per_sec",
-];
+pub const METRIC_KEYS: [&str; 4] = ["ops_per_s", "synchronize_per_s", "scans_per_s", "per_sec"];
 
 /// Object fields that identify a row (workload configuration). Scalar
 /// fields outside this list — measured counters like `piggybacks` — are
 /// ignored entirely, so their run-to-run noise cannot unmatch a row.
-pub const IDENTITY_KEYS: [&str; 20] = [
+pub const IDENTITY_KEYS: [&str; 19] = [
     "bench",
     "label",
     "flavor",
@@ -46,7 +40,6 @@ pub const IDENTITY_KEYS: [&str; 20] = [
     "shards",
     "contains_pct",
     "threads",
-    "deferred",
     "mode",
     "scanners",
     "span",
@@ -275,23 +268,23 @@ mod tests {
 
     #[test]
     fn identity_uses_config_fields_and_path() {
-        // Same flavor but different `deferred` flag: distinct rows, so the
-        // fast deferred cell must not mask the slow inline one.
+        // Same flavor but different `router`: distinct rows, so the fast
+        // range cell must not mask the slow hash one.
         let base = doc(r#"{"cells": [
-                {"flavor": "a", "deferred": false, "ops_per_s": 1000.0},
-                {"flavor": "a", "deferred": true, "ops_per_s": 3000.0}
+                {"flavor": "a", "router": "hash", "ops_per_s": 1000.0},
+                {"flavor": "a", "router": "range", "ops_per_s": 3000.0}
             ]}"#);
         let fresh = doc(r#"{"cells": [
-                {"flavor": "a", "deferred": false, "ops_per_s": 100.0},
-                {"flavor": "a", "deferred": true, "ops_per_s": 3000.0}
+                {"flavor": "a", "router": "hash", "ops_per_s": 100.0},
+                {"flavor": "a", "router": "range", "ops_per_s": 3000.0}
             ]}"#);
         let report = check(&base, &fresh, 30.0);
         assert_eq!(report.regressions.len(), 1);
-        assert!(report.regressions[0].row.contains("deferred=false"));
+        assert!(report.regressions[0].row.contains("router=hash"));
 
         // Same identity fields under different parents: distinct rows.
         let nested_base = doc(r#"{"storm": {"cells": [{"syncers": 1, "per_sec": 100.0}]},
-                "retire": {"cells": [{"syncers": 1, "per_sec": 500.0}]}}"#);
+                "scan": {"cells": [{"syncers": 1, "per_sec": 500.0}]}}"#);
         let rows = collect_rows(&nested_base);
         assert_eq!(rows.len(), 2, "rows: {:?}", rows.keys().collect::<Vec<_>>());
     }
@@ -325,14 +318,14 @@ mod tests {
         // gate — if a writer renames its throughput field, this fails.
         let forest = doc(r#"{"bench": "forest", "cells": [
                 {"flavor": "rcu-scalable", "shards": 4, "contains_pct": 0,
-                 "threads": 8, "deferred": true, "ops_per_s": 2.5e6,
+                 "threads": 8, "router": "hash", "ops_per_s": 2.5e6,
                  "sync_calls_per_shard": [0, 0, 0, 0],
                  "grace_periods_per_shard": [3, 1, 2, 2], "occupancy": [10, 11, 9, 12]}
             ]}"#);
         let rows = collect_rows(&forest);
         assert_eq!(rows.len(), 1);
         let (row, metrics) = rows.iter().next().unwrap();
-        assert!(row.contains("deferred=true") && row.contains("shards=4"));
+        assert!(row.contains("router=hash") && row.contains("shards=4"));
         assert_eq!(metrics.get("ops_per_s"), Some(&2.5e6));
 
         let micro = doc(

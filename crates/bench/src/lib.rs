@@ -13,9 +13,8 @@
 
 use citrus_harness::{BenchConfig, Report};
 use citrus_rcu::{RcuFlavor, RcuHandle};
-use citrus_reclaim::CallRcu;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Duration;
 
 pub mod benchjson;
@@ -144,103 +143,6 @@ pub fn synchronize_storm<F: RcuFlavor>(
         syncers,
         per_sec: total.load(Ordering::Relaxed) as f64 / dur.as_secs_f64(),
         piggybacks: rcu.synchronize_piggybacks() - piggybacks_before,
-        grace_periods: rcu.grace_periods() - grace_periods_before,
-    }
-}
-
-/// One cell of the deferred-vs-inline retire micro ([`retire_storm`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RetireCell {
-    /// Whether retirements went through a `call_rcu` batch queue (`true`)
-    /// or paid `synchronize_rcu` inline per object (`false`).
-    pub deferred: bool,
-    /// Retiring threads.
-    pub updaters: usize,
-    /// Aggregate retirements fully reclaimed per second.
-    pub retires_per_s: f64,
-    /// Full grace periods spent during the cell.
-    pub grace_periods: u64,
-}
-
-/// Runs `updaters` threads retiring heap objects as fast as they can for
-/// `dur`, with `readers` background readers keeping grace periods honest.
-///
-/// Inline mode models the tree's old delete hot path: one
-/// `synchronize_rcu` per retired object, then free. Deferred mode routes
-/// every retirement through one shared [`CallRcu`] domain, whose worker
-/// batches the whole queue behind a single grace period (DESIGN.md §6g).
-///
-/// The clock runs from the start barrier until the deferred queue has
-/// fully drained, so batching cannot inflate the rate by leaving work
-/// pending — every counted retirement has actually been freed.
-pub fn retire_storm<F: RcuFlavor>(
-    rcu: &Arc<F>,
-    deferred: bool,
-    updaters: usize,
-    readers: usize,
-    dur: Duration,
-) -> RetireCell {
-    let grace_periods_before = rcu.grace_periods();
-    let call = deferred.then(|| CallRcu::new(Arc::clone(rcu)));
-    let done = AtomicUsize::new(0);
-    let total = AtomicU64::new(0);
-    let barrier = Barrier::new(updaters + readers + 1);
-    let mut elapsed = Duration::ZERO;
-    std::thread::scope(|s| {
-        for _ in 0..readers {
-            let (rcu, done, barrier) = (rcu, &done, &barrier);
-            s.spawn(move || {
-                let h = rcu.register();
-                barrier.wait();
-                while done.load(Ordering::Relaxed) < updaters {
-                    let _g = h.read_lock();
-                    std::hint::spin_loop();
-                }
-            });
-        }
-        for _ in 0..updaters {
-            let (rcu, call, done, total, barrier) = (rcu, &call, &done, &total, &barrier);
-            s.spawn(move || {
-                let mut n = 0u64;
-                if let Some(call) = call {
-                    barrier.wait();
-                    let start = std::time::Instant::now();
-                    while start.elapsed() < dur {
-                        // SAFETY: the pointer is freshly leaked, never
-                        // published, and retired exactly once.
-                        unsafe { call.retire(Box::into_raw(Box::new(0u64))) };
-                        n += 1;
-                    }
-                } else {
-                    let h = rcu.register();
-                    barrier.wait();
-                    let start = std::time::Instant::now();
-                    while start.elapsed() < dur {
-                        let ptr = Box::into_raw(Box::new(0u64));
-                        h.synchronize();
-                        // SAFETY: same pointer, after its grace period.
-                        drop(unsafe { Box::from_raw(ptr) });
-                        n += 1;
-                    }
-                }
-                total.fetch_add(n, Ordering::Relaxed);
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        barrier.wait();
-        let start = std::time::Instant::now();
-        while done.load(Ordering::Relaxed) < updaters {
-            std::thread::yield_now();
-        }
-        if let Some(call) = &call {
-            call.drain();
-        }
-        elapsed = start.elapsed();
-    });
-    RetireCell {
-        deferred,
-        updaters,
-        retires_per_s: total.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64(),
         grace_periods: rcu.grace_periods() - grace_periods_before,
     }
 }

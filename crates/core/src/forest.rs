@@ -401,9 +401,7 @@ pub struct CitrusForest<K, V, F: RcuFlavor = ScalableRcu> {
 
 impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a forest with the default shard count (8) and
-    /// [`ReclaimMode::Epoch`]. Two-child deletes defer their unlink per
-    /// the `CITRUS_DEFERRED_FREE` environment knob
-    /// ([`citrus_reclaim::deferred_free_from_env`]).
+    /// [`ReclaimMode::Epoch`].
     #[must_use]
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
@@ -426,66 +424,65 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     }
 
     /// Explicit constructor: shard count (rounded up to a power of two),
-    /// sharding seed, and reclamation mode for every shard (deferred
-    /// unlinking still per `CITRUS_DEFERRED_FREE`).
+    /// sharding seed, and reclamation mode for every shard.
     #[must_use]
     pub fn with_config(n: usize, seed: u64, mode: ReclaimMode) -> Self {
-        Self::with_options(n, seed, mode, citrus_reclaim::deferred_free_from_env())
-    }
-
-    /// Fully explicit constructor: additionally pins whether every shard's
-    /// two-child deletes defer their unlink to the shard's own `call_rcu`
-    /// batch (`deferred = true`) or synchronize inline. Each shard gets a
-    /// **private** deferred domain — its batches wait only on the shard's
-    /// own grace periods, preserving shard independence.
-    #[must_use]
-    pub fn with_options(n: usize, seed: u64, mode: ReclaimMode, deferred: bool) -> Self {
         let n = n.max(1).next_power_of_two();
         Self {
-            shards: (0..n)
-                .map(|_| CitrusTree::with_options(F::new(), mode, deferred))
-                .collect(),
+            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
             router: Router::Hash { seed },
             metrics: ForestMetrics::new(n),
         }
+    }
+
+    /// [`with_config`](Self::with_config) with the former deferred-unlink
+    /// switch, which must be `false`: deferred unlinking was removed and
+    /// every two-child delete synchronizes inline. Kept only because the
+    /// benchmark program still calls it; the next change to the benchmark
+    /// deletes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deferred` is `true`.
+    #[must_use]
+    pub fn with_options(n: usize, seed: u64, mode: ReclaimMode, deferred: bool) -> Self {
+        assert!(
+            !deferred,
+            "deferred unlinking was removed: two-child deletes always synchronize inline"
+        );
+        Self::with_config(n, seed, mode)
     }
 }
 
 impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a range-routed forest: `splitters.len() + 1` shards, each
     /// owning a contiguous key range (see the [module docs](self)), with
-    /// the default reclamation mode and the `CITRUS_DEFERRED_FREE` knob.
-    /// An empty splitter list is the degenerate single-shard forest.
+    /// the default reclamation mode. An empty splitter list is the
+    /// degenerate single-shard forest.
     ///
     /// # Panics
     ///
     /// Panics unless `splitters` is strictly ascending.
     #[must_use]
     pub fn with_range_router(splitters: Vec<K>) -> Self {
-        Self::with_range_router_options(
-            splitters,
-            ReclaimMode::default(),
-            citrus_reclaim::deferred_free_from_env(),
-        )
+        Self::with_range_router_config(splitters, ReclaimMode::default())
     }
 
-    /// Fully explicit range-routed constructor; the reclamation knobs
-    /// mean the same as in [`with_options`](Self::with_options).
+    /// Range-routed constructor with an explicit reclamation mode for
+    /// every shard.
     ///
     /// # Panics
     ///
     /// Panics unless `splitters` is strictly ascending.
     #[must_use]
-    pub fn with_range_router_options(splitters: Vec<K>, mode: ReclaimMode, deferred: bool) -> Self {
+    pub fn with_range_router_config(splitters: Vec<K>, mode: ReclaimMode) -> Self {
         assert!(
             splitters.windows(2).all(|w| w[0] < w[1]),
             "range-router splitters must be strictly ascending"
         );
         let n = splitters.len() + 1;
         Self {
-            shards: (0..n)
-                .map(|_| CitrusTree::with_options(F::new(), mode, deferred))
-                .collect(),
+            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
             router: Router::Range {
                 splitters: splitters.into_boxed_slice(),
             },
@@ -551,30 +548,12 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
         self.shards[0].reclaim_mode()
     }
 
-    /// Whether the shards defer two-child-delete unlinks to per-shard
-    /// `call_rcu` batches (identical across shards).
-    #[must_use]
-    pub fn deferred_free(&self) -> bool {
-        self.shards[0].deferred_free()
-    }
-
-    /// Runs every shard's pending deferred unlinks to completion (no-op
-    /// in inline mode). Shards flush independently: shard A's drain waits
-    /// only on A's private grace periods.
-    pub fn flush_deferred(&self) {
-        for shard in self.shards.iter() {
-            shard.flush_deferred();
-        }
-    }
-
-    /// Deferred unlinks enqueued by each shard (tree metrics; all zeros
-    /// with stats off).
+    /// One zero per shard: deferred unlinking was removed, so no shard
+    /// ever defers an unlink. Kept only because the benchmark program
+    /// still reports it; the next change to the benchmark deletes it.
     #[must_use]
     pub fn deferred_unlinks_per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|t| t.metrics().deferred_unlinks())
-            .collect()
+        vec![0; self.shards.len()]
     }
 
     /// Total removed nodes already freed across all shards:
@@ -1175,6 +1154,12 @@ mod tests {
             let f = Forest::with_shards(requested);
             assert_eq!(f.shard_count(), expect, "requested {requested}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "deferred unlinking was removed")]
+    fn with_options_rejects_deferred_unlinking() {
+        let _ = Forest::with_options(2, 0, ReclaimMode::Epoch, true);
     }
 
     #[test]

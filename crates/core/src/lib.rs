@@ -17,7 +17,12 @@
 //!   RCU: a `delete` that must relocate a node's successor first inserts a
 //!   *copy* at the new location, calls `synchronize_rcu` to wait out every
 //!   search that might still find the successor at its old location, and
-//!   only then unlinks the original.
+//!   only then unlinks the original. Every two-child delete takes this
+//!   path, holding the copy's lock throughout (DESIGN.md §6g records the
+//!   deferred `call_rcu` variant that was tried and removed).
+//!
+//! Configuration is constructor arguments only: the crate reads no
+//! environment variable.
 //!
 //! The tree is generic over the RCU implementation ([`RcuFlavor`]): the
 //! paper's scalable flavor ([`ScalableRcu`], default) or the classic
@@ -76,7 +81,6 @@ mod tree;
 
 pub use checks::{InvariantViolation, TreeStats};
 pub use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
-pub use citrus_reclaim::{deferred_free_from_env, CallRcu, CallRcuConfig};
 pub use forest::{even_splitters, CitrusForest, ForestMetrics, ForestSession, RouterKind};
 pub use metrics::TreeMetrics;
 pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats};
@@ -169,14 +173,11 @@ mod tests {
             s.insert(k, k * 100);
         }
         let sync_before = s.stats().synchronize_calls();
-        let defer_before = s.stats().deferred_unlinks();
         assert!(s.remove(&10));
-        // Inline mode pays one synchronize_rcu; deferred mode enqueues one
-        // unlink record instead (CITRUS_DEFERRED_FREE picks the mode).
         assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            sync_before + defer_before + 1,
-            "two-child delete must synchronize inline or defer its unlink, exactly once"
+            s.stats().synchronize_calls(),
+            sync_before + 1,
+            "two-child delete must synchronize exactly once"
         );
         for k in [5, 20, 15, 12, 17] {
             assert_eq!(s.get(&k), Some(k * 100), "key {k} lost by successor move");

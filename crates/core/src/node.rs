@@ -442,7 +442,7 @@ mod tests {
                 unsafe { Node::<u64, u64>::free(p as *mut _) };
             }
             let tree: CitrusTree<u64, u64> =
-                CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+                CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
             let mut s = tree.session();
             for k in 0..LIVE {
                 s.insert(k, k);

@@ -18,13 +18,6 @@
 //!   traversal recording every crossed edge, re-check all of them after
 //!   the walk, and restart from scratch when a concurrent update moved
 //!   one.
-//!
-//! In **deferred-free mode** (`CITRUS_DEFERRED_FREE=1` or
-//! [`CitrusTree::with_options`]; DESIGN.md §6g) the two-child delete does
-//! not pay line 74's grace period inline: it splices the copy, transfers
-//! the locks freezing the successor's old edge into an [`UnlinkRecord`],
-//! and returns; a `call_rcu`-style batch ([`CallRcu`]) runs lines 75–83
-//! after **one** shared grace period per batch.
 
 use crate::metrics::TreeMetrics;
 use crate::node::{Dir, Node};
@@ -32,17 +25,13 @@ use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::MetricsRegistry;
 use citrus_rcu::{RcuFlavor, RcuHandle, RcuReadGuard, ScalableRcu};
-use citrus_reclaim::{
-    deferred_free_from_env, CallRcu, CallRcuConfig, EbrDomain, EbrGuard, EbrHandle,
-};
+use citrus_reclaim::{EbrDomain, EbrGuard, EbrHandle};
 use citrus_sync::SpinMutex;
 use core::cell::{Cell, RefCell};
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;
 use core::marker::PhantomData;
 use core::ptr;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// How removed nodes are reclaimed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -65,37 +54,9 @@ enum ReclaimInner<K, V> {
     Epoch(EbrDomain),
 }
 
-// SAFETY: the graveyard pointers are owned (unlinked) allocations; handing
-// them across threads is sound when the payloads are. The deferred-unlink
-// machinery shares this sink across threads, hence the impls (guarded by
-// the same bounds as the tree's own `Send`/`Sync`).
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for ReclaimInner<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for ReclaimInner<K, V> {}
-
-impl<K, V> ReclaimInner<K, V> {
-    /// Hands an unlinked node to the scheme, from any thread (the deferred
-    /// flush callback runs wherever the flush does).
-    ///
-    /// # Safety
-    ///
-    /// `node` must come from a `Node` constructor and be unreachable from
-    /// the root; threads may still hold references acquired while pinned
-    /// (Epoch) or before tree drop (Leak).
-    unsafe fn retire_node(&self, node: *mut Node<K, V>) {
-        match self {
-            ReclaimInner::Leak(graveyard) => graveyard.lock().push(node),
-            // SAFETY: forwarded to the caller's contract.
-            ReclaimInner::Epoch(domain) => unsafe {
-                domain.retire_shared_raw(node.cast(), Node::<K, V>::free_erased)
-            },
-        }
-    }
-}
-
 impl<K, V> Drop for ReclaimInner<K, V> {
     fn drop(&mut self) {
-        // Runs when the last owner (the tree, or the final in-flight
-        // deferred-unlink record) goes away: every graveyard node is
+        // Runs after the tree's own drop: every graveyard node is
         // unreachable by then.
         if let ReclaimInner::Leak(graveyard) = self {
             for p in graveyard.lock().drain(..) {
@@ -133,15 +94,8 @@ pub struct CitrusTree<K, V, F: RcuFlavor = ScalableRcu> {
     /// The `−1` sentinel; its right child is the `∞` sentinel and all real
     /// nodes live in the `∞` node's left subtree. Never changes.
     root: *mut Node<K, V>,
-    /// Shared with the deferred machinery's flush path, which synchronizes
-    /// on this domain from whichever thread flushes.
-    rcu: Arc<F>,
-    /// Shared with in-flight deferred-unlink records, which retire their
-    /// successor into this sink when they run.
-    reclaim: Arc<ReclaimInner<K, V>>,
-    /// `Some` when two-child deletes defer their unlink to a `call_rcu`
-    /// batch instead of synchronizing inline (DESIGN.md §6g).
-    deferred: Option<CallRcu<F>>,
+    rcu: F,
+    reclaim: ReclaimInner<K, V>,
     metrics: TreeMetrics,
     _marker: PhantomData<Node<K, V>>,
 }
@@ -154,104 +108,32 @@ unsafe impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> Sync for CitrusTree<K,
 
 impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
     /// Creates an empty tree with the default [`ReclaimMode::Epoch`].
-    ///
-    /// Two-child deletes synchronize inline (the paper's algorithm) unless
-    /// the `CITRUS_DEFERRED_FREE` environment variable turns on deferred
-    /// unlinking ([`deferred_free_from_env`]); use
-    /// [`with_options`](Self::with_options) to pick explicitly.
     pub fn new() -> Self {
         Self::with_reclaim(ReclaimMode::default())
     }
 
-    /// Creates an empty tree with the given reclamation mode (deferred
-    /// unlinking per `CITRUS_DEFERRED_FREE`).
+    /// Creates an empty tree with the given reclamation mode.
     pub fn with_reclaim(mode: ReclaimMode) -> Self {
         Self::with_rcu(F::new(), mode)
     }
 
     /// Creates an empty tree over a caller-constructed RCU domain — lets
     /// tests and ablations pin a domain configuration (e.g.
-    /// `ScalableRcu::with_sharing(false)`) regardless of environment
-    /// knobs like `CITRUS_RCU_NO_SHARING` (deferred unlinking still per
-    /// `CITRUS_DEFERRED_FREE`).
+    /// `ScalableRcu::with_sharing(false)`).
     pub fn with_rcu(rcu: F, mode: ReclaimMode) -> Self {
-        Self::with_options(rcu, mode, deferred_free_from_env())
-    }
-
-    /// Creates an empty tree with every mode pinned explicitly: the RCU
-    /// domain, the reclamation scheme, and whether two-child deletes defer
-    /// their unlink to a [`CallRcu`] batch (`deferred = true`) or pay the
-    /// paper's inline `synchronize_rcu` (`deferred = false`).
-    ///
-    /// The `K: Send + Sync, V: Send + Sync` bounds on this impl block are
-    /// what make deferred mode sound: pending unlink records free their
-    /// node — key and value included — on whichever thread flushes.
-    pub fn with_options(rcu: F, mode: ReclaimMode, deferred: bool) -> Self {
-        Self::with_deferred_config(rcu, mode, deferred.then(Self::deferred_config))
-    }
-
-    /// Like [`with_options`](Self::with_options) but with the deferred
-    /// [`CallRcuConfig`] pinned by the caller (`Some` enables deferred
-    /// unlinking with exactly that tuning, `None` keeps the paper's
-    /// inline `synchronize_rcu`). Schedule-exploration scenarios use this
-    /// to make every flush run inline on the enqueuing (scheduled) thread
-    /// — `batch_threshold: 1`, `eager_flush: true`, `wake_on_first:
-    /// false` — so the straggler worker never participates.
-    pub fn with_deferred_config(
-        rcu: F,
-        mode: ReclaimMode,
-        deferred: Option<CallRcuConfig>,
-    ) -> Self {
         let inf = Node::new_sentinel(false);
         let root = Node::new_sentinel(true);
         // SAFETY: freshly allocated, exclusively owned until `Self` exists.
         unsafe { (*root).set_child(Dir::Right, inf) };
-        let rcu = Arc::new(rcu);
         Self {
             root,
-            rcu: Arc::clone(&rcu),
-            reclaim: Arc::new(match mode {
+            rcu,
+            reclaim: match mode {
                 ReclaimMode::Leak => ReclaimInner::Leak(SpinMutex::new(Vec::new())),
                 ReclaimMode::Epoch => ReclaimInner::Epoch(EbrDomain::new()),
-            }),
-            deferred: deferred.map(|config| CallRcu::with_config(rcu, config)),
+            },
             metrics: TreeMetrics::new(),
             _marker: PhantomData,
-        }
-    }
-
-    /// The tree's `call_rcu` tuning. Unlink records freeze two node locks
-    /// until they run, so the flush cadence trades lock-frozen time
-    /// against flush overhead: `eager_flush` makes the deleting thread
-    /// that fills a batch run the flush itself — one shared grace period
-    /// per `batch_threshold` deletes, zero worker wakeups in the steady
-    /// state (a wakeup is two context switches, expensive when cores are
-    /// scarce), and a frozen window bounded by the time the batch takes
-    /// to fill. The worker only catches stragglers: `wake_on_first` plus
-    /// the batch-build delay bound a lone record's frozen window when the
-    /// delete rate drops to zero. Flushing per record instead measures
-    /// *slower* than the inline algorithm on a single-core host: a
-    /// context switch plus a grace period per delete.
-    ///
-    /// `CITRUS_DEFERRED_BATCH` (records) and
-    /// `CITRUS_DEFERRED_INTERVAL_US` (microseconds) override the two
-    /// knobs for experiments; the defaults are tuned on the committed
-    /// benchmark host.
-    fn deferred_config() -> CallRcuConfig {
-        // Malformed values abort loudly instead of silently falling back:
-        // a typo'd knob would otherwise make the run *look* configured.
-        let env_u64 = |name: &str, default: u64| match std::env::var(name) {
-            Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-                panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)")
-            }),
-            Err(std::env::VarError::NotPresent) => default,
-            Err(e) => panic!("invalid {name}: {e}"),
-        };
-        CallRcuConfig {
-            batch_threshold: env_u64("CITRUS_DEFERRED_BATCH", 16) as usize,
-            worker_interval: Duration::from_micros(env_u64("CITRUS_DEFERRED_INTERVAL_US", 200)),
-            wake_on_first: true,
-            eager_flush: true,
         }
     }
 }
@@ -282,47 +164,18 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
         self.rcu
             .metrics()
             .register_into(registry, &format!("{prefix}{}", F::NAME));
-        if let ReclaimInner::Epoch(domain) = &*self.reclaim {
+        if let ReclaimInner::Epoch(domain) = &self.reclaim {
             domain
                 .metrics()
                 .register_into(registry, &format!("{prefix}reclaim"));
-        }
-        if let Some(deferred) = &self.deferred {
-            deferred
-                .metrics()
-                .register_into(registry, &format!("{prefix}deferred"));
         }
     }
 
     /// The tree's reclamation mode.
     pub fn reclaim_mode(&self) -> ReclaimMode {
-        match &*self.reclaim {
+        match &self.reclaim {
             ReclaimInner::Leak(_) => ReclaimMode::Leak,
             ReclaimInner::Epoch(_) => ReclaimMode::Epoch,
-        }
-    }
-
-    /// Whether two-child deletes defer their unlink to a [`CallRcu`] batch
-    /// instead of calling `synchronize_rcu` inline.
-    pub fn deferred_free(&self) -> bool {
-        self.deferred.is_some()
-    }
-
-    /// The deferred-reclamation domain, when
-    /// [`deferred_free`](Self::deferred_free) is on (diagnostics: batch
-    /// and execution counts for benchmarks and tests).
-    pub fn deferred(&self) -> Option<&CallRcu<F>> {
-        self.deferred.as_ref()
-    }
-
-    /// Runs every pending deferred unlink to completion (no-op in inline
-    /// mode). One shared grace period per queued batch; on return — given
-    /// no concurrently active sessions — no successor is left awaiting
-    /// unlink, which is what the quiescent inspection helpers in
-    /// [`crate::checks`] rely on.
-    pub fn flush_deferred(&self) {
-        if let Some(deferred) = &self.deferred {
-            deferred.drain();
         }
     }
 
@@ -335,7 +188,7 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
     /// `Some(count)` in [`ReclaimMode::Epoch`], `None` in
     /// [`ReclaimMode::Leak`] (nothing is freed before drop).
     pub fn reclaimed_count(&self) -> Option<u64> {
-        match &*self.reclaim {
+        match &self.reclaim {
             ReclaimInner::Epoch(domain) => Some(domain.freed_count()),
             ReclaimInner::Leak(_) => None,
         }
@@ -349,7 +202,7 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
         CitrusSession {
             tree: self,
             rcu: self.rcu.register(),
-            ebr: match &*self.reclaim {
+            ebr: match &self.reclaim {
                 ReclaimInner::Epoch(domain) => Some(domain.register()),
                 ReclaimInner::Leak(_) => None,
             },
@@ -375,15 +228,8 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> Default for CitrusTree<K, V, 
 impl<K, V, F: RcuFlavor> Drop for CitrusTree<K, V, F> {
     fn drop(&mut self) {
         // `&mut self`: no sessions exist (they borrow the tree), so every
-        // reachable node is exclusively ours.
-        //
-        // Shut down the deferred machinery *first*: its drop joins the
-        // worker and runs every pending unlink record, so by the time the
-        // root sweep below starts, every deferred successor has been
-        // unlinked and retired into `self.reclaim` — the sweep and the
-        // reclamation sink are disjoint again (delete unlinks before
-        // retiring).
-        drop(self.deferred.take());
+        // reachable node is exclusively ours, and disjoint from the
+        // reclamation sink (delete unlinks before retiring).
         let mut nodes = Vec::new();
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
@@ -408,8 +254,7 @@ impl<K, V, F: RcuFlavor> Drop for CitrusTree<K, V, F> {
             unsafe { Node::free(p) };
         }
         // Leak graveyard and Epoch orphans are freed by `ReclaimInner`'s /
-        // `EbrDomain`'s own Drop when the last `Arc` reference (normally
-        // this one) goes away.
+        // `EbrDomain`'s own Drop, which runs right after this one.
     }
 }
 
@@ -418,7 +263,6 @@ impl<K: fmt::Debug, V, F: RcuFlavor> fmt::Debug for CitrusTree<K, V, F> {
         f.debug_struct("CitrusTree")
             .field("rcu", &F::NAME)
             .field("reclaim", &self.reclaim_mode())
-            .field("deferred", &self.deferred_free())
             .finish_non_exhaustive()
     }
 }
@@ -447,7 +291,6 @@ pub struct SessionStats {
     insert_retries: Cell<u64>,
     remove_retries: Cell<u64>,
     synchronize_calls: Cell<u64>,
-    deferred_unlinks: Cell<u64>,
     scan_restarts: Cell<u64>,
 }
 
@@ -462,17 +305,10 @@ impl SessionStats {
         self.remove_retries.get()
     }
 
-    /// `synchronize_rcu` invocations (one per successful two-child delete
-    /// in inline mode; deferred-mode deletes count under
-    /// [`deferred_unlinks`](Self::deferred_unlinks) instead).
+    /// `synchronize_rcu` invocations (one per successful two-child
+    /// delete).
     pub fn synchronize_calls(&self) -> u64 {
         self.synchronize_calls.get()
-    }
-
-    /// Two-child deletes that enqueued their unlink on the deferred queue
-    /// instead of synchronizing inline.
-    pub fn deferred_unlinks(&self) -> u64 {
-        self.deferred_unlinks.get()
     }
 
     /// Ordered reads (`range_scan` / `successor` / `predecessor`) whose
@@ -552,93 +388,16 @@ impl<K, V> LockSet<K, V> {
         self.nodes[self.len] = node;
         self.len += 1;
     }
-
-    /// Relinquishes responsibility for `node` *without* unlocking it — the
-    /// caller (a deferred [`UnlinkRecord`]) now owns the unlock. `node`
-    /// must be in the set.
-    fn transfer(&mut self, node: *mut Node<K, V>) {
-        for slot in self.nodes[..self.len].iter_mut() {
-            if *slot == node {
-                *slot = ptr::null_mut();
-                return;
-            }
-        }
-        debug_assert!(false, "transferred a node the lock set does not hold");
-    }
 }
 
 impl<K, V> Drop for LockSet<K, V> {
     fn drop(&mut self) {
         for &node in self.nodes[..self.len].iter().rev() {
-            // Nulled slots were transferred to a deferred unlink record.
-            if node.is_null() {
-                continue;
-            }
             // SAFETY: locked by this thread via `acquire`/`adopt` and not
             // yet unlocked; nodes outlive the operation (reclamation
             // protocol).
             unsafe { (*node).lock.unlock() };
         }
-    }
-}
-
-/// The deferred continuation of a two-child delete (DESIGN.md §6g): the
-/// state needed to run the paper's lines 75–83 — mark the old successor,
-/// swing the edge past it, retire it — once a grace period has elapsed.
-///
-/// The record *owns two spin locks*, transferred out of the operation's
-/// [`LockSet`]: `edge_owner`'s (freezing the edge that still points at
-/// `succ`) and `succ`'s own (freezing its children and its mark). Holding
-/// them until [`run_unlink`] executes is what keeps the captured edge
-/// valid: every structural mutation in the tree happens under the owning
-/// node's lock, and neither node can be marked, bypassed, or retired while
-/// locked. Updaters that reach the frozen edge spin or fail validation and
-/// retry — bounded by the flush latency — while readers, who never take
-/// locks, are unaffected.
-struct UnlinkRecord<K, V> {
-    /// The node owning the still-live edge to `succ`: the replacement copy
-    /// when the successor was `curr`'s right child (paper line 76), else
-    /// `prev_succ` (line 79).
-    edge_owner: *mut Node<K, V>,
-    edge_dir: Dir,
-    /// The old successor: unmarked and reachable through `edge_owner`
-    /// until the record runs (the weak-BST duplicate-key window).
-    succ: *mut Node<K, V>,
-    /// Where `succ` goes once unlinked. Keeps the sink alive even if the
-    /// tree is mid-drop (tree drop drains the deferred queue first).
-    sink: Arc<ReclaimInner<K, V>>,
-}
-
-/// Executes an [`UnlinkRecord`] (type-erased for the deferred queue).
-///
-/// # Safety
-///
-/// `data` must come from `Box::into_raw` of the record; a grace period
-/// covering every read-side critical section that predates the record's
-/// enqueue must have elapsed (the [`CallRcu`] contract).
-unsafe fn run_unlink<K, V>(data: *mut u8) {
-    // SAFETY: `data` is the Boxed record per this function's contract.
-    let rec = unsafe { Box::from_raw(data.cast::<UnlinkRecord<K, V>>()) };
-    chaos::point!("citrus/deferred-unlink/run");
-    // SAFETY: both nodes are valid — `edge_owner` cannot be unlinked or
-    // retired while its lock (held by this record) is taken, and `succ` is
-    // retired only below. The grace period has elapsed, so no pre-existing
-    // search can still be parked at `succ`'s old position: unlinking now
-    // is exactly the paper's lines 75–81, executed late under the same
-    // locks.
-    unsafe {
-        (*rec.succ).mark();
-        // `succ` has no left child (validated under lock at delete time
-        // and frozen by `succ`'s lock since), so bypassing it to its right
-        // child removes exactly one node.
-        (*rec.edge_owner).set_child(rec.edge_dir, (*rec.succ).child(Dir::Right));
-        (*rec.edge_owner).increment_tag(rec.edge_dir);
-        // Release in reverse acquisition order, as the inline path does.
-        (*rec.succ).lock.unlock();
-        (*rec.edge_owner).lock.unlock();
-        // Into the reclamation sink, not a direct free: updaters may still
-        // hold `succ` from before their pins/epochs expired.
-        rec.sink.retire_node(rec.succ);
     }
 }
 
@@ -1368,49 +1127,6 @@ where
                     (*curr).mark();
                     (*prev).set_child(dir, node);
 
-                    if let Some(deferred) = &self.tree.deferred {
-                        // Deferred mode (DESIGN.md §6g): do not pay line
-                        // 74's grace period here. The edge that still
-                        // points at the old successor — the copy's right
-                        // edge (line 76) or `prev_succ`'s left (line 79) —
-                        // and `succ` itself stay locked, their locks
-                        // transferred into an unlink record; `call_rcu`
-                        // runs lines 75–83 after one shared grace period
-                        // covering a whole batch of deletes.
-                        let (edge_owner, edge_dir) = if prev_succ == curr {
-                            (node, Dir::Right)
-                        } else {
-                            (prev_succ, Dir::Left)
-                        };
-                        locks.transfer(edge_owner);
-                        locks.transfer(succ);
-                        // Releases the rest — `prev`, the marked `curr`,
-                        // and whichever of the copy / `prev_succ` does not
-                        // own the frozen edge.
-                        drop(locks);
-                        // `curr` is unreachable already; its old holders
-                        // are covered by their pins (Epoch) or by drop
-                        // (Leak).
-                        self.retire(curr);
-                        let record = Box::into_raw(Box::new(UnlinkRecord {
-                            edge_owner,
-                            edge_dir,
-                            succ,
-                            sink: Arc::clone(&self.tree.reclaim),
-                        }));
-                        chaos::point!("citrus/remove/defer-unlink");
-                        // SAFETY: the record exclusively owns the two
-                        // transferred locks; the constructor's
-                        // `K/V: Send + Sync` bounds make running it — node
-                        // frees included — on another thread sound.
-                        deferred.defer(record.cast(), run_unlink::<K, V>);
-                        self.stats
-                            .deferred_unlinks
-                            .set(self.stats.deferred_unlinks.get() + 1);
-                        self.tree.metrics.record_deferred_unlink(self.stripe);
-                        return true;
-                    }
-
                     // The weak-BST window: two nodes carry the successor's
                     // key until the grace period elapses.
                     chaos::point!("citrus/remove/before-synchronize");
@@ -1482,7 +1198,7 @@ where
                 let mut local = self.graveyard.borrow_mut();
                 local.push(node);
                 if local.len() >= GRAVEYARD_FLUSH {
-                    if let ReclaimInner::Leak(shared) = &*self.tree.reclaim {
+                    if let ReclaimInner::Leak(shared) = &self.tree.reclaim {
                         shared.lock().append(&mut local);
                     }
                 }
@@ -1495,7 +1211,7 @@ impl<K, V, F: RcuFlavor> Drop for CitrusSession<'_, K, V, F> {
     fn drop(&mut self) {
         let mut local = self.graveyard.borrow_mut();
         if !local.is_empty() {
-            if let ReclaimInner::Leak(shared) = &*self.tree.reclaim {
+            if let ReclaimInner::Leak(shared) = &self.tree.reclaim {
                 shared.lock().append(&mut local);
             }
         }

@@ -13,12 +13,10 @@ use std::sync::Barrier;
 
 type Tree = CitrusTree<u64, u64, ScalableRcu>;
 
-/// A tree pinned to the paper's **inline** `synchronize_rcu` (line 74),
-/// regardless of the `CITRUS_DEFERRED_FREE` environment: the tests below
-/// assert line-74 accounting, which deferred mode deliberately changes
-/// (covered by `deferred_reclaim.rs` instead).
+/// A tree whose two-child deletes pay the paper's `synchronize_rcu`
+/// (line 74): the tests below assert line-74 accounting.
 fn inline_tree() -> Tree {
-    Tree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false)
+    Tree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch)
 }
 
 /// One synchronize_rcu per two-child delete; none for leaf/one-child
@@ -332,7 +330,7 @@ fn descent_handles_extreme_keys() {
     descent_edges(inline_tree(), |_, _| 0, |t| t.validate_structure());
     for shards in [1, 8] {
         let forest: CitrusForest<u64, u64, ScalableRcu> =
-            CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, false);
+            CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch);
         descent_edges(forest, |f, k| f.shard_for(k), |f| f.validate_structure());
     }
 }

@@ -80,23 +80,11 @@ fn successor_move_vs_search<F: RcuFlavor>(mode: ReclaimMode) {
         0,
         "a search missed a permanently present key (Figure 4 false negative)"
     );
-    if tree.deferred_free() {
-        // Deferred mode amortizes: one shared grace period covers a whole
-        // batch of unlinks, so count executed unlink records instead.
-        tree.flush_deferred();
-        let deferred = tree.deferred().expect("deferred domain present");
-        assert!(
-            deferred.executed() >= rounds,
-            "every round must have deferred a two-child unlink (got {} executed)",
-            deferred.executed()
-        );
-    } else {
-        assert!(
-            tree.rcu().grace_periods() >= rounds,
-            "every round must have executed a two-child delete (got {} grace periods)",
-            tree.rcu().grace_periods()
-        );
-    }
+    assert!(
+        tree.rcu().grace_periods() >= rounds,
+        "every round must have executed a two-child delete (got {} grace periods)",
+        tree.rcu().grace_periods()
+    );
     let mut tree = tree;
     tree.validate_structure().expect("structure after churn");
 }

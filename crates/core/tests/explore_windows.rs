@@ -10,18 +10,17 @@
 //! plus full structural validation.
 //!
 //! The mutant tests prove the harness has teeth: with the grace period
-//! deliberately skipped (`citrus/remove/skip-synchronize` for the inline
-//! path, `reclaim/flush/skip-synchronize` for the deferred path), the
-//! explorer must find a reader that misses a key that was never absent —
-//! and the failing schedule it reports, replayed verbatim, must fail
-//! again (and pass once the mutant is disabled).
+//! deliberately skipped (`citrus/remove/skip-synchronize`), the explorer
+//! must find a reader that misses a key that was never absent — and the
+//! failing schedule it reports, replayed verbatim, must fail again (and
+//! pass once the mutant is disabled).
 //!
 //! Replay any failure here with `CITRUS_SCHEDULE=<schedule> cargo test
 //! --features chaos -p citrus <test>`.
 
 #![cfg(feature = "chaos")]
 
-use citrus::{CallRcuConfig, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
+use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
     enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
     Explorer, ScenarioOp, ScheduleScenario, StressWatchdog,
@@ -50,28 +49,8 @@ type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
 /// `synchronize_rcu` exists to close.
 const PINNED_INLINE_DELETE_SCHEDULE: &str = "1110";
 
-/// Pinned minimal schedule for the same window with the unlink deferred
-/// through a `call_rcu` batch flushed inline by the deleting thread.
-const PINNED_DEFERRED_FLUSH_SCHEDULE: &str = "1110";
-
 fn make_inline() -> Tree {
-    Tree::with_options(GlobalLockRcu::new(), ReclaimMode::Leak, false)
-}
-
-/// Deferred unlinking tuned for deterministic schedules: every enqueue
-/// flushes inline on the enqueuing (scheduled) thread and the straggler
-/// worker never wakes, so the whole flush runs under the scheduler.
-fn make_deferred() -> Tree {
-    Tree::with_deferred_config(
-        GlobalLockRcu::new(),
-        ReclaimMode::Leak,
-        Some(CallRcuConfig {
-            batch_threshold: 1,
-            worker_interval: Duration::from_secs(3600),
-            wake_on_first: false,
-            eager_flush: true,
-        }),
-    )
+    Tree::with_rcu(GlobalLockRcu::new(), ReclaimMode::Leak)
 }
 
 fn validate(tree: &mut Tree) -> Result<(), String> {
@@ -118,30 +97,6 @@ fn inline_delete_window_sweep_is_clean() {
         // grace period really overlaps the reader's critical section —
         // exactly the window the sweep exists to cover.
         "rcu-global-lock/synchronize/reader-wait",
-    ] {
-        assert!(
-            report.points_hit.contains(point),
-            "sweep never reached {point}; hit: {:?}",
-            report.points_hit
-        );
-    }
-}
-
-#[test]
-fn deferred_unlink_window_sweep_is_clean() {
-    let _serial = exclusive("deferred_unlink_window_sweep_is_clean");
-    let scenario = delete_window_scenario("deferred-unlink-flush");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    report.assert_clean(scenario.name);
-    if !report.completed {
-        return;
-    }
-    for point in [
-        "citrus/remove/defer-unlink",
-        "reclaim/defer/enqueue",
-        "reclaim/flush/before-synchronize",
-        "reclaim/flush/after-synchronize",
-        "citrus/deferred-unlink/run",
     ] {
         assert!(
             report.points_hit.contains(point),
@@ -213,28 +168,6 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
     );
 }
 
-#[test]
-fn deferred_flush_skip_synchronize_mutant_is_caught() {
-    let _serial = exclusive("deferred_flush_skip_synchronize_mutant_is_caught");
-    let scenario = delete_window_scenario("deferred-unlink-flush-mutant");
-    let guard = enable_mutant("reclaim/flush/skip-synchronize");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    let failure = report
-        .failure
-        .expect("skipping the flush-path synchronize_rcu must be caught");
-    eprintln!("[mutant] deferred flush minimal schedule: {failure}");
-    assert_eq!(failure.preemptions, 1);
-    let rerun = replay_schedule_with(make_deferred, &scenario, &failure.schedule, validate);
-    assert!(rerun.verdict.is_err() || !rerun.outcome.clean());
-    drop(guard);
-    let fixed = replay_schedule_with(make_deferred, &scenario, &failure.schedule, validate);
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once the flush grace period is restored: {:?}",
-        fixed.verdict
-    );
-}
-
 /// Satellite pinned regression: the minimal inline-delete schedule the
 /// mutant sweep discovered, replayed forever against the real code. The
 /// mutant leg keeps the pin honest — if instrumentation drift makes the
@@ -271,36 +204,42 @@ fn pinned_inline_delete_schedule_regression() {
     );
 }
 
-/// Satellite pinned regression for the deferred-unlink flush window; same
-/// honesty protocol as the inline pin.
+/// remove(20) takes the two-child path with its successor 25 deep in the
+/// right subtree (`prev_succ` is 30, not `curr`). A second thread removes
+/// 10, which leaves the successor copy with one child, then removes 25,
+/// which bypasses that copy; a reader looks 25 up. The paper holds the
+/// copy's lock from line 71 through line 83, so the second thread's
+/// removes wait until the old 25 is unlinked. A delete that released the
+/// copy's lock before that unlink would let the old, unmarked 25 show up
+/// again after `remove(25)` returned.
+fn successor_resurrection_scenario(name: &'static str) -> ScheduleScenario {
+    ScheduleScenario::new(name)
+        .prefill(&[(20, 200), (10, 100), (30, 300), (25, 250)])
+        .thread(&[ScenarioOp::Remove(20)])
+        .thread(&[ScenarioOp::Remove(10), ScenarioOp::Remove(25)])
+        .thread(&[ScenarioOp::Get(25)])
+}
+
 #[test]
-fn pinned_deferred_flush_schedule_regression() {
-    let _serial = exclusive("pinned_deferred_flush_schedule_regression");
-    let scenario = delete_window_scenario("deferred-unlink-flush-pinned");
-    let run = replay_schedule_with(
-        make_deferred,
-        &scenario,
-        PINNED_DEFERRED_FLUSH_SCHEDULE,
-        validate,
-    );
-    assert!(
-        run.outcome.clean() && run.verdict.is_ok(),
-        "pinned schedule regressed: {:?} / {:?}",
-        run.outcome.failure_reason(),
-        run.verdict
-    );
-    let guard = enable_mutant("reclaim/flush/skip-synchronize");
-    let mutant = replay_schedule_with(
-        make_deferred,
-        &scenario,
-        PINNED_DEFERRED_FLUSH_SCHEDULE,
-        validate,
-    );
-    drop(guard);
-    assert!(
-        mutant.verdict.is_err() || !mutant.outcome.clean(),
-        "pinned schedule no longer exercises the flush window — re-harvest it"
-    );
+fn successor_resurrection_window_sweep_is_clean() {
+    let _serial = exclusive("successor_resurrection_window_sweep_is_clean");
+    let scenario = successor_resurrection_scenario("successor-copy-vs-remove-successor");
+    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    report.assert_clean(scenario.name);
+    if !report.completed {
+        return;
+    }
+    for point in [
+        "citrus/remove/before-synchronize",
+        "citrus/remove/after-synchronize",
+        "citrus/search/step",
+    ] {
+        assert!(
+            report.points_hit.contains(point),
+            "sweep never reached {point}; hit: {:?}",
+            report.points_hit
+        );
+    }
 }
 
 // ---- Ordered reads: validated traversal windows (DESIGN.md §6i) -------
@@ -332,24 +271,6 @@ fn scan_vs_inline_two_child_delete_sweep_is_clean() {
         "citrus/scan/validate",
         "citrus/remove/before-synchronize",
     ] {
-        assert!(
-            report.points_hit.contains(point),
-            "sweep never reached {point}; hit: {:?}",
-            report.points_hit
-        );
-    }
-}
-
-#[test]
-fn scan_vs_deferred_flush_sweep_is_clean() {
-    let _serial = exclusive("scan_vs_deferred_flush_sweep_is_clean");
-    let scenario = scan_window_scenario("scan-vs-deferred-flush");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    report.assert_clean(scenario.name);
-    if !report.completed {
-        return;
-    }
-    for point in ["citrus/scan/step", "citrus/remove/defer-unlink"] {
         assert!(
             report.points_hit.contains(point),
             "sweep never reached {point}; hit: {:?}",
@@ -424,7 +345,7 @@ fn torn_scan_sweep_is_clean_with_validation() {
 /// shard 0, the rest in shard 1. Built explicitly (not via the
 /// `CITRUS_ROUTER` env knob) so these windows are swept in every CI lane.
 fn make_range_forest() -> Forest {
-    Forest::with_range_router_options(vec![16], ReclaimMode::Leak, false)
+    Forest::with_range_router_config(vec![16], ReclaimMode::Leak)
 }
 
 fn validate_forest(forest: &mut Forest) -> Result<(), String> {
@@ -543,7 +464,7 @@ fn range_forest_torn_scan_sweep_is_clean_with_validation() {
 /// A 2-shard *hash* forest: every ordered read fans out to both shards
 /// and steps their walks round-robin before validating them jointly.
 fn make_hash_forest() -> Forest {
-    Forest::with_options(2, 0, ReclaimMode::Leak, false)
+    Forest::with_config(2, 0, ReclaimMode::Leak)
 }
 
 /// Four ascending keys that all route to shard 0 of

@@ -45,12 +45,9 @@ fn grace_periods_cover_two_child_deletes_scalable() {
         (ScalableRcu::NAME, "synchronize_calls"),
         ("citrus", "synchronize_calls"),
     );
-    // The workload is churny enough that two-child deletes must occur —
-    // counted inline (synchronize_calls) or deferred (deferred_unlinks),
-    // depending on CITRUS_DEFERRED_FREE.
+    // The workload is churny enough that two-child deletes must occur.
     if !snap.is_empty() {
-        let two_child = snap.counter("citrus", "synchronize_calls").unwrap()
-            + snap.counter("citrus", "deferred_unlinks").unwrap();
+        let two_child = snap.counter("citrus", "synchronize_calls").unwrap();
         assert!(two_child > 0, "workload produced no two-child deletes");
     }
 }

@@ -52,8 +52,7 @@ fn carving_lines_grows_rss_by_the_lines_not_by_huge_pages() {
     let mut rng = SplitMix64::new(0x9001);
     let keys: Vec<u64> = (0..N).map(|_| rng.next_u64()).collect();
     let before = vm_rss();
-    let tree: CitrusTree<u64, u64> =
-        CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+    let tree: CitrusTree<u64, u64> = CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
     let mut s = tree.session();
     let mut inserted = 0;
     for &k in &keys {

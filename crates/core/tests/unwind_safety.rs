@@ -122,12 +122,8 @@ fn panic_under_node_locks_releases_them() {
         // recovery — the grace-period machinery must be intact too.
         assert!(s.insert(70, Bomb::new(70, &armed)));
         assert!(s.remove(&75), "delete of a two-child node must complete");
-        // Two two-child deletes: inline mode synchronizes each, deferred
-        // mode enqueues each (CITRUS_DEFERRED_FREE picks the mode).
-        assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            2
-        );
+        // Two two-child deletes, one synchronize_rcu each.
+        assert_eq!(s.stats().synchronize_calls(), 2);
     }
     let stats = tree
         .validate_structure()
@@ -159,10 +155,7 @@ fn panic_inside_read_section_does_not_block_synchronize() {
         // Synchronize runs on this same session's RCU handle; a leaked
         // read section on it would self-deadlock (debug) or wedge.
         assert!(s.remove(&PanickyKey::new(50, &armed)));
-        assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            1
-        );
+        assert_eq!(s.stats().synchronize_calls(), 1);
     }
 
     // Uncaught in a worker thread: the thread dies mid-read-section; its

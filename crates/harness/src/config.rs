@@ -20,7 +20,6 @@ use std::time::Duration;
 /// | `CITRUS_RANGE_LARGE` | large key range | 200000 | 2000000 |
 /// | `CITRUS_SHARDS` | comma-separated forest shard counts | `1,2,4,8` | — |
 /// | `CITRUS_METRICS` | attach internal-metrics sections to reports | unset | — |
-/// | `CITRUS_DEFERRED_FREE` | defer two-child-delete unlinks to `call_rcu` batches (`1`/`true`/`yes`) in env-driven constructors; the forest sweep A/Bs both modes regardless | unset | — |
 /// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) for [`forest_with_env_router`] and [`BenchConfig::router`]; the forest sweep A/Bs both routers regardless | `hash` | — |
 /// | `CITRUS_KEY_DIST` | key distribution for timed workload draws (`uniform`/`zipf:<theta>`); prefill stays uniform | `uniform` | — |
 ///
@@ -121,11 +120,10 @@ pub(crate) fn router_from_env() -> RouterKind {
 
 /// Builds a `u64`-keyed forest with the router picked by `CITRUS_ROUTER`:
 /// `hash` (the default) is
-/// [`CitrusForest::with_options`] with `seed`; `range` partitions
+/// [`CitrusForest::with_config`] with `seed`; `range` partitions
 /// `[0, key_range)` with [`even_splitters`] (the seed is then unused).
 /// `n` is rounded up to a power of two in **both** arms so the two routers
-/// sweep identical shard counts. Two-child deletes defer their unlink per
-/// `CITRUS_DEFERRED_FREE` ([`citrus::deferred_free_from_env`]).
+/// sweep identical shard counts.
 ///
 /// # Panics
 ///
@@ -138,12 +136,11 @@ pub fn forest_with_env_router<V: Send + Sync, F: RcuFlavor>(
     mode: ReclaimMode,
     key_range: u64,
 ) -> CitrusForest<u64, V, F> {
-    let deferred = citrus::deferred_free_from_env();
     let n = n.max(1).next_power_of_two();
     match router_from_env() {
-        RouterKind::Hash => CitrusForest::with_options(n, seed, mode, deferred),
+        RouterKind::Hash => CitrusForest::with_config(n, seed, mode),
         RouterKind::Range => {
-            CitrusForest::with_range_router_options(even_splitters(n, key_range), mode, deferred)
+            CitrusForest::with_range_router_config(even_splitters(n, key_range), mode)
         }
     }
 }

@@ -85,7 +85,6 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
             run_forest_observed::<ScalableRcu>(
                 forest_shards,
                 ReclaimMode::Leak,
-                citrus::deferred_free_from_env(),
                 cfg.router,
                 &spec,
                 cfg.reps,
@@ -118,9 +117,6 @@ pub struct ForestCell {
     pub contains_pct: u32,
     /// Worker thread count.
     pub threads: usize,
-    /// Whether two-child deletes deferred their unlink (`call_rcu`
-    /// batches) instead of synchronizing inline.
-    pub deferred: bool,
     /// Key distribution label for the timed draws (`KeyDist::label`).
     pub key_dist: String,
     /// The timed run's result, including per-shard counters.
@@ -129,11 +125,10 @@ pub struct ForestCell {
 
 /// The forest shard sweep: `shards ∈ cfg.shards × update ratio
 /// {50%, 100%} × router {hash, range} × RCU flavor {scalable,
-/// global-lock} × unlink mode {inline, deferred}`, all at the configured
-/// maximum thread count — the experiment behind `BENCH_forest.json`,
-/// quantifying the speedup from per-shard grace-period domains, from
-/// taking the grace-period wait off the delete path, and establishing
-/// that point-op throughput is router-agnostic under uniform keys.
+/// global-lock}`, all at the configured maximum thread count — the
+/// experiment behind `BENCH_forest.json`, quantifying the speedup from
+/// per-shard grace-period domains and establishing that point-op
+/// throughput is router-agnostic under uniform keys.
 pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
     let threads = cfg.threads.iter().copied().max().unwrap_or(1);
     let mut cells = Vec::new();
@@ -145,45 +140,40 @@ pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
                 .with_key_dist(cfg.key_dist);
             for router in [RouterKind::Hash, RouterKind::Range] {
                 for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
-                    for deferred in [false, true] {
-                        // Leak mode, matching the paper's no-reclamation
-                        // methodology (and the fig8 tree series), so the
-                        // sweep isolates grace-period effects from
-                        // reclamation cost.
-                        let run = if flavor == ScalableRcu::NAME {
-                            run_forest_observed::<ScalableRcu>(
-                                shards,
-                                ReclaimMode::Leak,
-                                deferred,
-                                router,
-                                &spec,
-                                cfg.reps,
-                                0xF04E,
-                                None,
-                            )
-                        } else {
-                            run_forest_observed::<GlobalLockRcu>(
-                                shards,
-                                ReclaimMode::Leak,
-                                deferred,
-                                router,
-                                &spec,
-                                cfg.reps,
-                                0xF04E,
-                                None,
-                            )
-                        };
-                        cells.push(ForestCell {
-                            flavor,
-                            router: router.as_str(),
+                    // Leak mode, matching the paper's no-reclamation
+                    // methodology (and the fig8 tree series), so the
+                    // sweep isolates grace-period effects from
+                    // reclamation cost.
+                    let run = if flavor == ScalableRcu::NAME {
+                        run_forest_observed::<ScalableRcu>(
                             shards,
-                            contains_pct,
-                            threads,
-                            deferred,
-                            key_dist: cfg.key_dist.label(),
-                            run,
-                        });
-                    }
+                            ReclaimMode::Leak,
+                            router,
+                            &spec,
+                            cfg.reps,
+                            0xF04E,
+                            None,
+                        )
+                    } else {
+                        run_forest_observed::<GlobalLockRcu>(
+                            shards,
+                            ReclaimMode::Leak,
+                            router,
+                            &spec,
+                            cfg.reps,
+                            0xF04E,
+                            None,
+                        )
+                    };
+                    cells.push(ForestCell {
+                        flavor,
+                        router: router.as_str(),
+                        shards,
+                        contains_pct,
+                        threads,
+                        key_dist: cfg.key_dist.label(),
+                        run,
+                    });
                 }
             }
         }
@@ -284,10 +274,9 @@ fn run_forest_scans<F: RcuFlavor>(
     let key_range = cfg.range_small;
     let forest: CitrusForest<u64, u64, F> = match router {
         RouterKind::Hash => CitrusForest::with_config(shards, 0xF04E, ReclaimMode::Leak),
-        RouterKind::Range => CitrusForest::with_range_router_options(
+        RouterKind::Range => CitrusForest::with_range_router_config(
             citrus::even_splitters(shards, key_range),
             ReclaimMode::Leak,
-            citrus::deferred_free_from_env(),
         ),
     };
     {
@@ -392,7 +381,6 @@ pub fn forest_skew_sweep(cfg: &BenchConfig) -> Vec<ForestSkewCell> {
             let run = run_forest_observed::<ScalableRcu>(
                 shards,
                 ReclaimMode::Leak,
-                false,
                 router,
                 &spec,
                 cfg.reps,
@@ -513,8 +501,8 @@ mod tests {
         let cells = forest_sweep(&cfg);
         assert_eq!(
             cells.len(),
-            32,
-            "2 mixes × 2 shard counts × 2 routers × 2 flavors × 2 unlink modes"
+            16,
+            "2 mixes × 2 shard counts × 2 routers × 2 flavors"
         );
         for cell in &cells {
             assert!(cell.run.ops_per_s > 0.0);
@@ -522,8 +510,7 @@ mod tests {
             assert_eq!(cell.threads, 2);
             assert_eq!(cell.key_dist, "uniform");
         }
-        assert_eq!(cells.iter().filter(|c| c.deferred).count(), 16);
-        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 16);
+        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 8);
     }
 
     #[test]

@@ -387,17 +387,13 @@ pub struct ForestRun {
 /// Like [`run_algo_observed`] for a [`CitrusForest`] over flavor `F`:
 /// builds a fresh forest with `shards` shards per repetition, runs the
 /// workload, and reports mean throughput plus the last repetition's
-/// per-shard counters. `deferred` pins whether two-child deletes defer
-/// their unlink to per-shard `call_rcu` batches or synchronize inline
-/// (the A/B axis of the deferred-free sweep); `router` picks the routing
-/// policy (range routing splits the spec's key range evenly). The last
-/// repetition registers its metrics into `observer` (with per-shard
-/// component labels) when given.
-#[allow(clippy::too_many_arguments)]
+/// per-shard counters. `router` picks the routing policy (range routing
+/// splits the spec's key range evenly). The last repetition registers
+/// its metrics into `observer` (with per-shard component labels) when
+/// given.
 pub fn run_forest_observed<F: RcuFlavor>(
     shards: usize,
     mode: ReclaimMode,
-    deferred: bool,
     router: RouterKind,
     spec: &WorkloadSpec,
     reps: usize,
@@ -414,11 +410,10 @@ pub fn run_forest_observed<F: RcuFlavor>(
         // routing is shard-count-normalized the same way the forest
         // constructor normalizes `shards`.
         let forest: CitrusForest<u64, u64, F> = match router {
-            RouterKind::Hash => CitrusForest::with_options(shards, 0, mode, deferred),
-            RouterKind::Range => CitrusForest::with_range_router_options(
+            RouterKind::Hash => CitrusForest::with_config(shards, 0, mode),
+            RouterKind::Range => CitrusForest::with_range_router_config(
                 even_splitters(shards.max(1).next_power_of_two(), spec.key_range),
                 mode,
-                deferred,
             ),
         };
         if rep + 1 == reps {
@@ -606,28 +601,25 @@ mod tests {
     #[test]
     fn forest_run_reports_per_shard_counters() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 2, Duration::from_millis(30));
-        for deferred in [false, true] {
-            for router in [RouterKind::Hash, RouterKind::Range] {
-                let r = run_forest_observed::<ScalableRcu>(
-                    4,
-                    ReclaimMode::Epoch,
-                    deferred,
-                    router,
-                    &spec,
-                    1,
-                    17,
-                    None,
-                );
-                assert!(r.ops_per_s > 0.0);
-                assert_eq!(r.sync_calls_per_shard.len(), 4);
-                assert_eq!(r.grace_periods_per_shard.len(), 4);
-                assert_eq!(r.occupancy.len(), 4);
-                assert!(
-                    r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
-                    "uniform keys should populate most shards: {:?}",
-                    r.occupancy
-                );
-            }
+        for router in [RouterKind::Hash, RouterKind::Range] {
+            let r = run_forest_observed::<ScalableRcu>(
+                4,
+                ReclaimMode::Epoch,
+                router,
+                &spec,
+                1,
+                17,
+                None,
+            );
+            assert!(r.ops_per_s > 0.0);
+            assert_eq!(r.sync_calls_per_shard.len(), 4);
+            assert_eq!(r.grace_periods_per_shard.len(), 4);
+            assert_eq!(r.occupancy.len(), 4);
+            assert!(
+                r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
+                "uniform keys should populate most shards: {:?}",
+                r.occupancy
+            );
         }
     }
 
@@ -643,7 +635,6 @@ mod tests {
         let r = run_forest_observed::<ScalableRcu>(
             4,
             ReclaimMode::Leak,
-            false,
             RouterKind::Range,
             &spec,
             1,

@@ -87,15 +87,14 @@ pub struct GlobalLockRcu {
 }
 
 impl GlobalLockRcu {
-    /// Creates a new domain with no registered threads. Grace-period
-    /// sharing follows the environment
-    /// ([`gp_sharing_from_env`](crate::gp_sharing_from_env)).
+    /// Creates a new domain with no registered threads and grace-period
+    /// sharing on.
     pub fn new() -> Self {
-        Self::with_sharing(crate::gp_sharing_from_env())
+        Self::with_sharing(true)
     }
 
-    /// Creates a new domain with grace-period sharing forced on or off,
-    /// ignoring `CITRUS_RCU_NO_SHARING`. With sharing on, a caller that
+    /// Creates a new domain with grace-period sharing on or off. With
+    /// sharing on, a caller that
     /// queued behind `gp_lock` while two full phase flips elapsed returns
     /// on acquiry without flipping again (liburcu's batching idea);
     /// semantics are unchanged either way.

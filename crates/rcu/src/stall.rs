@@ -14,29 +14,14 @@
 use citrus_sync::SpinMutex;
 use core::sync::atomic::{AtomicU64, Ordering};
 use core::time::Duration;
-use std::sync::OnceLock;
 
-/// Default wait on one reader slot before reporting a stall.
+/// Wait on one reader slot before reporting a stall, for a new domain;
+/// [`RcuFlavor::set_stall_timeout`](crate::RcuFlavor::set_stall_timeout)
+/// changes it.
 const DEFAULT_STALL_MS: u64 = 2_000;
 
 /// Sentinel timeout value: watchdog disabled.
 const DISABLED: u64 = u64::MAX;
-
-/// Process-wide default timeout, resolved once from the environment.
-fn env_default_ms() -> u64 {
-    static DEFAULT: OnceLock<u64> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("CITRUS_RCU_STALL_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(0) => DISABLED,
-            Ok(ms) => ms,
-            Err(e) => {
-                panic!("invalid CITRUS_RCU_STALL_MS={v:?}: {e} (expected milliseconds; 0 disables)")
-            }
-        },
-        Err(std::env::VarError::NotPresent) => DEFAULT_STALL_MS,
-        Err(e) => panic!("invalid CITRUS_RCU_STALL_MS: {e}"),
-    })
-}
 
 /// Per-domain stall-watchdog state (see the module docs).
 pub(crate) struct StallWatchdog {
@@ -51,7 +36,7 @@ pub(crate) struct StallWatchdog {
 impl StallWatchdog {
     pub(crate) fn new() -> Self {
         Self {
-            timeout_ms: AtomicU64::new(env_default_ms()),
+            timeout_ms: AtomicU64::new(DEFAULT_STALL_MS),
             events: AtomicU64::new(0),
             last_diagnostic: SpinMutex::new(None),
         }

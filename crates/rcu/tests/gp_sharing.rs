@@ -11,16 +11,6 @@ use citrus_api::testkit;
 use citrus_rcu::{GlobalLockRcu, RcuFlavor, RcuHandle, ScalableRcu};
 use std::sync::atomic::Ordering;
 
-fn chaos_seed_count() -> u64 {
-    match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 3,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    }
-}
-
 /// The grace-period property with sharing on and off, swept over chaos
 /// schedule seeds that perturb the piggyback decision window
 /// (`rcu-*/synchronize/piggyback-check` among every other failpoint).
@@ -30,7 +20,7 @@ where
     M: Fn(bool) -> F,
 {
     let _watchdog = testkit::stress_watchdog(name);
-    for i in 0..chaos_seed_count() {
+    for i in 0..testkit::chaos_seeds(3) {
         let seed = 0x6B5E_A000u64.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         // Sharing on, several concurrent synchronizers: piggybacked

@@ -29,6 +29,11 @@
 //! Citrus tree pins an [`EbrGuard`] for the full duration of every
 //! operation when running in `Epoch` reclamation mode.
 //!
+//! Nodes are retired only through a registered [`EbrHandle`], by the
+//! thread that unlinked them. The tree's two-child delete waits for its
+//! grace period inline, so the crate needs no `call_rcu`-style queue or
+//! worker thread (DESIGN.md §6g has the one that was removed).
+//!
 //! # Example
 //!
 //! ```
@@ -51,35 +56,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod deferred;
 mod metrics;
 
-pub use deferred::{CallRcu, CallRcuConfig, DeferredMetrics};
 pub use metrics::ReclaimMetrics;
-
-/// Deferred-free default for new trees: the inline `synchronize_rcu` in
-/// the two-child delete is replaced by `call_rcu`-style deferral when the
-/// `CITRUS_DEFERRED_FREE` environment variable is set to `1`, `true`, or
-/// `yes` (see DESIGN.md §6g). Inline mode — the paper's algorithm — stays
-/// the default so the two can be A/B-tested.
-///
-/// Consulted once per tree construction, never on the operation path; use
-/// the explicit constructor options to pick a mode regardless of the
-/// environment.
-#[must_use]
-pub fn deferred_free_from_env() -> bool {
-    match std::env::var("CITRUS_DEFERRED_FREE") {
-        Ok(raw) => match raw.trim() {
-            "1" | "true" | "yes" => true,
-            "" | "0" | "false" | "no" => false,
-            other => {
-                panic!("invalid CITRUS_DEFERRED_FREE={other:?}: expected 1/true/yes or 0/false/no")
-            }
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("invalid CITRUS_DEFERRED_FREE: {e}"),
-    }
-}
 
 use citrus_chaos as chaos;
 use citrus_sync::{CachePadded, Registry, SlotHandle, SpinMutex};
@@ -182,46 +161,6 @@ impl EbrDomain {
             since_collect: Cell::new(0),
             stripe: self.metrics.assign_stripe(),
         }
-    }
-
-    /// Retires an unlinked allocation from any thread, without an
-    /// [`EbrHandle`]: the object goes straight to the domain's shared
-    /// orphan list, stamped with the current epoch, and is freed by a
-    /// later collection pass (or at domain drop).
-    ///
-    /// Used by the deferred-free machinery ([`CallRcu`] flush callbacks
-    /// run on whichever thread flushes, which holds no handle). Slower
-    /// than [`EbrHandle::retire`] — one shared lock per call — so not for
-    /// per-operation hot paths.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`EbrHandle::retire`].
-    pub unsafe fn retire_shared<T>(&self, ptr: *mut T) {
-        // SAFETY: forwarded; `drop_box::<T>` frees a `Box<T>`.
-        unsafe { self.retire_shared_raw(ptr.cast(), drop_box::<T>) }
-    }
-
-    /// [`retire_shared`](Self::retire_shared) for an allocation with its
-    /// own deleter: after the grace period the domain calls
-    /// `drop_fn(ptr)` instead of freeing a `Box`. For objects that live
-    /// outside the global allocator, such as pool-allocated tree nodes.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`EbrHandle::retire_raw`].
-    pub unsafe fn retire_shared_raw(&self, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
-        let retired = Retired {
-            ptr,
-            drop_fn,
-            epoch: self.global_epoch.load(Ordering::Relaxed),
-        };
-        let depth = {
-            let mut orphans = self.orphans.lock();
-            orphans.push(retired);
-            orphans.len()
-        };
-        self.metrics.record_retire(0, depth);
     }
 
     /// This domain's metric instruments (no-ops unless the crate is built
@@ -530,16 +469,15 @@ mod tests {
         }
         let domain = EbrDomain::new();
         let h = domain.register();
-        // SAFETY: fresh, exclusively owned allocations; `delete` frees them.
+        // SAFETY: a fresh, exclusively owned allocation; `delete` frees it.
         unsafe {
             h.retire_raw(Box::into_raw(Box::new(1u32)).cast(), delete);
-            domain.retire_shared_raw(Box::into_raw(Box::new(2u32)).cast(), delete);
         }
         assert_eq!(DELETED.load(Ordering::SeqCst), 0, "no grace period yet");
         for _ in 0..3 {
             h.collect();
         }
-        assert_eq!(DELETED.load(Ordering::SeqCst), 2);
+        assert_eq!(DELETED.load(Ordering::SeqCst), 1);
         drop(h);
     }
 

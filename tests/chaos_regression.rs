@@ -73,7 +73,7 @@ fn serve_pinned_seed() {
     testkit::check_chaos_seed(
         || {
             Server::with_config(
-                CitrusForest::<u64, u64>::with_options(2, 0x5EED, ReclaimMode::Epoch, true),
+                CitrusForest::<u64, u64>::with_config(2, 0x5EED, ReclaimMode::Epoch),
                 ServeConfig::default()
                     .with_batch_max(4)
                     .with_recycle_ops(16),
@@ -88,13 +88,7 @@ fn serve_pinned_seed() {
 /// its replay recipe before re-panicking.
 #[test]
 fn citrus_seed_sweep_smoke() {
-    let count = match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 3,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    };
+    let count = testkit::chaos_seeds(3);
     let _watchdog = testkit::stress_watchdog("citrus_seed_sweep_smoke");
     testkit::sweep_chaos_seeds(
         || CitrusTree::<u64, u64, ScalableRcu>::with_reclaim(ReclaimMode::Epoch),

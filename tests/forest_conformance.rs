@@ -21,23 +21,12 @@ use citrus_repro::citrus_api::testkit;
 use citrus_repro::citrus_harness::forest_with_env_router;
 use citrus_repro::prelude::*;
 
-/// Seed count, mirroring the chaos_regression sweep convention.
-fn seeds_from_env() -> u64 {
-    match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 3,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    }
-}
-
 /// Sweeps chaos seeds over forest-vs-oracle agreement for one flavor and
 /// shard count. The chaos seed doubles as sharding seed and stream seed,
 /// so a failure replays from the one number in the panic message.
 fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
     let _watchdog = testkit::stress_watchdog("forest_conformance::agreement_sweep");
-    for i in 0..seeds_from_env() {
+    for i in 0..testkit::chaos_seeds(3) {
         let seed = base_seed.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let forest: CitrusForest<u64, u64, F> =
@@ -422,8 +411,7 @@ const INTERLEAVE_KEY_RANGE: u64 = 1000;
 /// spans and probes plus the edge cases (inverted span, single-point
 /// span, the full key space, probes at both ends of `u64`).
 fn ordered_reads_match_single_tree(forest: &CitrusForest<u64, u64>, keys: &[u64], label: &str) {
-    let oracle: CitrusTree<u64, u64> =
-        CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+    let oracle: CitrusTree<u64, u64> = CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
     {
         let mut f = forest.session();
         let mut t = oracle.session();
@@ -490,7 +478,7 @@ fn interleaved_hash_fan_out_matches_single_tree() {
             .iter()
             .enumerate()
         {
-            let forest = CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, false);
+            let forest = CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch);
             let label = format!("hash router, {shards} shards, population {i}");
             ordered_reads_match_single_tree(&forest, keys, &label);
         }
@@ -504,10 +492,9 @@ fn interleaved_range_fan_out_matches_single_tree() {
             .iter()
             .enumerate()
         {
-            let forest = CitrusForest::with_range_router_options(
+            let forest = CitrusForest::with_range_router_config(
                 even_splitters(shards, INTERLEAVE_KEY_RANGE),
                 ReclaimMode::Epoch,
-                false,
             );
             assert_eq!(forest.shard_count(), shards);
             let label = format!("range router, {shards} shards, population {i}");

@@ -3,9 +3,6 @@
 //! identical per-operation results and an identical final tree whether
 //! `synchronize_rcu` piggybacking is on or off — sharing is invisible at
 //! the dictionary API.
-//!
-//! This file is its own test binary so the environment-knob test below
-//! cannot race with domain construction in unrelated tests.
 
 use citrus_repro::citrus_api::testkit::{self, SplitMix64};
 use citrus_repro::citrus_rcu::RcuFlavor as Flavor;
@@ -113,17 +110,18 @@ fn interleaved_updaters_agree_global_lock() {
     shared_and_unshared_agree(GlobalLockRcu::with_sharing);
 }
 
-/// `CITRUS_RCU_NO_SHARING` reaches domains built after it is set (and
-/// only those). Safe here: this binary's other tests construct their
-/// domains with `with_sharing`, never from the environment.
+/// Sharing is on for a default domain and off only for one built with
+/// `with_sharing(false)`; a tree keeps the domain it is given.
 #[test]
-fn no_sharing_env_knob_reaches_fresh_domains() {
-    std::env::set_var("CITRUS_RCU_NO_SHARING", "1");
-    let scalable = ScalableRcu::new();
-    let global = GlobalLockRcu::new();
-    std::env::remove_var("CITRUS_RCU_NO_SHARING");
-    assert!(!scalable.sharing());
-    assert!(!global.sharing());
+fn sharing_is_on_by_default_and_off_only_when_asked() {
     assert!(ScalableRcu::new().sharing());
     assert!(GlobalLockRcu::new().sharing());
+    assert!(!ScalableRcu::with_sharing(false).sharing());
+    assert!(!GlobalLockRcu::with_sharing(false).sharing());
+    let tree = CitrusTree::<u64, u64, ScalableRcu>::with_rcu(
+        ScalableRcu::with_sharing(false),
+        ReclaimMode::Epoch,
+    );
+    assert!(!tree.rcu().sharing());
+    assert!(CitrusTree::<u64, u64, GlobalLockRcu>::new().rcu().sharing());
 }

@@ -22,19 +22,6 @@ use citrus_repro::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Chaos sweep width, mirroring the chaos_regression convention. A
-/// malformed value is a hard error — a typo'd knob must not silently
-/// shrink the sweep.
-fn seeds_from_env() -> u64 {
-    match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 2,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    }
-}
-
 /// One direct check plus a chaos-seed sweep. The key range is kept small
 /// so keys are contended (more overlapping per-key subhistories — the
 /// interesting case for the checker) while ops-per-key stays bounded.
@@ -50,7 +37,7 @@ fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64)
         (ops / 2).max(50),
         16,
         base_seed ^ 0xC4A0_5000,
-        seeds_from_env(),
+        testkit::chaos_seeds(2),
     );
 }
 
@@ -75,7 +62,7 @@ where
         (ops / 2).max(50),
         12,
         base_seed ^ 0x5CA_0000,
-        seeds_from_env(),
+        testkit::chaos_seeds(2),
     );
 }
 
@@ -166,8 +153,8 @@ fn baseline_bonsai() {
     lin_battery(BonsaiTree::<u64, u64>::new, 0x11A_0025);
 }
 
-// ---- Ordered reads: Citrus (both flavors, inline + deferred unlink),
-// ---- forest fan-out, and the Bonsai snapshot baseline -----------------
+// ---- Ordered reads: Citrus (both flavors), forest fan-out, and the
+// ---- Bonsai snapshot baseline -----------------------------------------
 
 #[test]
 fn scan_citrus_scalable_inline() {
@@ -178,38 +165,10 @@ fn scan_citrus_scalable_inline() {
 }
 
 #[test]
-fn scan_citrus_scalable_deferred() {
-    scan_battery(
-        || {
-            CitrusTree::<u64, u64, ScalableRcu>::with_options(
-                ScalableRcu::new(),
-                ReclaimMode::Epoch,
-                true,
-            )
-        },
-        0x5CA_0002,
-    );
-}
-
-#[test]
 fn scan_citrus_global_lock_inline() {
     scan_battery(
         || CitrusTree::<u64, u64, GlobalLockRcu>::with_reclaim(ReclaimMode::Leak),
         0x5CA_0003,
-    );
-}
-
-#[test]
-fn scan_citrus_global_lock_deferred() {
-    scan_battery(
-        || {
-            CitrusTree::<u64, u64, GlobalLockRcu>::with_options(
-                GlobalLockRcu::new(),
-                ReclaimMode::Epoch,
-                true,
-            )
-        },
-        0x5CA_0004,
     );
 }
 
@@ -245,13 +204,7 @@ fn scan_forest_eight_shards() {
 #[test]
 fn scan_forest_range_router() {
     scan_battery(
-        || {
-            CitrusForest::<u64, u64>::with_range_router_options(
-                vec![4, 8],
-                ReclaimMode::Epoch,
-                false,
-            )
-        },
+        || CitrusForest::<u64, u64>::with_range_router_config(vec![4, 8], ReclaimMode::Epoch),
         0x5CA_0019,
     );
 }

@@ -76,7 +76,7 @@ fn client_churn_loses_no_acked_writes() {
     // recycle_ops(3) < batch_max(8): executor sessions are recycled in
     // the middle of a pass, not just between passes.
     let server: Server<u64, u64> = Server::with_config(
-        CitrusForest::with_options(4, 0x5EED, ReclaimMode::Epoch, true),
+        CitrusForest::with_config(4, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_batch_max(8).with_recycle_ops(3),
     );
 
@@ -139,18 +139,12 @@ fn client_churn_loses_no_acked_writes() {
 #[test]
 fn client_churn_under_chaos_schedules() {
     let _watchdog = testkit::stress_watchdog("serve_churn::chaos_schedules");
-    let seeds = match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 2,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    };
+    let seeds = testkit::chaos_seeds(2);
     for i in 0..seeds {
         let seed = 0x5E_7000u64.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let server: Server<u64, u64> = Server::with_config(
-            CitrusForest::with_options(2, seed, ReclaimMode::Epoch, false),
+            CitrusForest::with_config(2, seed, ReclaimMode::Epoch),
             ServeConfig::default().with_batch_max(4).with_recycle_ops(5),
         );
         let model = std::thread::scope(|scope| {

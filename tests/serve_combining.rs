@@ -74,7 +74,7 @@ impl Clone for Gated {
 /// A one-shard server, so every request meets on the same executor.
 fn one_shard(batch_max: usize) -> Server<u64, Gated> {
     Server::with_config(
-        CitrusForest::with_options(1, 0x5EED, ReclaimMode::Epoch, false),
+        CitrusForest::with_config(1, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_batch_max(batch_max),
     )
 }
@@ -297,7 +297,7 @@ fn four_clients_on_one_key_all_return_within_the_bound() {
     const OPS: u64 = 2_000;
     let batch_max = 3;
     let server: Server<u64, u64> = Server::with_config(
-        CitrusForest::with_options(4, 0x5EED, ReclaimMode::Epoch, false),
+        CitrusForest::with_config(4, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_batch_max(batch_max),
     );
     let writes: u64 = std::thread::scope(|scope| {

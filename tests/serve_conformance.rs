@@ -4,7 +4,7 @@
 //! operation, with every operation crossing the full submit → queue →
 //! batch → response path.
 //!
-//! The grid covers {hash, range} routers × {inline, deferred} unlink.
+//! The grid covers the hash and range routers.
 //! Each cell runs a seeded agreement stream plus a quiescent audit (the
 //! drained forest's contents must equal the oracle's), and chaos-seed
 //! sweeps run the whole testkit battery — including the concurrent
@@ -19,17 +19,6 @@ use citrus_repro::citrus_api::testkit;
 use citrus_repro::citrus_serve::{ServeConfig, Server};
 use citrus_repro::prelude::*;
 
-/// Chaos sweep width, mirroring the chaos_regression convention.
-fn seeds_from_env() -> u64 {
-    match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 3,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    }
-}
-
 /// A small combining bound + frequent executor-session recycling: one
 /// agreement stream then spans many hand-offs and session lifetimes.
 fn serve_config() -> ServeConfig {
@@ -38,18 +27,18 @@ fn serve_config() -> ServeConfig {
         .with_recycle_ops(96)
 }
 
-fn hash_server(deferred: bool, seed: u64) -> Server<u64, u64> {
+fn hash_server(seed: u64) -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_options(4, seed, ReclaimMode::Epoch, deferred),
+        CitrusForest::with_config(4, seed, ReclaimMode::Epoch),
         serve_config(),
     )
 }
 
 /// Range-routed over the 128-key agreement range: splitters at 32/64/96
 /// give four live shards.
-fn range_server(deferred: bool) -> Server<u64, u64> {
+fn range_server() -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_range_router_options(vec![32, 64, 96], ReclaimMode::Epoch, deferred),
+        CitrusForest::with_range_router_config(vec![32, 64, 96], ReclaimMode::Epoch),
         serve_config(),
     )
 }
@@ -60,7 +49,7 @@ fn range_server(deferred: bool) -> Server<u64, u64> {
 /// panic message.
 fn agreement_sweep(make: impl Fn() -> Server<u64, u64>, base_seed: u64) {
     let _watchdog = testkit::stress_watchdog("serve_conformance::agreement_sweep");
-    for i in 0..seeds_from_env() {
+    for i in 0..testkit::chaos_seeds(3) {
         let seed = base_seed.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let server = make();
@@ -82,26 +71,16 @@ fn agreement_sweep(make: impl Fn() -> Server<u64, u64>, base_seed: u64) {
     }
 }
 
-// ---- Agreement grid: {hash, range} × {inline, deferred} ---------------
+// ---- Agreement grid: {hash, range} -------------------------------------
 
 #[test]
 fn agree_hash_inline() {
-    agreement_sweep(|| hash_server(false, 0x5E_4001), 0x5E_4100);
-}
-
-#[test]
-fn agree_hash_deferred() {
-    agreement_sweep(|| hash_server(true, 0x5E_4002), 0x5E_4200);
+    agreement_sweep(|| hash_server(0x5E_4001), 0x5E_4100);
 }
 
 #[test]
 fn agree_range_inline() {
-    agreement_sweep(|| range_server(false), 0x5E_4300);
-}
-
-#[test]
-fn agree_range_deferred() {
-    agreement_sweep(|| range_server(true), 0x5E_4400);
+    agreement_sweep(range_server, 0x5E_4300);
 }
 
 // ---- Chaos-seed sweeps: the full testkit battery (sequential model,
@@ -112,22 +91,16 @@ fn agree_range_deferred() {
 fn chaos_sweep_hash_inline() {
     let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_hash_inline");
     testkit::sweep_chaos_seeds(
-        || hash_server(false, 0x5E_4011),
+        || hash_server(0x5E_4011),
         0x5E_4500,
-        seeds_from_env(),
+        testkit::chaos_seeds(3),
     );
 }
 
 #[test]
-fn chaos_sweep_hash_deferred() {
-    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_hash_deferred");
-    testkit::sweep_chaos_seeds(|| hash_server(true, 0x5E_4012), 0x5E_4600, seeds_from_env());
-}
-
-#[test]
-fn chaos_sweep_range_deferred() {
-    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_range_deferred");
-    testkit::sweep_chaos_seeds(|| range_server(true), 0x5E_4700, seeds_from_env());
+fn chaos_sweep_range_inline() {
+    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_range_inline");
+    testkit::sweep_chaos_seeds(range_server, 0x5E_4700, testkit::chaos_seeds(3));
 }
 
 // ---- Failpoint coverage ------------------------------------------------
@@ -145,7 +118,7 @@ fn serve_failpoints_register() {
 
     // Enqueue + drain: a normal round-trip.
     let server: Server<u64, u64> = Server::with_config(
-        CitrusForest::with_options(2, 0x5EED, ReclaimMode::Epoch, false),
+        CitrusForest::with_config(2, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_high_water(1),
     );
     use citrus_repro::citrus_api::MapSession;

@@ -7,8 +7,8 @@
 //! checks cover strictly more than `tests/linearizability.rs` does for
 //! the raw structures.
 //!
-//! The grid covers {hash, range} routers × {inline, deferred} unlink, for
-//! both the point-op battery and the ordered-read (scan) battery. The
+//! The grid covers the hash and range routers, for both the point-op
+//! battery and the ordered-read (scan) battery. The
 //! checker itself is validated end-to-end too: a planted mutant that acks
 //! a write before applying it (`serve/drain/ack-before-apply`) must be
 //! rejected with a dumped minimal counterexample, exactly like the
@@ -32,19 +32,6 @@ fn mutant_free() -> RwLockReadGuard<'static, ()> {
     MUTANT_SCOPE.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Chaos sweep width, mirroring the chaos_regression convention. A
-/// malformed value is a hard error — a typo'd knob must not silently
-/// shrink the sweep.
-fn seeds_from_env() -> u64 {
-    match std::env::var("CITRUS_CHAOS_SEEDS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_CHAOS_SEEDS={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => 2,
-        Err(e) => panic!("invalid CITRUS_CHAOS_SEEDS: {e}"),
-    }
-}
-
 /// A serving config sized for lincheck: tiny batches so a single history
 /// spans many drain cycles (the interesting interleavings), and a
 /// non-zero recycle period so executor sessions restart mid-history.
@@ -55,18 +42,18 @@ fn lincheck_config() -> ServeConfig {
 }
 
 /// A hash-routed server over `shards` shards.
-fn hash_server(shards: usize, deferred: bool) -> Server<u64, u64> {
+fn hash_server(shards: usize) -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, deferred),
+        CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch),
         lincheck_config(),
     )
 }
 
 /// A range-routed server: splitters at 8/16/24 give four shards that
 /// cover both the 32-key direct battery and the 16-key sweep range.
-fn range_server(deferred: bool) -> Server<u64, u64> {
+fn range_server() -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_range_router_options(vec![8, 16, 24], ReclaimMode::Epoch, deferred),
+        CitrusForest::with_range_router_config(vec![8, 16, 24], ReclaimMode::Epoch),
         lincheck_config(),
     )
 }
@@ -86,7 +73,7 @@ fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64)
         (ops / 2).max(50),
         16,
         base_seed ^ 0xC4A0_5000,
-        seeds_from_env(),
+        testkit::chaos_seeds(2),
     );
 }
 
@@ -110,30 +97,20 @@ where
         (ops / 2).max(50),
         12,
         base_seed ^ 0x5CA_0000,
-        seeds_from_env(),
+        testkit::chaos_seeds(2),
     );
 }
 
-// ---- Point ops: {hash, range} × {inline, deferred} --------------------
+// ---- Point ops: {hash, range} -----------------------------------------
 
 #[test]
 fn serve_hash_inline() {
-    lin_battery(|| hash_server(4, false), 0x5E_1001);
-}
-
-#[test]
-fn serve_hash_deferred() {
-    lin_battery(|| hash_server(4, true), 0x5E_1002);
+    lin_battery(|| hash_server(4), 0x5E_1001);
 }
 
 #[test]
 fn serve_range_inline() {
-    lin_battery(|| range_server(false), 0x5E_1003);
-}
-
-#[test]
-fn serve_range_deferred() {
-    lin_battery(|| range_server(true), 0x5E_1004);
+    lin_battery(range_server, 0x5E_1003);
 }
 
 /// Degenerate single-shard server: one executor runs every request, so
@@ -141,29 +118,19 @@ fn serve_range_deferred() {
 /// response-delivery bug is most visible.
 #[test]
 fn serve_one_shard() {
-    lin_battery(|| hash_server(1, false), 0x5E_1005);
+    lin_battery(|| hash_server(1), 0x5E_1005);
 }
 
-// ---- Ordered reads: {hash, range} × {inline, deferred} ----------------
+// ---- Ordered reads: {hash, range} -------------------------------------
 
 #[test]
 fn serve_scan_hash_inline() {
-    scan_battery(|| hash_server(4, false), 0x5E_2001);
-}
-
-#[test]
-fn serve_scan_hash_deferred() {
-    scan_battery(|| hash_server(4, true), 0x5E_2002);
+    scan_battery(|| hash_server(4), 0x5E_2001);
 }
 
 #[test]
 fn serve_scan_range_inline() {
-    scan_battery(|| range_server(false), 0x5E_2003);
-}
-
-#[test]
-fn serve_scan_range_deferred() {
-    scan_battery(|| range_server(true), 0x5E_2004);
+    scan_battery(range_server, 0x5E_2003);
 }
 
 // ---- Checker validation: the planted batching mutant ------------------
@@ -208,14 +175,9 @@ mod planted_mutant {
     fn reordered_ack_mutant_is_rejected_with_minimal_counterexample() {
         let _exclusive = MUTANT_SCOPE.write().unwrap_or_else(PoisonError::into_inner);
         let _guard = chaos::enable_mutant("serve/drain/ack-before-apply");
-        let failure = lincheck::check_linearizable(
-            || ReorderedAckServe(hash_server(1, false)),
-            1,
-            60,
-            4,
-            0x5E_3001,
-        )
-        .expect_err("the reordered-ack mutant must be rejected");
+        let failure =
+            lincheck::check_linearizable(|| ReorderedAckServe(hash_server(1)), 1, 60, 4, 0x5E_3001)
+                .expect_err("the reordered-ack mutant must be rejected");
         let message = failure.to_string();
         assert!(
             message.contains("non-linearizable history for serve-reordered-ack"),
@@ -268,7 +230,7 @@ mod planted_mutant {
     #[test]
     fn same_server_passes_without_the_mutant() {
         let _clean = mutant_free();
-        lincheck::check_linearizable(|| hash_server(1, false), 1, 60, 4, 0x5E_3001)
+        lincheck::check_linearizable(|| hash_server(1), 1, 60, 4, 0x5E_3001)
             .unwrap_or_else(|failure| panic!("{failure}"));
     }
 }

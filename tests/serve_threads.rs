@@ -15,8 +15,7 @@ fn threads() -> usize {
 
 #[test]
 fn server_spawns_no_thread() {
-    let forest: CitrusForest<u64, u64> =
-        CitrusForest::with_options(8, 0x5EED, ReclaimMode::Epoch, false);
+    let forest: CitrusForest<u64, u64> = CitrusForest::with_config(8, 0x5EED, ReclaimMode::Epoch);
     let before = threads();
     let server = Server::with_config(forest, ServeConfig::default());
     assert_eq!(threads(), before, "with_config spawned a thread");
