@@ -11,15 +11,15 @@
 //!   (`tenant << 40 | local`), Zipfian draws *within* each tenant
 //!   (`zipf:0.99`, YCSB's default skew), the write-heavier
 //!   [`ServeMix::session_store`] mix. Under the range router each tenant
-//!   prefix maps to its own shard, so one tenant's hot keys cannot queue
-//!   behind another's.
+//!   prefix maps to its own shard, so one tenant's hot keys never count
+//!   against another tenant's admission bound.
 //!
 //! Each client paces itself to `CITRUS_SERVE_RPS / CITRUS_SERVE_CLIENTS`
 //! requests per second (closed loop: a late response pushes subsequent
 //! sends later; the generator never opens unbounded in-flight windows)
 //! and honors `retry-after` back-off on admission rejections via the
-//! blocking session API. Latencies include queue wait and any back-off —
-//! they are what a caller of the server would see.
+//! blocking session API. Latencies include any back-off — they are what
+//! a caller of the server would see.
 //!
 //! Reported percentiles are log2-bucket upper bounds (power-of-two
 //! resolution). Rows persist to `BENCH_serve.json`, identity-keyed by
@@ -36,8 +36,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Shards (and shard queues) per server. Fixed so rows keep a stable
-/// gate identity across hosts.
+/// Shards per server. Fixed so rows keep a stable gate identity across
+/// hosts.
 const SHARDS: usize = 4;
 /// Tenants in the session-store scenario; each owns a `tenant << 40` key
 /// prefix.
@@ -48,11 +48,11 @@ const TENANT_SHIFT: u32 = 40;
 const SCAN_SPAN: u64 = 32;
 
 const NOTES: &str = "closed-loop paced clients at a fixed aggregate RPS; latencies are \
-     client-perceived (queue wait + batching + retry-after back-off included) and the \
-     percentiles are log2-bucket upper bounds from citrus-obs histograms, so adjacent \
-     runs quantize to powers of two. ops_per_s is the achieved per-class rate; at a \
-     sustainable target it tracks the mix shares of target_rps, and a large shortfall \
-     (or a rejected count exploding) means the host could not hold the target. \
+     client-perceived (retry-after back-off included) and the percentiles are log2-bucket \
+     upper bounds from citrus-obs histograms, so adjacent runs quantize to powers of two. \
+     ops_per_s is the achieved per-class rate; at a sustainable target it tracks the mix \
+     shares of target_rps, and a large shortfall (or a rejected count exploding) means the \
+     host could not hold the target. \
      1-core bench host: the clients, which also execute the requests, timeshare one CPU, \
      so tail percentiles carry scheduler noise; the gate threshold is sized for that.";
 
@@ -66,15 +66,13 @@ fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
-/// The server configuration from the `CITRUS_SERVE_HIGH_WATER`,
-/// `CITRUS_SERVE_BATCH_MAX` and `CITRUS_SERVE_RETRY_AFTER_US` knobs over
-/// [`ServeConfig::default`].
+/// The server configuration from the `CITRUS_SERVE_HIGH_WATER` and
+/// `CITRUS_SERVE_RETRY_AFTER_US` knobs over [`ServeConfig::default`].
 ///
 /// # Panics
 ///
-/// Panics on a malformed value, on a zero high-water mark, or on a zero
-/// combining bound: a typo'd knob must not silently fall back to a
-/// default.
+/// Panics on a malformed value or on a zero high-water mark: a typo'd
+/// knob must not silently fall back to a default.
 fn serve_config_from_env() -> ServeConfig {
     let defaults = ServeConfig::default();
     let high_water = usize::try_from(env_u64(
@@ -82,13 +80,9 @@ fn serve_config_from_env() -> ServeConfig {
         defaults.high_water as u64,
     ))
     .expect("CITRUS_SERVE_HIGH_WATER out of range");
-    let batch_max = usize::try_from(env_u64("CITRUS_SERVE_BATCH_MAX", defaults.batch_max as u64))
-        .expect("CITRUS_SERVE_BATCH_MAX out of range");
     assert!(high_water > 0, "CITRUS_SERVE_HIGH_WATER must be > 0");
-    assert!(batch_max > 0, "CITRUS_SERVE_BATCH_MAX must be > 0");
     defaults
         .with_high_water(high_water)
-        .with_batch_max(batch_max)
         .with_retry_after(Duration::from_micros(env_u64(
             "CITRUS_SERVE_RETRY_AFTER_US",
             defaults.retry_after.as_micros() as u64,
@@ -305,7 +299,7 @@ fn row_json(r: &Row) -> String {
 }
 
 fn main() {
-    banner("citrus-serve storm — paced mixed tenants over the batched server");
+    banner("citrus-serve storm — paced mixed tenants over the serve front end");
     let cfg = config_from_env_and_args();
     let target_rps = env_u64("CITRUS_SERVE_RPS", 4_000);
     let clients = usize::try_from(env_u64("CITRUS_SERVE_CLIENTS", 4))
@@ -390,16 +384,13 @@ mod tests {
     #[test]
     fn config_from_env_reads_knobs() {
         std::env::set_var("CITRUS_SERVE_HIGH_WATER", "7");
-        std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3");
         std::env::set_var("CITRUS_SERVE_RETRY_AFTER_US", "250");
         let config = serve_config_from_env();
-        std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3x");
+        std::env::set_var("CITRUS_SERVE_HIGH_WATER", "7x");
         let malformed = std::panic::catch_unwind(serve_config_from_env);
         std::env::remove_var("CITRUS_SERVE_HIGH_WATER");
-        std::env::remove_var("CITRUS_SERVE_BATCH_MAX");
         std::env::remove_var("CITRUS_SERVE_RETRY_AFTER_US");
         assert_eq!(config.high_water, 7);
-        assert_eq!(config.batch_max, 3);
         assert_eq!(config.retry_after, Duration::from_micros(250));
         assert!(malformed.is_err(), "a malformed knob must panic");
     }

@@ -1,5 +1,4 @@
-//! Server tuning knobs: queue depth, combining bound, retry-after, and
-//! the session-recycling churn knob.
+//! Server tuning knobs: the admission bound and the retry-after hint.
 
 use std::time::Duration;
 
@@ -10,32 +9,26 @@ use std::time::Duration;
 /// `serve_storm` load generator) build a config and pass it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Admission high-water mark: a shard queue at or above this depth
-    /// rejects new requests with [`SubmitError::Rejected`]
-    /// (`retry-after`) instead of growing without bound.
+    /// Admission bound: a shard with this many requests in flight
+    /// rejects new ones with [`SubmitError::Rejected`] (`retry-after`)
+    /// instead of taking on more. Must be > 0; [`Server::with_config`]
+    /// panics otherwise.
     ///
     /// [`SubmitError::Rejected`]: crate::SubmitError::Rejected
+    /// [`Server::with_config`]: crate::Server::with_config
     pub high_water: usize,
-    /// The combining bound: the most queued requests from *other*
-    /// callers that one executor pass serves before its caller's
-    /// `submit` returns. The pass then releases the shard and wakes the
-    /// oldest queued request whose holder is blocked in `wait` to take it
-    /// over. Larger values amortize
-    /// more hand-offs; smaller ones bound how long a combining caller
-    /// works for others. The drains of `resume` and `shutdown` are not
-    /// bounded.
+    /// Unread. Requests once ran in combining passes of at most this many
+    /// requests; each now runs on its own client's session. The field
+    /// stays so that configs written for that server still build.
     pub batch_max: usize,
     /// The back-off hint returned with a rejection. Honoring it is the
     /// client's job; the blocking session API sleeps this long before
     /// resubmitting.
     pub retry_after: Duration,
-    /// Executor-session churn: after every `recycle_ops` executed
-    /// requests a shard drops its executor's forest session
-    /// (deregistering its RCU reader slots and reclamation bags) and
-    /// opens a fresh one — mid-pass when this is smaller than the pass.
-    /// `0` (the default) never recycles. The churn stress suite uses small values
-    /// to hammer the registry paths; production-shaped configs leave it
-    /// off.
+    /// Unread. Shards once dropped and reopened their shared executor
+    /// session every `recycle_ops` requests; sessions now belong to
+    /// clients, which open and drop them. The field stays so that configs
+    /// written for that server still build.
     pub recycle_ops: u64,
 }
 
@@ -59,26 +52,10 @@ impl ServeConfig {
         self
     }
 
-    /// The same configuration with a different combining bound.
-    #[must_use]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        assert!(batch_max > 0, "batch_max must be > 0");
-        self.batch_max = batch_max;
-        self
-    }
-
     /// The same configuration with a different retry-after hint.
     #[must_use]
     pub fn with_retry_after(mut self, retry_after: Duration) -> Self {
         self.retry_after = retry_after;
-        self
-    }
-
-    /// The same configuration recycling executor sessions every
-    /// `recycle_ops` executed requests (`0` disables).
-    #[must_use]
-    pub fn with_recycle_ops(mut self, recycle_ops: u64) -> Self {
-        self.recycle_ops = recycle_ops;
         self
     }
 }
@@ -90,7 +67,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ServeConfig::default();
-        assert!(cfg.high_water > 0 && cfg.batch_max > 0);
+        assert!(cfg.high_water > 0);
         assert_eq!(cfg.recycle_ops, 0);
     }
 
@@ -98,13 +75,9 @@ mod tests {
     fn builders_override_fields() {
         let cfg = ServeConfig::default()
             .with_high_water(7)
-            .with_batch_max(3)
-            .with_retry_after(Duration::from_millis(2))
-            .with_recycle_ops(5);
+            .with_retry_after(Duration::from_millis(2));
         assert_eq!(cfg.high_water, 7);
-        assert_eq!(cfg.batch_max, 3);
         assert_eq!(cfg.retry_after, Duration::from_millis(2));
-        assert_eq!(cfg.recycle_ops, 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Server-side instruments: per-op-class latency histograms, pass-size
-//! distribution, and the queue-depth high-water mark.
+//! Server-side instruments: per-op-class latency histograms and the
+//! in-flight high-water mark.
 //!
 //! Everything here is `citrus-obs`-backed and therefore zero-sized (and
 //! free) unless the `stats` feature is on. Counters the *tests* assert on
@@ -19,10 +19,9 @@ pub struct ServeMetrics {
     pub write_ns: Log2Histogram,
     /// End-to-end latency for ordered ops (scans, successor/predecessor).
     pub scan_ns: Log2Histogram,
-    /// Number of requests per executor pass.
-    pub batch_size: Log2Histogram,
-    /// Deepest shard queue ever observed at admission time.
-    pub depth_hwm: HighWaterMark,
+    /// The most requests ever in flight on one shard, counted at
+    /// admission.
+    pub in_flight_hwm: HighWaterMark,
 }
 
 impl ServeMetrics {
@@ -33,8 +32,7 @@ impl ServeMetrics {
             read_ns: Log2Histogram::new(),
             write_ns: Log2Histogram::new(),
             scan_ns: Log2Histogram::new(),
-            batch_size: Log2Histogram::new(),
-            depth_hwm: HighWaterMark::new(),
+            in_flight_hwm: HighWaterMark::new(),
         }
     }
 
@@ -59,8 +57,7 @@ impl ServeMetrics {
         registry.register_histogram(component, "read_ns", &self.read_ns);
         registry.register_histogram(component, "write_ns", &self.write_ns);
         registry.register_histogram(component, "scan_ns", &self.scan_ns);
-        registry.register_histogram(component, "batch_size", &self.batch_size);
-        registry.register_hwm(component, "queue_depth_hwm", &self.depth_hwm);
+        registry.register_hwm(component, "in_flight_hwm", &self.in_flight_hwm);
     }
 }
 
@@ -92,7 +89,7 @@ mod tests {
         m.register(&reg, "serve");
         let snap = reg.snapshot();
         #[cfg(feature = "stats")]
-        assert!(snap.histogram("serve", "batch_size").is_some());
+        assert!(snap.histogram("serve", "read_ns").is_some());
         #[cfg(not(feature = "stats"))]
         assert!(snap.is_empty());
     }

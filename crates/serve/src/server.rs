@@ -1,56 +1,41 @@
-//! The server proper: caller-run combining over a [`CitrusForest`], plus
-//! the client-side [`ServeSession`] that makes the whole pipeline look
-//! like an ordinary [`MapSession`].
+//! The server proper: direct execution over a [`CitrusForest`], plus the
+//! client-side [`ServeSession`] that makes it look like an ordinary
+//! [`MapSession`].
 //!
 //! # Shape
 //!
-//! The server owns no thread. Clients route each request to its shard
-//! with the forest's own router ([`CitrusForest::shard_for`]); each shard
-//! has a [`BatchQueue`] whose executor flag says who may run the shard's
-//! requests right now. A submit that finds its shard idle takes the flag,
-//! runs its own request on its own thread, then serves up to `batch_max`
-//! requests that queued behind it (flat combining). A submit that finds
-//! the shard busy queues and gets a [`Ticket`]. A combiner that stops at
-//! its bound releases the flag and wakes the oldest queued request whose
-//! holder is blocked in [`wait`](Ticket::wait); that holder takes over
-//! and drains in turn. Any unresolved ticket's [`wait`](Ticket::wait),
-//! [`is_ready`](Ticket::is_ready) or drop also takes over a shard it
-//! finds idle with queued work, so work left behind a release reaches
-//! whichever holder acts next. A queued request that panics is caught
-//! in the pass and its panic resumes in its own ticket's `wait`, not on
-//! the combiner's caller.
-//!
-//! Whoever holds a shard's flag also uses the shard's executor state: one
-//! long-lived forest session, the `recycle_ops` count, and the planted
-//! mutant's stash. They live with the shard, not with a thread, and pass
-//! between threads only with the flag.
+//! The server owns no thread and no queue. Each [`ServeSession`] keeps its
+//! own forest session and runs its requests on its own thread: a request
+//! passes the closed check and its shard's admission bound (a count of
+//! the shard's requests in flight), executes, and returns. Clients on one
+//! shard run at the same time, as the forest's own sessions do, so a
+//! wait-free read never waits for another client's request.
+//! [`Server::submit`], the poll-style entry point, runs its requests on
+//! one session that the server keeps behind a mutex.
 //!
 //! # Correctness at this boundary
 //!
-//! A shard executes its requests one at a time, in admission order, and
-//! each response is delivered *after* its request executes, so every
-//! operation's linearization point falls inside its invocation/response
-//! window and the server composition preserves the forest's
-//! linearizability — that is exactly what the end-to-end lincheck suite
-//! verifies, and what the planted `serve/drain/ack-before-apply` mutant
-//! (which acknowledges a write with a predicted result before executing
-//! it) deliberately breaks.
+//! Each response is returned after its request has executed on the
+//! forest, so every operation's linearization point (the forest's) falls
+//! inside its invocation/response window and the server preserves the
+//! forest's linearizability — that is exactly what the end-to-end lincheck
+//! suite verifies, and what the planted `serve/drain/ack-before-apply`
+//! mutant (which acknowledges a write with a predicted result before
+//! executing it) deliberately breaks.
 
-use std::any::Any;
 use std::hash::Hash;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use citrus::{CitrusForest, ForestSession, RcuFlavor, ScalableRcu};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::Stopwatch;
+use citrus_sync::{CachePadded, StripedCounter};
 
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
-use crate::queue::{Admission, BatchQueue, HandOff, OfferError, Waiter};
 
 /// The three latency classes a request falls into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,18 +132,18 @@ pub enum Response<K, V> {
 /// request back so the caller can retry without cloning.
 #[derive(Debug)]
 pub enum SubmitError<K, V> {
-    /// The target shard queue is at its high-water mark. Back off for
+    /// The target shard has `high_water` requests in flight. Back off for
     /// `retry_after`, then resubmit.
     Rejected {
         /// The request, returned unconsumed.
         req: Request<K, V>,
         /// How long the server suggests waiting before the retry.
         retry_after: Duration,
-        /// Shard queue depth observed at rejection time.
+        /// The shard's in-flight count observed at rejection time.
         depth: usize,
     },
     /// The server is shutting down (or has shut down); the request was
-    /// not enqueued and never will be.
+    /// not run and never will be.
     Closed(Request<K, V>),
 }
 
@@ -174,245 +159,57 @@ impl std::fmt::Display for ServerClosed {
 
 impl std::error::Error for ServerClosed {}
 
-/// What a queued request's slot holds, under the slot's mutex.
-struct SlotState<K, V> {
-    resp: Option<Response<K, V>>,
-    /// The request panicked while executing; its ticket's `wait` resumes
-    /// the panic.
-    panic: Option<Box<dyn Any + Send>>,
-    /// The ticket holder is in `wait`: it set this before it first tried
-    /// to take over, so a combiner that releases later sees it and wakes
-    /// it, and one that released earlier left the shard to its try.
-    waiting: bool,
-    /// A releasing combiner woke the waiting holder to take over.
-    nudged: bool,
-    /// The ticket was dropped; nobody can take over for this request.
-    abandoned: bool,
-}
-
-impl<K, V> SlotState<K, V> {
-    /// Whether the request has executed (or panicked).
-    fn settled(&self) -> bool {
-        self.resp.is_some() || self.panic.is_some()
-    }
-}
-
-/// The response rendezvous of a queued request: the executor delivers
-/// into it, the ticket holder waits on it.
-struct Slot<K, V> {
-    state: Mutex<SlotState<K, V>>,
-    cv: Condvar,
-}
-
-impl<K, V> Slot<K, V> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState {
-                resp: None,
-                panic: None,
-                waiting: false,
-                nudged: false,
-                abandoned: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SlotState<K, V>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn deliver(&self, resp: Result<Response<K, V>, Box<dyn Any + Send>>) {
-        let mut st = self.lock();
-        match resp {
-            Ok(resp) => st.resp = Some(resp),
-            Err(payload) => st.panic = Some(payload),
-        }
-        if st.waiting {
-            self.cv.notify_one();
-        }
-    }
-}
-
-/// A request in a shard queue.
-struct Envelope<K, V> {
-    req: Request<K, V>,
-    slot: Arc<Slot<K, V>>,
-}
-
-impl<K, V> HandOff for Envelope<K, V> {
-    fn hand_off(&self) -> Waiter {
-        let mut st = self.slot.lock();
-        if st.abandoned {
-            Waiter::Gone
-        } else if st.waiting {
-            st.nudged = true;
-            self.slot.cv.notify_one();
-            Waiter::Blocked
-        } else {
-            Waiter::Holding
-        }
-    }
-}
-
-/// How a ticket reaches back into its server to take over a shard,
-/// without naming the server's RCU flavor in the ticket's type.
-trait TakeOver: Send + Sync {
-    /// Takes `shard`'s executor if it is free and has runnable work, and
-    /// runs one bounded pass.
-    fn take_over(&self, shard: usize);
-}
-
-enum TicketState<K, V> {
-    /// Executed by the submitting caller itself.
-    Done(Option<Response<K, V>>),
-    /// Queued behind a busy shard.
-    Queued {
-        slot: Arc<Slot<K, V>>,
-        server: Weak<dyn TakeOver>,
-        shard: usize,
-    },
-}
-
-/// A claim check for one accepted request. Every accepted request is
-/// eventually executed and delivered — including during a shutdown
-/// drain — so [`wait`](Ticket::wait) always returns (or, if the request
-/// itself panicked, resumes that panic).
-///
-/// An unresolved ticket may run its shard's queue: [`wait`](Ticket::wait),
-/// [`is_ready`](Ticket::is_ready) and dropping the ticket each take over
-/// the shard if it is idle with queued work, and a `wait` also takes over
-/// when a combiner that stops at its bound wakes it. They then run queued
-/// requests, the ticket's own and others', on the calling thread. That is
-/// what keeps requests from being stranded: a combiner releases only
-/// while some queued request's holder can still act. Dropping a ticket
-/// abandons the response harmlessly: the request is still executed.
+/// The response to one accepted request. [`Server::submit`] runs the
+/// request before it returns, so a ticket is always ready.
+#[derive(Debug)]
 pub struct Ticket<K, V> {
-    state: TicketState<K, V>,
-}
-
-impl<K, V> std::fmt::Debug for Ticket<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ready = match &self.state {
-            TicketState::Done(resp) => resp.is_some(),
-            TicketState::Queued { slot, .. } => slot.lock().settled(),
-        };
-        f.debug_struct("Ticket").field("ready", &ready).finish()
-    }
-}
-
-fn take_over(server: &Weak<dyn TakeOver>, shard: usize) {
-    if let Some(server) = server.upgrade() {
-        server.take_over(shard);
-    }
+    resp: Response<K, V>,
 }
 
 impl<K, V> Ticket<K, V> {
-    /// Blocks until this request's response is delivered, taking over the
-    /// shard when it is idle with queued work and whenever a releasing
-    /// combiner wakes this ticket to.
-    ///
-    /// # Panics
-    ///
-    /// Resumes the request's own panic if executing it panicked.
+    /// The request's response. Never blocks.
     #[must_use]
-    pub fn wait(mut self) -> Response<K, V> {
-        match std::mem::replace(&mut self.state, TicketState::Done(None)) {
-            TicketState::Done(resp) => resp.expect("a ticket's response is taken only once"),
-            TicketState::Queued {
-                slot,
-                server,
-                shard,
-            } => {
-                let mut st = slot.lock();
-                // Registered before the first try: see `SlotState::waiting`.
-                st.waiting = true;
-                let mut first_try = true;
-                loop {
-                    if let Some(resp) = st.resp.take() {
-                        return resp;
-                    }
-                    if let Some(payload) = st.panic.take() {
-                        drop(st);
-                        panic::resume_unwind(payload);
-                    }
-                    if std::mem::take(&mut st.nudged) | std::mem::take(&mut first_try) {
-                        drop(st);
-                        take_over(&server, shard);
-                        st = slot.lock();
-                        continue;
-                    }
-                    st = slot.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
+    pub fn wait(self) -> Response<K, V> {
+        self.resp
     }
 
-    /// `true` once the response has been delivered (or the request
-    /// panicked). Never blocks on the response; if the shard is idle with
-    /// queued work, it first runs a bounded pass of the shard's queue.
+    /// Always `true`: the request ran inside [`Server::submit`].
     #[must_use]
     pub fn is_ready(&self) -> bool {
-        match &self.state {
-            TicketState::Done(resp) => resp.is_some(),
-            TicketState::Queued {
-                slot,
-                server,
-                shard,
-            } => {
-                let mut st = slot.lock();
-                if !st.settled() {
-                    drop(st);
-                    take_over(server, *shard);
-                    st = slot.lock();
-                }
-                st.settled()
-            }
-        }
+        true
     }
 }
 
-impl<K, V> Drop for Ticket<K, V> {
-    fn drop(&mut self) {
-        if let TicketState::Queued {
-            slot,
-            server,
-            shard,
-        } = &self.state
-        {
-            let mut st = slot.lock();
-            if st.settled() {
-                return;
-            }
-            st.abandoned = true;
-            drop(st);
-            // A combiner that released while this ticket was held may
-            // have left the queue to it: take over rather than strand it.
-            // Later combiners see the mark and run this request
-            // themselves when no one else is left to.
-            take_over(server, *shard);
-        }
-    }
-}
+/// Stripes per counter. Each executor counts on its own stripe, so that
+/// clients on one shard do not contend for a counter's cache line.
+const STRIPES: usize = 16;
 
 /// Always-on counters (plain atomics, *not* `stats`-gated): the
 /// correctness suites assert on these, so they must exist in every build.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServeCounters {
-    accepted: AtomicU64,
+    accepted: StripedCounter,
     rejected: AtomicU64,
-    batches: AtomicU64,
-    executed: AtomicU64,
-    acked_writes: AtomicU64,
-    recycled_sessions: AtomicU64,
-    most_served_for_others: AtomicU64,
+    executed: StripedCounter,
+    acked_writes: StripedCounter,
+}
+
+impl Default for ServeCounters {
+    fn default() -> Self {
+        Self {
+            accepted: StripedCounter::new(STRIPES),
+            rejected: AtomicU64::new(0),
+            executed: StripedCounter::new(STRIPES),
+            acked_writes: StripedCounter::new(STRIPES),
+        }
+    }
 }
 
 impl ServeCounters {
-    /// Requests admitted, whether run at once or queued.
+    /// Requests admitted.
     #[must_use]
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.accepted.sum()
     }
 
     /// Requests turned away at the high-water mark.
@@ -421,113 +218,25 @@ impl ServeCounters {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Executor passes that ran at least one request.
+    /// The same as [`executed`](Self::executed): every request runs on
+    /// its own. Kept for reports written when requests ran in batches.
     #[must_use]
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.executed()
     }
 
     /// Requests executed against the forest.
     #[must_use]
     pub fn executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
+        self.executed.sum()
     }
 
-    /// Write responses delivered to clients. The shutdown-drain contract
-    /// is about exactly these: every one of them is visible in the final
-    /// forest state.
+    /// Write responses delivered to clients. Every one of them is
+    /// visible in the forest once the session that ran it is gone.
     #[must_use]
     pub fn acked_writes(&self) -> u64 {
-        self.acked_writes.load(Ordering::Relaxed)
+        self.acked_writes.sum()
     }
-
-    /// Executor forest-sessions dropped and reopened by the
-    /// `recycle_ops` churn knob.
-    #[must_use]
-    pub fn recycled_sessions(&self) -> u64 {
-        self.recycled_sessions.load(Ordering::Relaxed)
-    }
-
-    /// The most queued requests one combining pass has served for other
-    /// callers. It stays at or below `batch_max` unless a pass found only
-    /// requests whose tickets were dropped, which nobody else can run.
-    /// The drains of `resume` and `shutdown` are not combining passes and
-    /// do not count.
-    #[must_use]
-    pub fn most_served_for_others(&self) -> u64 {
-        self.most_served_for_others.load(Ordering::Relaxed)
-    }
-}
-
-/// A shard executor's forest session. It is stored beside the forest it
-/// borrows and used by whichever thread holds the shard's executor flag.
-struct ExecSession<K: 'static, V: 'static, F: RcuFlavor>(ForestSession<'static, K, V, F>);
-
-// SAFETY: a forest session is `!Send` because its per-thread RCU and
-// epoch slots must not migrate in the middle of a read-side section or a
-// pin. An executor session is only used between operations by the holder
-// of its shard's executor flag, with its shard's `exec` mutex held; the
-// flag passes between threads under the queue mutex. No section is open
-// while it moves, and the mutexes order every use after the previous one.
-// Its other fields go with it: the forest reference (`K`, `V: Sync`), the
-// buffer of unlinked nodes awaiting a flush and the ordered reads' walk
-// buffers (node pointers, empty between operations), which only this
-// session touches, and plain counters.
-unsafe impl<K: Send + Sync + 'static, V: Send + Sync + 'static, F: RcuFlavor> Send
-    for ExecSession<K, V, F>
-{
-}
-
-impl<K, V, F> ExecSession<K, V, F>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    F: RcuFlavor,
-{
-    /// Opens a session on `forest` with the borrow's lifetime erased.
-    ///
-    /// # Safety
-    ///
-    /// `forest` must stay where it is, and alive, until the session is
-    /// dropped. The server keeps its forest in the same `Arc` as the
-    /// sessions, declares the shards (and so the sessions) before the
-    /// forest so they drop first, and drops every session in `shutdown`
-    /// before `into_forest` moves the forest out.
-    unsafe fn open(forest: &CitrusForest<K, V, F>) -> Self {
-        // SAFETY: the caller keeps `forest` in place for the session's life.
-        let forest: &'static CitrusForest<K, V, F> = unsafe { &*std::ptr::from_ref(forest) };
-        Self(forest.session())
-    }
-}
-
-/// The executor state of one shard: used only by the flag holder.
-struct Executor<K: 'static, V: 'static, F: RcuFlavor> {
-    /// Opened on the first pass, dropped by `shutdown`.
-    session: Option<ExecSession<K, V, F>>,
-    since_recycle: u64,
-    /// The `serve/drain/ack-before-apply` mutant stashes at most one
-    /// acknowledged-but-unexecuted write here. The stash is applied after
-    /// the *next* request executes (that misordering is the planted
-    /// bug), before a session recycle, and at shutdown — so even the
-    /// mutant never loses an acknowledged write, it only reorders it. It
-    /// belongs to the shard, not to a pass: a stash dropped with its pass
-    /// would reach no later request and hide the reordering.
-    stash: Option<Request<K, V>>,
-}
-
-struct Shard<K: 'static, V: 'static, F: RcuFlavor> {
-    queue: BatchQueue<Envelope<K, V>>,
-    exec: Mutex<Executor<K, V, F>>,
-}
-
-struct ServerInner<K: 'static, V: 'static, F: RcuFlavor> {
-    /// Declared before `forest`: the executor sessions borrow the forest
-    /// and must drop first.
-    shards: Vec<Shard<K, V, F>>,
-    forest: CitrusForest<K, V, F>,
-    config: ServeConfig,
-    counters: ServeCounters,
-    metrics: ServeMetrics,
 }
 
 /// Executes one request against a forest session, consuming the request.
@@ -546,179 +255,142 @@ where
     }
 }
 
-impl<K, V, F> Executor<K, V, F>
+/// Runs requests on one forest session.
+struct Executor<'s, K, V, F>
 where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
+    K: Ord + Hash + Clone + Send + Sync,
+    V: Clone + Send + Sync,
     F: RcuFlavor,
 {
-    fn session(&mut self, forest: &CitrusForest<K, V, F>) -> &mut ForestSession<'static, K, V, F> {
-        // SAFETY: `forest` is the server's own (see `ExecSession::open`).
-        &mut self
-            .session
-            .get_or_insert_with(|| unsafe { ExecSession::open(forest) })
-            .0
+    session: ForestSession<'s, K, V, F>,
+    /// This executor's stripe of the server's counters.
+    stripe: usize,
+    /// The `serve/drain/ack-before-apply` mutant stashes at most one
+    /// acknowledged-but-unexecuted write here. The stash is applied after
+    /// this executor's *next* request (that misordering is the planted
+    /// bug) and when the executor drops, so even the mutant never loses
+    /// an acknowledged write, it only reorders it.
+    stash: Option<Request<K, V>>,
+}
+
+impl<'s, K, V, F> Executor<'s, K, V, F>
+where
+    K: Ord + Hash + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+    F: RcuFlavor,
+{
+    fn new(forest: &'s CitrusForest<K, V, F>, stripe: usize) -> Self {
+        Self {
+            session: forest.session(),
+            stripe,
+            stash: None,
+        }
     }
 
-    fn apply_stash(&mut self, forest: &CitrusForest<K, V, F>) {
+    fn apply_stash(&mut self) {
         if let Some(prev) = self.stash.take() {
-            let _ = exec(self.session(forest), prev);
+            let _ = exec(&mut self.session, prev);
         }
     }
 
     /// Executes one request and returns its response. The counters
     /// include the request before the response can reach its client.
-    fn run(&mut self, inner: &ServerInner<K, V, F>, req: Request<K, V>) -> Response<K, V> {
-        let forest = &inner.forest;
+    fn run(&mut self, counters: &ServeCounters, req: Request<K, V>) -> Response<K, V> {
         if chaos::mutant_enabled("serve/drain/ack-before-apply") && req.is_write() {
-            self.apply_stash(forest);
-            let session = self.session(forest);
+            self.apply_stash();
             let predicted = match &req {
-                Request::Insert(k, _) => Response::Flag(!session.contains(k)),
-                Request::Remove(k) => Response::Flag(session.contains(k)),
+                Request::Insert(k, _) => Response::Flag(!self.session.contains(k)),
+                Request::Remove(k) => Response::Flag(self.session.contains(k)),
                 _ => unreachable!("is_write() covers exactly insert/remove"),
             };
-            inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+            counters.acked_writes.incr(self.stripe);
             self.stash = Some(req);
             return predicted;
         }
         let is_write = req.is_write();
-        let resp = exec(self.session(forest), req);
-        inner.counters.executed.fetch_add(1, Ordering::Relaxed);
+        let resp = exec(&mut self.session, req);
+        counters.executed.incr(self.stripe);
         if is_write {
-            inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+            counters.acked_writes.incr(self.stripe);
         }
-        self.apply_stash(forest);
-        self.since_recycle += 1;
-        if inner.config.recycle_ops > 0 && self.since_recycle >= inner.config.recycle_ops {
-            // SAFETY: `forest` is the server's own (see `ExecSession::open`).
-            self.session = Some(unsafe { ExecSession::open(forest) });
-            inner
-                .counters
-                .recycled_sessions
-                .fetch_add(1, Ordering::Relaxed);
-            self.since_recycle = 0;
-        }
+        self.apply_stash();
         resp
     }
 }
 
-/// Releases a shard's executor flag if its holder unwinds before the
-/// pass released it, so a panic in the holder's own request does not
-/// wedge the shard.
-struct ReleaseOnUnwind<'a, K, V>(Option<&'a BatchQueue<Envelope<K, V>>>);
-
-impl<K, V> Drop for ReleaseOnUnwind<'_, K, V> {
+impl<K, V, F> Drop for Executor<'_, K, V, F>
+where
+    K: Ord + Hash + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+    F: RcuFlavor,
+{
     fn drop(&mut self) {
-        if let Some(queue) = self.0 {
-            queue.release();
-        }
+        self.apply_stash();
     }
 }
 
-/// How many queued requests a pass may serve.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// A combining pass: at most `batch_max` requests of other callers.
-    Combine,
-    /// `resume`'s drain: until the queue is empty.
-    Drain,
-    /// `shutdown`'s drain: until the queue is empty, then apply the
-    /// stash and drop the session.
-    Final,
-}
+/// The executor behind [`Server::submit`], with its borrow of the
+/// server's forest erased so that the server can hold it.
+struct SubmitSession<K, V, F>(Executor<'static, K, V, F>)
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    F: RcuFlavor;
 
-impl<K, V, F> ServerInner<K, V, F>
+// SAFETY: a forest session is `!Send` because its per-thread RCU and
+// epoch slots must not migrate in the middle of a read-side section or a
+// pin. This one is only used with the server's `submitter` mutex held,
+// and every use runs whole operations (an operation that panics closes its
+// section as it unwinds), so no section is open when the mutex passes it
+// to another thread, and the mutex orders every use after the previous
+// one. Its other fields go with it: the forest reference
+// (`K`, `V: Sync`), the buffer of unlinked nodes awaiting a flush and the
+// ordered reads' walk buffers (node pointers, empty between operations),
+// which only this session touches, plain counters, and the mutant's
+// stashed request (`K`, `V: Send`).
+unsafe impl<K, V, F> Send for SubmitSession<K, V, F>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     F: RcuFlavor,
 {
-    /// Runs one executor pass on `shard`: `own` first (the submitting
-    /// caller's request), then queued requests from the front. The caller
-    /// holds the executor flag; the pass releases it.
-    fn pass(&self, shard: usize, own: Option<Request<K, V>>, kind: Pass) -> Option<Response<K, V>> {
-        let shard = &self.shards[shard];
-        let mut release = ReleaseOnUnwind(Some(&shard.queue));
-        let mut exec = shard.exec.lock().unwrap_or_else(PoisonError::into_inner);
-        chaos::point!("serve/batch/drain");
-        let own = own.map(|req| exec.run(self, req));
-        let budget = match kind {
-            Pass::Combine => self.config.batch_max,
-            Pass::Drain | Pass::Final => usize::MAX,
-        };
-        let mut served = 0;
-        let mut next = |served| {
-            let env = shard.queue.next(served < budget);
-            if env.is_none() {
-                // `next` released the flag.
-                release.0 = None;
-            }
-            env
-        };
-        while let Some(env) = next(served) {
-            served += 1;
-            // A panic in another caller's request belongs to that caller:
-            // its ticket's `wait` resumes it, and this pass goes on.
-            let resp = panic::catch_unwind(AssertUnwindSafe(|| exec.run(self, env.req)));
-            env.slot.deliver(resp);
-        }
-        if kind == Pass::Final {
-            // The queue is closed and empty, so no one can take the flag
-            // again: settle the stash and drop the session while the
-            // forest is still in place.
-            exec.apply_stash(&self.forest);
-            exec.session = None;
-        }
-        drop(exec);
-        let ran = served + usize::from(own.is_some());
-        if ran > 0 {
-            self.counters.batches.fetch_add(1, Ordering::Relaxed);
-            self.metrics.batch_size.record(ran as u64);
-        }
-        if kind == Pass::Combine {
-            self.counters
-                .most_served_for_others
-                .fetch_max(served as u64, Ordering::Relaxed);
-        }
-        own
-    }
+}
 
-    /// Drains `shard` to empty on the calling thread, waiting for a busy
-    /// executor to finish first.
-    fn drain(&self, shard: usize, kind: Pass) {
-        self.shards[shard].queue.acquire_wait();
-        self.pass(shard, None, kind);
+/// Holds one request's place in its shard's in-flight count, and gives it
+/// back when the request finishes or unwinds.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-impl<K, V, F> TakeOver for ServerInner<K, V, F>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    F: RcuFlavor,
-{
-    fn take_over(&self, shard: usize) {
-        if self.shards[shard].queue.acquire() {
-            self.pass(shard, None, Pass::Combine);
-        }
-    }
-}
-
-/// The combining, backpressured request layer over a [`CitrusForest`].
+/// The backpressured request layer over a [`CitrusForest`].
 ///
-/// Construction spawns no thread: requests run on the threads that submit
-/// them (see the [module docs](self)). [`Drop`] (or an explicit
-/// [`shutdown`](Server::shutdown)) closes admission and drains every
-/// queued request on the calling thread — no acknowledged write is ever
-/// lost to a shutdown.
+/// Construction spawns no thread: each request runs on the thread that
+/// makes it (see the [crate docs](crate)). [`shutdown`](Server::shutdown)
+/// closes admission and returns once every admitted request has finished.
 pub struct Server<K, V, F: RcuFlavor = ScalableRcu>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    inner: Arc<ServerInner<K, V, F>>,
+    /// [`submit`](Server::submit)'s executor. Declared before `forest`,
+    /// which it borrows, so that it drops first.
+    submitter: Mutex<SubmitSession<K, V, F>>,
+    /// Boxed so that the forest stays put while `submitter` borrows it,
+    /// however the server moves.
+    forest: Box<CitrusForest<K, V, F>>,
+    /// Per shard: requests admitted that have not finished.
+    in_flight: Box<[CachePadded<AtomicUsize>]>,
     closed: AtomicBool,
+    /// Counter stripes handed to sessions, round robin; `submitter` has
+    /// stripe 0.
+    next_stripe: AtomicUsize,
+    config: ServeConfig,
+    counters: ServeCounters,
+    metrics: ServeMetrics,
 }
 
 impl<K, V> Server<K, V, ScalableRcu>
@@ -739,199 +411,147 @@ where
     V: Clone + Send + Sync + 'static,
     F: RcuFlavor,
 {
-    /// Takes ownership of `forest` and sets up one queue and executor slot
-    /// per shard. Spawns no thread.
+    /// Takes ownership of `forest` and sets up one in-flight count per
+    /// shard. Spawns no thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.high_water` is 0: every request would be
+    /// rejected, and a [`ServeSession`] would retry forever.
     #[must_use]
     pub fn with_config(forest: CitrusForest<K, V, F>, config: ServeConfig) -> Self {
-        let shards = (0..forest.shard_count())
-            .map(|_| Shard {
-                queue: BatchQueue::new(),
-                exec: Mutex::new(Executor {
-                    session: None,
-                    since_recycle: 0,
-                    stash: None,
-                }),
-            })
-            .collect();
+        assert!(config.high_water > 0, "high_water must be > 0");
+        let forest = Box::new(forest);
+        // SAFETY: the session borrows the boxed forest, which stays where
+        // it is until `into_forest` or the server's drop; both drop the
+        // session first (see `Server::submitter`).
+        let borrowed: &'static CitrusForest<K, V, F> = unsafe { &*std::ptr::from_ref(&*forest) };
         Self {
-            inner: Arc::new(ServerInner {
-                shards,
-                forest,
-                config,
-                counters: ServeCounters::default(),
-                metrics: ServeMetrics::new(),
-            }),
+            submitter: Mutex::new(SubmitSession(Executor::new(borrowed, 0))),
+            in_flight: (0..forest.shard_count())
+                .map(|_| CachePadded::new(AtomicUsize::new(0)))
+                .collect(),
+            forest,
             closed: AtomicBool::new(false),
+            next_stripe: AtomicUsize::new(1),
+            config,
+            counters: ServeCounters::default(),
+            metrics: ServeMetrics::new(),
         }
     }
 
-    /// Routes `req` to its shard. If the shard is idle the request runs
-    /// now, on this thread, and the caller then serves up to `batch_max`
-    /// requests that queued behind it; the returned [`Ticket`] is already
-    /// resolved. Otherwise the request queues and the ticket resolves
-    /// later. On rejection the caller owns the back-off (the blocking
-    /// [`ServeSession`] API does it for you).
+    /// Admits `req` on its shard and runs it on `exec`, or hands it back
+    /// refused.
+    fn call(
+        &self,
+        exec: &mut Executor<'_, K, V, F>,
+        req: Request<K, V>,
+    ) -> Result<Response<K, V>, SubmitError<K, V>> {
+        let count = &*self.in_flight[self.forest.shard_for(req.route_key())];
+        // Counted before the closed check: `shutdown` sets `closed` and
+        // then waits for the counts, so it sees this request or this
+        // request sees `closed`.
+        let depth = count.fetch_add(1, Ordering::SeqCst);
+        let _in_flight = InFlight(count);
+        chaos::point!("serve/admission/admit");
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(SubmitError::Closed(req));
+        }
+        if depth >= self.config.high_water {
+            chaos::point!("serve/admission/reject");
+            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Rejected {
+                req,
+                retry_after: self.config.retry_after,
+                depth,
+            });
+        }
+        self.counters.accepted.incr(exec.stripe);
+        self.metrics.in_flight_hwm.observe(depth as u64 + 1);
+        Ok(exec.run(&self.counters, req))
+    }
+
+    /// Routes `req` to its shard and, if admitted, runs it on this thread
+    /// before returning; the [`Ticket`] is already resolved. Requests
+    /// made through `submit` share one session behind a mutex, so they
+    /// run one at a time: concurrent clients use
+    /// [`session`](ConcurrentMap::session) instead. On rejection the
+    /// caller owns the back-off (the blocking [`ServeSession`] API does
+    /// it for you).
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Rejected`] past the high-water mark,
+    /// [`SubmitError::Rejected`] at the high-water mark,
     /// [`SubmitError::Closed`] after shutdown began.
     pub fn submit(&self, req: Request<K, V>) -> Result<Ticket<K, V>, SubmitError<K, V>> {
-        let inner = &*self.inner;
-        let shard = inner.forest.shard_for(req.route_key());
-        chaos::point!("serve/batch/enqueue");
-        let slot = Arc::new(Slot::new());
-        let env = Envelope {
-            req,
-            slot: Arc::clone(&slot),
-        };
-        match inner.shards[shard]
-            .queue
-            .admit(env, inner.config.high_water)
-        {
-            Ok(Admission::Run(env)) => {
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let resp = inner.pass(shard, Some(env.req), Pass::Combine);
-                Ok(Ticket {
-                    state: TicketState::Done(resp),
-                })
-            }
-            Ok(Admission::Queued { depth, execute }) => {
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.depth_hwm.observe(depth as u64);
-                if execute {
-                    inner.pass(shard, None, Pass::Combine);
-                }
-                let server: Weak<dyn TakeOver> = Arc::downgrade(&self.inner) as _;
-                Ok(Ticket {
-                    state: TicketState::Queued {
-                        slot,
-                        server,
-                        shard,
-                    },
-                })
-            }
-            Err(OfferError::Rejected { item, depth }) => {
-                chaos::point!("serve/admission/reject");
-                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Rejected {
-                    req: item.req,
-                    retry_after: inner.config.retry_after,
-                    depth,
-                })
-            }
-            Err(OfferError::Closed(item)) => Err(SubmitError::Closed(item.req)),
-        }
+        let mut submitter = self
+            .submitter
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.call(&mut submitter.0, req).map(|resp| Ticket { resp })
     }
 
-    /// Number of shards (== queues).
+    /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
+        self.in_flight.len()
     }
 
     /// The shard `key` routes to (the forest router's verdict).
     #[must_use]
     pub fn shard_for(&self, key: &K) -> usize {
-        self.inner.forest.shard_for(key)
+        self.forest.shard_for(key)
     }
 
-    /// Current depth of one shard queue (racy, for reporting/tests). A
-    /// request run at once by its submitter never counts.
+    /// Requests in flight on one shard (racy, for reporting/tests).
     ///
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn queue_len(&self, shard: usize) -> usize {
-        self.inner.shards[shard].queue.len()
+        self.in_flight[shard].load(Ordering::Relaxed)
     }
 
     /// The always-on request counters.
     #[must_use]
     pub fn counters(&self) -> &ServeCounters {
-        &self.inner.counters
+        &self.counters
     }
 
-    /// The `stats`-gated latency/pass-size instruments.
+    /// The `stats`-gated latency and in-flight instruments.
     #[must_use]
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.inner.metrics
+        &self.metrics
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
-        &self.inner.config
+        &self.config
     }
 
-    /// Stops every shard from executing (admission continues, and every
-    /// admitted request queues): the deterministic way to fill queues up
-    /// to the high-water mark in tests. Shutdown overrides a pause, so a
-    /// paused server still drains cleanly.
-    pub fn pause(&self) {
-        for shard in &self.inner.shards {
-            shard.queue.pause();
-        }
-    }
-
-    /// Undoes [`pause`](Server::pause) and drains every queue on the
-    /// calling thread.
-    pub fn resume(&self) {
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            shard.queue.resume();
-            self.inner.drain(i, Pass::Drain);
-        }
-    }
-
-    /// Graceful shutdown: closes admission, then drains every queue to
-    /// empty on the calling thread (delivering all outstanding
-    /// responses) and drops the executor sessions. Idempotent; also run
-    /// by [`Drop`].
+    /// Graceful shutdown: closes admission, then returns once every
+    /// admitted request has finished. Idempotent.
     pub fn shutdown(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
-        for i in 0..self.inner.shards.len() {
+        self.closed.store(true, Ordering::SeqCst);
+        for count in &*self.in_flight {
             chaos::point!("serve/shutdown/drain");
-            self.inner.drain(i, Pass::Final);
+            while count.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
         }
     }
 
-    /// Shuts down (draining as above) and hands back the forest, e.g. for
-    /// `validate_structure` / `to_vec_quiescent` replay checks.
+    /// Hands back the forest, e.g. for `validate_structure` /
+    /// `to_vec_quiescent` replay checks. Nothing can be in flight:
+    /// sessions borrow the server, and `submit` returns only after its
+    /// request ran.
     #[must_use]
     pub fn into_forest(self) -> CitrusForest<K, V, F> {
-        self.shutdown();
-        let mut inner = Arc::clone(&self.inner);
-        drop(self);
-        // A ticket that raced the shutdown may still hold its server
-        // handle for a moment; nothing is left for it to run.
-        let inner = loop {
-            match Arc::try_unwrap(inner) {
-                Ok(inner) => break inner,
-                Err(again) => {
-                    inner = again;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        // `shutdown` already dropped the sessions that borrow the forest.
-        inner.forest
-    }
-}
-
-impl<K, V, F> Drop for Server<K, V, F>
-where
-    K: Ord + Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    F: RcuFlavor,
-{
-    fn drop(&mut self) {
-        self.shutdown();
+        // `submit`'s executor borrows the forest, so it goes first.
+        drop(self.submitter);
+        *self.forest
     }
 }
 
@@ -944,22 +564,24 @@ where
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("shards", &self.shard_count())
-            .field("config", &self.inner.config)
+            .field("config", &self.config)
             .field("closed", &self.closed.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-/// A client handle: submits through the full admission/execution/response path
-/// and blocks for each response, honoring `retry-after` back-off on
-/// rejection. This is the adapter the end-to-end lincheck and conformance
-/// suites drive — through it, `citrus-serve` *is* a [`ConcurrentMap`].
+/// A client handle with its own forest session: runs each request on the
+/// calling thread, honoring `retry-after` back-off on rejection. Clients
+/// on one shard run at once; none waits for another's request. This is
+/// the adapter the end-to-end lincheck and conformance suites drive —
+/// through it, `citrus-serve` *is* a [`ConcurrentMap`].
 pub struct ServeSession<'s, K, V, F: RcuFlavor = ScalableRcu>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
     server: &'s Server<K, V, F>,
+    exec: Executor<'s, K, V, F>,
     rejections: u64,
 }
 
@@ -972,6 +594,10 @@ where
     fn new(server: &'s Server<K, V, F>) -> Self {
         Self {
             server,
+            exec: Executor::new(
+                &server.forest,
+                server.next_stripe.fetch_add(1, Ordering::Relaxed),
+            ),
             rejections: 0,
         }
     }
@@ -983,25 +609,20 @@ where
         self.rejections
     }
 
-    /// Submits `req`, sleeping `retry_after` and resubmitting on each
-    /// rejection, and blocks for the response.
+    /// Runs `req`, sleeping `retry_after` and retrying on each rejection.
     ///
     /// # Errors
     ///
     /// [`ServerClosed`] if the server shut down before the request was
     /// admitted.
     pub fn try_call(&mut self, mut req: Request<K, V>) -> Result<Response<K, V>, ServerClosed> {
+        let server = self.server;
         let class = req.class();
         let sw = Stopwatch::start();
         loop {
-            match self.server.submit(req) {
-                Ok(ticket) => {
-                    let resp = ticket.wait();
-                    self.server
-                        .inner
-                        .metrics
-                        .latency(class)
-                        .record(sw.elapsed_ns());
+            match server.call(&mut self.exec, req) {
+                Ok(resp) => {
+                    server.metrics.latency(class).record(sw.elapsed_ns());
                     return Ok(resp);
                 }
                 Err(SubmitError::Rejected {
@@ -1180,14 +801,14 @@ mod tests {
     }
 
     #[test]
-    fn pause_defers_execution_until_resume() {
-        let server = small_server();
-        server.pause();
-        let ticket = server.submit(Request::Insert(3, 30)).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(!ticket.is_ready(), "a paused shard must not execute");
-        server.resume();
-        assert_eq!(ticket.wait(), Response::Flag(true));
+    #[should_panic(expected = "high_water must be > 0")]
+    fn zero_high_water_config_is_rejected() {
+        let config = ServeConfig {
+            high_water: 0,
+            ..ServeConfig::default()
+        };
+        let forest = CitrusForest::<u64, u64>::with_config(2, 7, ReclaimMode::Epoch);
+        let _ = Server::with_config(forest, config);
     }
 
     #[test]

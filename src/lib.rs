@@ -8,8 +8,8 @@
 //! * [`citrus_rcu`] — the two user-space RCU implementations.
 //! * [`citrus_baselines`] — the five comparison dictionaries.
 //! * [`citrus_harness`] — the evaluation harness (Figures 8–10).
-//! * [`citrus_serve`] — the batched, backpressured serving layer over
-//!   the forest.
+//! * [`citrus_serve`] — the direct-execution, backpressured serving
+//!   layer over the forest.
 
 #![warn(missing_docs)]
 

@@ -63,21 +63,19 @@ fn bonsai_pinned_seed() {
 
 /// The serve boundary: the whole testkit battery (including the
 /// concurrent lost-update and mixed-consistency checks) with every
-/// operation crossing a `citrus-serve` submit → batch → response path.
-/// A small combining bound plus a short recycle period keep the executor
-/// failpoints (`serve/batch/*`, `serve/shutdown/drain`) hot under the
+/// operation crossing a `citrus-serve` admit → execute → respond path,
+/// so the admission failpoint (`serve/admission/admit`) is hot under the
 /// pinned schedule.
 #[test]
 fn serve_pinned_seed() {
-    use citrus_repro::citrus_serve::{ServeConfig, Server};
+    use citrus_repro::citrus_serve::Server;
     testkit::check_chaos_seed(
         || {
-            Server::with_config(
-                CitrusForest::<u64, u64>::with_config(2, 0x5EED, ReclaimMode::Epoch),
-                ServeConfig::default()
-                    .with_batch_max(4)
-                    .with_recycle_ops(16),
-            )
+            Server::new(CitrusForest::<u64, u64>::with_config(
+                2,
+                0x5EED,
+                ReclaimMode::Epoch,
+            ))
         },
         0xC17_0510,
     );

@@ -1,8 +1,8 @@
 //! Server ↔ oracle conformance: a `citrus-serve` front end must be
 //! observationally indistinguishable from a single [`CitrusTree`] oracle
 //! (itself model-checked against `BTreeMap` in `testkit`), operation for
-//! operation, with every operation crossing the full submit → queue →
-//! batch → response path.
+//! operation, with every operation crossing the full admit → execute →
+//! respond path.
 //!
 //! The grid covers the hash and range routers.
 //! Each cell runs a seeded agreement stream plus a quiescent audit (the
@@ -12,35 +12,24 @@
 //! against servers under schedule perturbation at every failpoint
 //! (a no-op without the `chaos` cargo feature, so this file is green
 //! under default features too). The serve failpoints themselves
-//! (`serve/batch/enqueue`, `serve/batch/drain`, `serve/admission/reject`,
+//! (`serve/admission/admit`, `serve/admission/reject`,
 //! `serve/shutdown/drain`) are coverage-asserted at the bottom.
 
 use citrus_repro::citrus_api::testkit;
-use citrus_repro::citrus_serve::{ServeConfig, Server};
+use citrus_repro::citrus_serve::Server;
 use citrus_repro::prelude::*;
 
-/// A small combining bound + frequent executor-session recycling: one
-/// agreement stream then spans many hand-offs and session lifetimes.
-fn serve_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_batch_max(4)
-        .with_recycle_ops(96)
-}
-
 fn hash_server(seed: u64) -> Server<u64, u64> {
-    Server::with_config(
-        CitrusForest::with_config(4, seed, ReclaimMode::Epoch),
-        serve_config(),
-    )
+    Server::new(CitrusForest::with_config(4, seed, ReclaimMode::Epoch))
 }
 
 /// Range-routed over the 128-key agreement range: splitters at 32/64/96
 /// give four live shards.
 fn range_server() -> Server<u64, u64> {
-    Server::with_config(
-        CitrusForest::with_range_router_config(vec![32, 64, 96], ReclaimMode::Epoch),
-        serve_config(),
-    )
+    Server::new(CitrusForest::with_range_router_config(
+        vec![32, 64, 96],
+        ReclaimMode::Epoch,
+    ))
 }
 
 /// One grid cell: seeded agreement stream against a single-tree oracle,
@@ -106,51 +95,65 @@ fn chaos_sweep_range_inline() {
 // ---- Failpoint coverage ------------------------------------------------
 
 /// The serve failpoints must actually exist and fire: after exercising
-/// the enqueue, drain, rejection, and shutdown paths, all four names
-/// must appear in the chaos registry. A renamed or deleted failpoint
-/// fails here instead of silently shrinking every chaos sweep above.
+/// the admission, rejection, and shutdown paths, all three names must
+/// appear in the chaos registry. A renamed or deleted failpoint fails
+/// here instead of silently shrinking every chaos sweep above.
 /// Registration is by-reach and only happens in `chaos` builds.
 #[cfg(feature = "chaos")]
 #[test]
 fn serve_failpoints_register() {
+    use citrus_repro::citrus_api::{testkit, ConcurrentMap, MapSession};
     use citrus_repro::citrus_chaos as chaos;
-    use citrus_repro::citrus_serve::{Request, SubmitError};
+    use citrus_repro::citrus_serve::{Request, ServeConfig, SubmitError};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    // Enqueue + drain: a normal round-trip.
-    let server: Server<u64, u64> = Server::with_config(
+    /// While set, cloning a [`Held`] value spins: a `get` of one stays in
+    /// flight.
+    static HOLD: AtomicBool = AtomicBool::new(false);
+
+    #[derive(Debug)]
+    struct Held;
+
+    impl Clone for Held {
+        fn clone(&self) -> Self {
+            while HOLD.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Held
+        }
+    }
+
+    let _watchdog = testkit::stress_watchdog("serve_conformance::failpoints");
+    // Admission: a normal round-trip.
+    let server: Server<u64, Held> = Server::with_config(
         CitrusForest::with_config(2, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_high_water(1),
     );
-    use citrus_repro::citrus_api::MapSession;
-    {
-        let mut s = server.session();
-        assert!(s.insert(1, 10));
-        assert_eq!(s.get(&1), Some(10));
-    }
+    assert!(server.session().insert(1, Held));
 
-    // Admission rejection: pause the server so the queue cannot drain,
-    // then overflow the high-water mark of 1.
-    server.pause();
+    // Rejection: hold one `get` in flight on the shard, whose high-water
+    // mark is 1, and submit another.
+    HOLD.store(true, Ordering::SeqCst);
     let shard = server.shard_for(&1);
-    let mut fills = 0u64;
-    loop {
-        match server.submit(Request::Get(1)) {
-            Ok(_) => fills += 1,
-            Err(SubmitError::Rejected { .. }) => break,
-            Err(SubmitError::Closed(_)) => panic!("server closed unexpectedly"),
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| server.session().get(&1).is_some());
+        while server.queue_len(shard) == 0 {
+            std::thread::yield_now();
         }
-        assert!(fills < 16, "high-water mark of 1 never rejected");
-    }
-    assert!(server.queue_len(shard) >= 1);
-    server.resume();
+        assert!(matches!(
+            server.submit(Request::Get(1)),
+            Err(SubmitError::Rejected { .. })
+        ));
+        HOLD.store(false, Ordering::SeqCst);
+        assert!(held.join().expect("held client"));
+    });
 
-    // Shutdown drain.
+    // Shutdown.
     server.shutdown();
 
     let points: Vec<&str> = chaos::all_points().iter().map(|p| p.name).collect();
     for name in [
-        "serve/batch/enqueue",
-        "serve/batch/drain",
+        "serve/admission/admit",
         "serve/admission/reject",
         "serve/shutdown/drain",
     ] {

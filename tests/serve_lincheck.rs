@@ -1,11 +1,11 @@
 //! Linearizability *through the server*: the WGL checker
 //! (`citrus_api::lincheck`, DESIGN.md §6f) drives `citrus-serve` sessions
-//! whose every operation crosses the full client boundary — submit into a
-//! bounded per-shard queue, execution by a combining caller, response
-//! delivery back through a ticket. A linearizable forest composed with a
-//! buggy batching layer is *not* linearizable at this boundary, so these
-//! checks cover strictly more than `tests/linearizability.rs` does for
-//! the raw structures.
+//! whose every operation crosses the full client boundary — admission
+//! against its shard's in-flight bound, execution on the client's own
+//! forest session, and the response back to the caller. A linearizable
+//! forest composed with a buggy serving layer is *not* linearizable at
+//! this boundary, so these checks cover strictly more than
+//! `tests/linearizability.rs` does for the raw structures.
 //!
 //! The grid covers the hash and range routers, for both the point-op
 //! battery and the ordered-read (scan) battery. The
@@ -18,12 +18,12 @@
 //! length, `CITRUS_CHAOS_SEEDS` the sweep width.
 
 use citrus_repro::citrus_api::{lincheck, testkit, ConcurrentMap, OrderedMapSession};
-use citrus_repro::citrus_serve::{ServeConfig, Server};
+use citrus_repro::citrus_serve::Server;
 use citrus_repro::prelude::*;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Mutants are process-global: while the planted-mutant test below runs,
-/// every other check in this binary would drive the mutated drain loop
+/// every other check in this binary would drive the mutated executor
 /// and fail on a bug it never planted. Checks hold this lock shared; the
 /// mutant test holds it exclusively.
 static MUTANT_SCOPE: RwLock<()> = RwLock::new(());
@@ -32,30 +32,22 @@ fn mutant_free() -> RwLockReadGuard<'static, ()> {
     MUTANT_SCOPE.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A serving config sized for lincheck: tiny batches so a single history
-/// spans many drain cycles (the interesting interleavings), and a
-/// non-zero recycle period so executor sessions restart mid-history.
-fn lincheck_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_batch_max(4)
-        .with_recycle_ops(64)
-}
-
 /// A hash-routed server over `shards` shards.
 fn hash_server(shards: usize) -> Server<u64, u64> {
-    Server::with_config(
-        CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch),
-        lincheck_config(),
-    )
+    Server::new(CitrusForest::with_config(
+        shards,
+        0x5EED,
+        ReclaimMode::Epoch,
+    ))
 }
 
 /// A range-routed server: splitters at 8/16/24 give four shards that
 /// cover both the 32-key direct battery and the 16-key sweep range.
 fn range_server() -> Server<u64, u64> {
-    Server::with_config(
-        CitrusForest::with_range_router_config(vec![8, 16, 24], ReclaimMode::Epoch),
-        lincheck_config(),
-    )
+    Server::new(CitrusForest::with_range_router_config(
+        vec![8, 16, 24],
+        ReclaimMode::Epoch,
+    ))
 }
 
 /// One direct check plus a chaos-seed sweep, as in
@@ -77,8 +69,8 @@ fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64)
     );
 }
 
-/// Ordered-read battery: scans / successor / predecessor requests ride
-/// the same queues as point ops, so a batching bug that reorders a scan
+/// Ordered-read battery: scans / successor / predecessor requests cross
+/// the same boundary as point ops, so a serving bug that reorders a scan
 /// against a write shows up here.
 fn scan_battery<M>(make: impl Fn() -> M, base_seed: u64)
 where
@@ -113,9 +105,9 @@ fn serve_range_inline() {
     lin_battery(range_server, 0x5E_1003);
 }
 
-/// Degenerate single-shard server: one executor runs every request, so
-/// execution order is total — the boundary case where a
-/// response-delivery bug is most visible.
+/// Degenerate single-shard server: every request meets on one shard and
+/// one in-flight count — the boundary case where a response-delivery bug
+/// is most visible.
 #[test]
 fn serve_one_shard() {
     lin_battery(|| hash_server(1), 0x5E_1005);
@@ -133,13 +125,14 @@ fn serve_scan_range_inline() {
     scan_battery(range_server, 0x5E_2003);
 }
 
-// ---- Checker validation: the planted batching mutant ------------------
+// ---- Checker validation: the planted reordered-ack mutant ---------------
 
 /// The planted-bug self-test, mirroring `StaleReadMap` in
 /// `tests/linearizability.rs` but end-to-end: the
-/// `serve/drain/ack-before-apply` mutant makes the drain loop deliver a
-/// write's predicted response *before* applying it to the shard (the
-/// apply happens only when the next request executes). A client that
+/// `serve/drain/ack-before-apply` mutant makes a session's executor
+/// deliver a write's predicted response *before* applying it to the
+/// shard (the apply happens only when the session's next request
+/// executes). A client that
 /// inserts a key and immediately reads it back sees `insert → true,
 /// get → None` — non-linearizable under every schedule — so the WGL
 /// checker must reject the server with a dumped minimal counterexample.

@@ -27,11 +27,9 @@ fn server_spawns_no_thread() {
         assert_eq!(s.get(&9), Some(9));
         assert_eq!(s.range_scan(&10, &12).len(), 3);
     }
-    server.pause();
     let ticket = server
         .submit(citrus_repro::citrus_serve::Request::Remove(3))
         .expect("admitted");
-    server.resume();
     assert!(ticket.is_ready());
     server.shutdown();
     assert_eq!(threads(), before, "serving or shutdown spawned a thread");
