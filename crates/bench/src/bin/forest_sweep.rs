@@ -37,24 +37,18 @@ use citrus_harness::experiments::{forest_scan_sweep, forest_skew_sweep, forest_s
 use citrus_harness::{ForestCell, ForestScanCell, ForestSkewCell};
 use std::fmt::Write as _;
 
-/// Satellite record: the `Node` hot-head cache-alignment change that rode
-/// along with the forest (fig8, scalable flavor, 8 threads, range
-/// [0,20000], 1 physical core). Alignment doubles the `u64`-node footprint
-/// (72 → 128 bytes), which on a single core costs cache capacity with no
-/// false-sharing to win back; the layout pays off only with true
-/// multi-core lock traffic. Recorded per the measurement box so the
-/// trade-off is explicit.
-const ALIGNMENT_NOTE: &str = "node hot-head cache alignment (repr(C, align(64))): \
-     fig8 scalable flavor at 8 threads on a 1-core host went 3.35e6 -> 2.64e6 ops/s \
-     (node size 72 -> 128 bytes; single-core capacity cost, multi-core false-sharing win). \
-     Measurement host caveat: 1 hardware thread, so grace periods in one shard already \
-     overlap other threads' work via yield; the committed sweep shows the shard trend \
-     but understates the multi-core speedup, where a stalled synchronize_rcu would \
-     otherwise idle whole cores. Router axis: point cells are expected router-agnostic under \
-     uniform keys; scan cells pay the all-shard fan-out tax under hash routing but \
-     only enter overlapping shards under range routing, so narrow-span range-routed \
-     scans should not fall as shards grow; skew cells record the converse tradeoff \
-     (zipf hot keys concentrate into one range-routed shard, see occupancy).";
+/// How to read the committed grid: node layout, measurement host and the
+/// router axis. Stored as the JSON's `notes` field.
+const SWEEP_NOTE: &str = "Node<u64, u64> is one 64 B cache line (repr(C, align(64)), from the \
+     line pool). Recorded with the binary's defaults (threads 1,2,4,8; the grid runs at 8) \
+     on a 2-vCPU x86_64 KVM guest: threads outnumber CPUs, so a thread stalled in one \
+     shard's synchronize_rcu yields its CPU to another instead of idling it, and the sweep \
+     shows the shard trend rather than a multi-core speedup. Router axis: point cells are \
+     expected router-agnostic under uniform keys; scan cells pay the all-shard fan-out tax \
+     under hash routing but only enter overlapping shards under range routing, so \
+     narrow-span range-routed scans should not fall as shards grow; skew cells record the \
+     converse tradeoff (zipf hot keys concentrate into one range-routed shard, see \
+     occupancy).";
 
 fn fmt_ops(v: f64) -> String {
     if v >= 1e6 {
@@ -302,7 +296,7 @@ fn main() {
         "{{\n  \"bench\": \"forest\",\n  \"title\": \"CitrusForest shard sweep, key range [0,{}]\",\n  \
          \"notes\": \"{}\",\n  \"cells\": [",
         cfg.range_small,
-        benchjson::esc(ALIGNMENT_NOTE)
+        benchjson::esc(SWEEP_NOTE)
     );
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(

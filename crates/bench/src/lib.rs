@@ -18,7 +18,6 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 pub mod benchjson;
-pub mod gate;
 
 /// Prints a report, writes its CSV, and persists the machine-readable
 /// `BENCH_<csv_name>.json` trajectory file, logging the paths.

@@ -36,4 +36,4 @@ pub use runner::{
     run_algo, run_algo_observed, run_forest_observed, run_recorded, run_throughput, ForestRun,
     RunResult,
 };
-pub use workload::{Algo, OpMix, ServeMix, ServeOp, WorkloadSpec};
+pub use workload::{Algo, OpMix, WorkloadSpec};

@@ -79,95 +79,6 @@ pub(crate) enum OpKind {
     Delete,
 }
 
-/// A four-way serving mix: point gets, inserts, removes, and range scans,
-/// as percentages summing to 100. This is the request-layer analogue of
-/// [`OpMix`] — the `serve_storm` load generator draws from it to shape
-/// traffic against a `citrus-serve` front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeMix {
-    /// Percent of requests that are point `get`s.
-    pub get: u32,
-    /// Percent that are `insert`s.
-    pub insert: u32,
-    /// Percent that are `remove`s.
-    pub remove: u32,
-    /// Percent that are range scans.
-    pub scan: u32,
-}
-
-/// One drawn serving operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeOp {
-    /// A point `get`.
-    Get,
-    /// An `insert`.
-    Insert,
-    /// A `remove`.
-    Remove,
-    /// A range scan.
-    Scan,
-}
-
-impl ServeMix {
-    /// A mix from explicit percentages.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the four shares sum to exactly 100.
-    #[must_use]
-    pub fn new(get: u32, insert: u32, remove: u32, scan: u32) -> Self {
-        assert_eq!(
-            get + insert + remove + scan,
-            100,
-            "serve mix must sum to 100"
-        );
-        Self {
-            get,
-            insert,
-            remove,
-            scan,
-        }
-    }
-
-    /// A read-heavy routing-table shape: 88% gets, 5% inserts, 5%
-    /// removes, 2% scans.
-    #[must_use]
-    pub fn routing_table() -> Self {
-        Self::new(88, 5, 5, 2)
-    }
-
-    /// A write-heavier session-store shape: 60% gets, 18% inserts, 17%
-    /// removes, 5% scans.
-    #[must_use]
-    pub fn session_store() -> Self {
-        Self::new(60, 18, 17, 5)
-    }
-
-    /// Picks an operation from a uniform draw in `[0, 100)`.
-    #[must_use]
-    pub fn pick(&self, draw: u32) -> ServeOp {
-        if draw < self.get {
-            ServeOp::Get
-        } else if draw < self.get + self.insert {
-            ServeOp::Insert
-        } else if draw < self.get + self.insert + self.remove {
-            ServeOp::Remove
-        } else {
-            ServeOp::Scan
-        }
-    }
-}
-
-impl fmt::Display for ServeMix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}g/{}i/{}r/{}s",
-            self.get, self.insert, self.remove, self.scan
-        )
-    }
-}
-
 /// A full workload configuration for one throughput run.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -319,26 +230,6 @@ mod tests {
         assert_eq!(s.prefill, 500);
         assert!(!s.single_writer);
         assert!(WorkloadSpec::single_writer(10, 2, Duration::from_millis(1)).single_writer);
-    }
-
-    #[test]
-    fn serve_mix_pick_respects_boundaries() {
-        let m = ServeMix::routing_table();
-        assert_eq!(m.pick(0), ServeOp::Get);
-        assert_eq!(m.pick(87), ServeOp::Get);
-        assert_eq!(m.pick(88), ServeOp::Insert);
-        assert_eq!(m.pick(92), ServeOp::Insert);
-        assert_eq!(m.pick(93), ServeOp::Remove);
-        assert_eq!(m.pick(97), ServeOp::Remove);
-        assert_eq!(m.pick(98), ServeOp::Scan);
-        assert_eq!(m.pick(99), ServeOp::Scan);
-        assert_eq!(m.to_string(), "88g/5i/5r/2s");
-    }
-
-    #[test]
-    #[should_panic(expected = "serve mix must sum to 100")]
-    fn serve_mix_must_sum_to_100() {
-        let _ = ServeMix::new(50, 20, 20, 20);
     }
 
     #[test]

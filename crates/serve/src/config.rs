@@ -5,8 +5,8 @@ use std::time::Duration;
 /// Tuning for a [`Server`](crate::Server).
 ///
 /// The defaults are sized for the test and smoke workloads. The library
-/// reads no environment: binaries that take knobs from it (the
-/// `serve_storm` load generator) build a config and pass it in.
+/// reads no environment: a caller that takes knobs from it builds a
+/// config and passes it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Admission bound: a shard with this many requests in flight

@@ -44,12 +44,9 @@
 #![warn(missing_docs)]
 
 mod config;
-mod metrics;
 mod server;
 
 pub use config::ServeConfig;
-pub use metrics::ServeMetrics;
 pub use server::{
-    OpClass, Request, Response, ServeCounters, ServeSession, Server, ServerClosed, SubmitError,
-    Ticket,
+    Request, Response, ServeCounters, ServeSession, Server, ServerClosed, SubmitError, Ticket,
 };

@@ -31,37 +31,9 @@ use std::time::Duration;
 use citrus::{CitrusForest, ForestSession, RcuFlavor, ScalableRcu};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
-use citrus_obs::Stopwatch;
 use citrus_sync::{CachePadded, StripedCounter};
 
 use crate::config::ServeConfig;
-use crate::metrics::ServeMetrics;
-
-/// The three latency classes a request falls into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OpClass {
-    /// Point reads: `get`, `contains`.
-    Read,
-    /// Point writes: `insert`, `remove`.
-    Write,
-    /// Ordered traversals: `range_scan`, `successor`, `predecessor`.
-    Scan,
-}
-
-impl OpClass {
-    /// Stable label used in benchmark rows and metric names.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Read => "get",
-            OpClass::Write => "write",
-            OpClass::Scan => "scan",
-        }
-    }
-
-    /// All classes, in report order.
-    pub const ALL: [OpClass; 3] = [OpClass::Read, OpClass::Write, OpClass::Scan];
-}
 
 /// One client request. Scans route by their low bound, every other op by
 /// its key.
@@ -84,20 +56,10 @@ pub enum Request<K, V> {
 }
 
 impl<K, V> Request<K, V> {
-    /// The latency class this request is accounted under.
-    #[must_use]
-    pub fn class(&self) -> OpClass {
-        match self {
-            Request::Get(_) | Request::Contains(_) => OpClass::Read,
-            Request::Insert(..) | Request::Remove(_) => OpClass::Write,
-            Request::Scan(..) | Request::Successor(_) | Request::Predecessor(_) => OpClass::Scan,
-        }
-    }
-
     /// `true` for the mutating requests (insert/remove).
     #[must_use]
     pub fn is_write(&self) -> bool {
-        self.class() == OpClass::Write
+        matches!(self, Request::Insert(..) | Request::Remove(_))
     }
 
     /// The key the request routes by.
@@ -390,7 +352,6 @@ where
     next_stripe: AtomicUsize,
     config: ServeConfig,
     counters: ServeCounters,
-    metrics: ServeMetrics,
 }
 
 impl<K, V> Server<K, V, ScalableRcu>
@@ -436,7 +397,6 @@ where
             next_stripe: AtomicUsize::new(1),
             config,
             counters: ServeCounters::default(),
-            metrics: ServeMetrics::new(),
         }
     }
 
@@ -467,7 +427,6 @@ where
             });
         }
         self.counters.accepted.incr(exec.stripe);
-        self.metrics.in_flight_hwm.observe(depth as u64 + 1);
         Ok(exec.run(&self.counters, req))
     }
 
@@ -517,12 +476,6 @@ where
     #[must_use]
     pub fn counters(&self) -> &ServeCounters {
         &self.counters
-    }
-
-    /// The `stats`-gated latency and in-flight instruments.
-    #[must_use]
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
     }
 
     /// The active configuration.
@@ -616,15 +569,9 @@ where
     /// [`ServerClosed`] if the server shut down before the request was
     /// admitted.
     pub fn try_call(&mut self, mut req: Request<K, V>) -> Result<Response<K, V>, ServerClosed> {
-        let server = self.server;
-        let class = req.class();
-        let sw = Stopwatch::start();
         loop {
-            match server.call(&mut self.exec, req) {
-                Ok(resp) => {
-                    server.metrics.latency(class).record(sw.elapsed_ns());
-                    return Ok(resp);
-                }
+            match self.server.call(&mut self.exec, req) {
+                Ok(resp) => return Ok(resp),
                 Err(SubmitError::Rejected {
                     req: returned,
                     retry_after,
@@ -812,12 +759,12 @@ mod tests {
     }
 
     #[test]
-    fn request_classes_and_routing_keys() {
+    fn writes_and_routing_keys() {
         let req: Request<u64, u64> = Request::Scan(4, 9);
-        assert_eq!(req.class(), OpClass::Scan);
         assert_eq!(*req.route_key(), 4, "scans route by their low bound");
+        assert!(!req.is_write());
         assert!(Request::<u64, u64>::Insert(1, 2).is_write());
+        assert!(Request::<u64, u64>::Remove(1).is_write());
         assert!(!Request::<u64, u64>::Contains(1).is_write());
-        assert_eq!(OpClass::Write.label(), "write");
     }
 }
