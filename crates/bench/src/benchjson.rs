@@ -10,284 +10,8 @@
 //! the repo root under `cargo run`), so successive runs overwrite in place
 //! and the checked-in copy records the trajectory across commits.
 
-use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// A parsed JSON value (see [`parse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null` (also what [`num`] emits for non-finite floats).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member lookup (`None` for non-objects or missing keys).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON parse error: byte offset and message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the error in the input.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses a complete JSON document (std-only recursive descent — the
-/// read-side counterpart of [`esc`]/[`num`], so tests can round-trip
-/// every `BENCH_*.json` writer instead of trusting string assembly).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] (with byte offset) on malformed input,
-/// including trailing garbage after the document.
-pub fn parse(s: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        at: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(p.err("trailing characters after the document"));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError {
-            at: self.at,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_word(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_word("true", Json::Bool(true)),
-            Some(b'f') => self.eat_word("false", Json::Bool(false)),
-            Some(b'n') => self.eat_word("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.at += 4;
-                            // Surrogates never appear in our writers;
-                            // reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always well-formed).
-                    let rest = &self.bytes[self.at..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.at += 1;
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.at]).expect("ASCII slice");
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
-    }
-}
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
 /// included).
@@ -355,65 +79,6 @@ mod tests {
         assert_eq!(num(0.0), "0");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn parse_round_trips_a_written_document() {
-        // serialize (esc/num) → write_to → read back → parse → compare.
-        let body = format!(
-            "{{\"name\": \"{}\", \"nan\": {}, \"points\": [{}, {}, {}], \"ok\": true}}\n",
-            esc("quote\" back\\slash\nnewline"),
-            num(f64::NAN),
-            num(1.5),
-            num(0.0),
-            num(-3.25e3),
-        );
-        let dir = std::env::temp_dir().join("citrus_benchjson_roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = write_to(&dir, "roundtrip", &body).unwrap();
-        let read = std::fs::read_to_string(&path).unwrap();
-        let doc = parse(&read).expect("written document must parse");
-        assert_eq!(
-            doc.get("name").and_then(Json::as_str),
-            Some("quote\" back\\slash\nnewline"),
-            "escapes must decode back to the original string"
-        );
-        assert_eq!(doc.get("nan"), Some(&Json::Null), "NaN serializes as null");
-        let points: Vec<f64> = doc
-            .get("points")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|p| p.as_f64().unwrap())
-            .collect();
-        assert_eq!(points, vec![1.5, 0.0, -3250.0]);
-        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parse_decodes_unicode_escapes_and_nesting() {
-        let doc = parse(r#"{"a": [{"b": "A\t"}, null, -0.5]}"#).unwrap();
-        let arr = doc.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].get("b").and_then(Json::as_str), Some("A\t"));
-        assert_eq!(arr[1], Json::Null);
-        assert_eq!(arr[2].as_f64(), Some(-0.5));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_documents() {
-        for (input, why) in [
-            ("{\"a\": 1", "unterminated object"),
-            ("[1, 2,]", "dangling comma"),
-            ("\"unterminated", "unterminated string"),
-            ("{\"a\": 1} trailing", "trailing garbage"),
-            ("nul", "truncated keyword"),
-            ("{\"a\" 1}", "missing colon"),
-            ("1.2.3", "malformed number"),
-            ("", "empty input"),
-        ] {
-            assert!(parse(input).is_err(), "{why}: `{input}` must not parse");
-        }
     }
 
     #[test]

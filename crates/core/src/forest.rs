@@ -68,22 +68,22 @@
 //! collects a traversal per shard, and only then re-checks all recorded
 //! edges across those shards, restarting the whole fan-out if any moved.
 //! All reads precede all re-checks, so a successful pass observed every
-//! entered shard simultaneously at one instant; the per-shard hits k-way
-//! merge straight into the one result list, and each shard session
-//! reuses its walk buffers from read to read. The per-shard traversals
-//! advance round-robin, one edge each per round, prefetching the node
-//! each step will read next: the shards' independent chains of cache
-//! misses overlap instead of running back to back. Joint validation only needs every
-//! read before every re-check, not any order among the reads.
+//! entered shard simultaneously at one instant; the hits of every shard
+//! are gathered into the one result list and sorted there, and the
+//! session reuses its walk buffers from read to read. The shards are
+//! walked together, breadth-first, with a prefetch of every pending
+//! node, so their cache misses are in flight at once instead of running
+//! back to back as one chain per shard. Joint validation only needs
+//! every read before every re-check, not any order among the reads.
 //!
 //! Which shards are "relevant" is the routers' big divergence. Under hash
 //! routing *every* shard can hold keys in any key range, so a scan fans
 //! out to all shards — Ω(shard count) work no matter how few keys match,
-//! the price paid for skew resistance (DESIGN.md §6i); interleaving
+//! the price paid for skew resistance (DESIGN.md §6i); the shared walk
 //! overlaps the shards' miss latency but does not shrink the work. Under
 //! range routing a span `[lo, hi]` overlaps exactly the contiguous shard
 //! run `shard_for(lo) ..= shard_for(hi)`, so the fan-out (grace-period
-//! domains entered, edges validated, merge width) shrinks to the overlap
+//! domains entered, edges validated, roots walked) shrinks to the overlap
 //! — restricting the joint validation to a subset is sound because the
 //! routing invariant guarantees the skipped shards hold no key in the
 //! span (DESIGN.md §6j). `successor`/`predecessor` probe outward from the
@@ -94,13 +94,15 @@
 //! [`to_vec_quiescent`]: CitrusForest::to_vec_quiescent
 
 use crate::checks::{InvariantViolation, TreeStats};
-use crate::node::Dir;
-use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt, ScanWalk};
+use crate::node::{Dir, Node};
+use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanWalk, WalkQuery};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::{Counter, Log2Histogram, MetricsRegistry};
 use citrus_rcu::{RcuFlavor, ScalableRcu};
 use core::fmt;
+use core::mem;
+use core::ops::Range;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::hash::{Hash, Hasher};
 
@@ -614,6 +616,7 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
             forest: self,
             sessions: (0..self.shards.len()).map(|_| None).collect(),
             stripe: self.metrics.assign_stripe(),
+            walk: ScanWalk::default(),
         }
     }
 }
@@ -798,6 +801,9 @@ pub struct ForestSession<'t, K, V, F: RcuFlavor> {
     sessions: Vec<Option<CitrusSession<'t, K, V, F>>>,
     /// This session's forest-metric counter stripe.
     stripe: usize,
+    /// The ordered reads' walk buffers, one set for every shard a read
+    /// enters: a read takes them and hands them back reset.
+    walk: ScanWalk<K, V>,
 }
 
 impl<'t, K, V, F> ForestSession<'t, K, V, F>
@@ -850,73 +856,57 @@ where
     }
 
     /// Runs one fan-out ordered read over shards `first..=last` to a
-    /// validated completion: enter each entered shard's read-side
-    /// context, collect one traversal per shard, then re-check every
-    /// recorded edge across all of them — restarting the **whole**
-    /// fan-out when any moved. Scanning shards one after another would
-    /// not be linearizable (shard A's snapshot would predate shard B's);
-    /// holding all contexts and validating after all reads extends the
+    /// validated completion: enter every shard's read-side context, walk
+    /// all of them as one frontier walk, then re-check every recorded
+    /// edge across all of them — restarting the **whole** fan-out when
+    /// any moved. Scanning shards one after another would not be
+    /// linearizable (shard A's snapshot would predate shard B's); holding
+    /// all contexts and validating after all reads extends the
     /// single-tree common-instant argument across the entered subset.
     /// Restricting to a subset is only sound when the router guarantees
     /// the skipped shards cannot answer the query (see the module docs).
     ///
-    /// The per-shard walks are independent chains of dependent cache
-    /// misses, so they advance round-robin, one edge per shard per
-    /// round, each step prefetching its next node: the shards' misses
-    /// overlap instead of queueing. Every edge read still precedes every
-    /// re-check, which is all the joint validation needs.
-    ///
-    /// Each walk records into its shard session's reused buffers, which
-    /// go back to that session after extraction or before a restart.
-    fn fan_out<'q, T>(
+    /// The walk is seeded with every entered shard's root and visits
+    /// breadth-first across all of them ([`ScanWalk`]), prefetching each
+    /// pending node: the shards' boundary paths and in-range subtrees
+    /// have their misses in flight together instead of one chain at a
+    /// time. Every edge read still precedes every re-check, which is all
+    /// the joint validation needs.
+    fn fan_out<T>(
         &mut self,
         first: usize,
         last: usize,
-        walk: impl Fn(&CitrusSession<'t, K, V, F>) -> ScanWalk<'q, K, V>,
-        extract: impl Fn(&mut [ScanAttempt<K, V>]) -> T,
-    ) -> T
-    where
-        K: 'q,
-    {
+        query: WalkQuery<'_, K>,
+        extract: impl Fn(&ScanWalk<K, V>) -> T,
+    ) -> T {
         chaos::point!("forest/scan/fan-out");
         for idx in first..=last {
             self.ensure_session(idx);
         }
-        let sessions = || {
-            self.sessions[first..=last]
-                .iter()
-                .map(|slot| slot.as_ref().expect("materialized above"))
-        };
+        let mut walk = mem::take(&mut self.walk);
         loop {
-            let guards: Vec<_> = sessions().map(|s| s.ordered_read_enter()).collect();
-            let mut walks: Vec<ScanWalk<'q, K, V>> = sessions().map(&walk).collect();
-            // SAFETY (both blocks): `guards` has held every entered
-            // shard's read-side section and pin since before its walk
-            // started.
-            let mut pending = true;
-            while pending {
-                pending = false;
-                for w in &mut walks {
-                    pending |= unsafe { w.step() };
+            let out = {
+                let mut guard = FanOutGuard::new(&self.sessions);
+                // SAFETY: `guard` holds each shard's read-side context
+                // from before the walk's first read in that shard until
+                // after extraction.
+                unsafe {
+                    for idx in first..=last {
+                        walk.visit(guard.enter(idx), &query);
+                    }
+                    walk.run(&query);
                 }
-            }
-            let mut attempts: Vec<ScanAttempt<K, V>> =
-                walks.into_iter().map(|w| unsafe { w.finish() }).collect();
-            chaos::point!("forest/scan/validate");
-            // SAFETY: `guards` still holds every entered shard's
-            // read-side section and pin the attempts were collected
-            // under.
-            let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
-                || attempts.iter().all(|a| unsafe { a.validate() });
-            let out = ok.then(|| extract(&mut attempts));
-            drop(guards);
-            let fanout = attempts.len();
-            for (session, attempt) in sessions().zip(attempts) {
-                session.recycle(attempt);
-            }
+                chaos::point!("forest/scan/validate");
+                // SAFETY: as above.
+                unsafe { walk.validate() }.then(|| extract(&walk))
+            };
+            walk.reset();
             if let Some(out) = out {
+                self.walk = walk;
                 self.forest.metrics.record_scan(self.stripe);
-                self.forest.metrics.record_fanout(fanout, self.stripe);
+                self.forest
+                    .metrics
+                    .record_fanout(last - first + 1, self.stripe);
                 return out;
             }
             self.forest.metrics.record_scan_restart(self.stripe);
@@ -927,12 +917,12 @@ where
     /// Every `(key, value)` pair with `lo <= key <= hi`, in ascending key
     /// order, observed atomically. Hash routing scatters any key range
     /// over every shard, so the fan-out enters all of them — Ω(shard
-    /// count) work per scan no matter how narrow the range, though the
-    /// shards' walks run interleaved so their cache misses overlap; range
-    /// routing enters only the shards `[lo, hi]` overlaps (module docs).
-    /// The shards' hits k-way merge straight into the one result `Vec`,
-    /// which is the only allocation a warmed session's scan makes beyond
-    /// a few per-call vectors of shard length.
+    /// count) work per scan no matter how narrow the range, though one
+    /// walk covers the shards together so their cache misses overlap;
+    /// range routing enters only the shards `[lo, hi]` overlaps (module
+    /// docs). The hits of every shard are gathered into the result `Vec`
+    /// and sorted there, which is the only allocation a warmed session's
+    /// scan makes.
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, V)> {
         if lo > hi {
             // An empty span holds at every instant; no shard need be
@@ -940,71 +930,53 @@ where
             return Vec::new();
         }
         let (first, last) = self.forest.shards_for_span(lo, hi);
-        self.fan_out(
-            first,
-            last,
-            |session| session.range_walk(lo, hi),
-            // SAFETY: `fan_out` extracts while every shard guard is still
-            // held.
-            |attempts| unsafe { ScanAttempt::merge_entries(attempts) },
-        )
+        // SAFETY: `fan_out` extracts while every shard guard is still
+        // held.
+        self.fan_out(first, last, WalkQuery::Range { lo, hi }, |walk| unsafe {
+            walk.entries()
+        })
     }
 
     /// The entry with the least key strictly greater than `key`, observed
     /// atomically. Hash routing fans out to every shard (one candidate
-    /// path per shard, validated together, minimum candidate wins); range
+    /// path per shard, validated together, least candidate wins); range
     /// routing probes outward from the key's home shard and usually stops
     /// after one or two shards ([`directed_probe`](Self::directed_probe)).
     pub fn successor(&mut self, key: &K) -> Option<(K, V)> {
-        match self.forest.router_kind() {
-            RouterKind::Range => self.directed_probe(key, Dir::Right),
-            RouterKind::Hash => self.fan_out(
-                0,
-                self.forest.shard_count() - 1,
-                |session| session.directed_walk(key, Dir::Right),
-                |attempts| {
-                    attempts
-                        .iter()
-                        // SAFETY: `fan_out` extracts while every shard
-                        // guard is still held.
-                        .filter_map(|a| unsafe { a.candidate() })
-                        .min_by(|a, b| a.0.cmp(&b.0))
-                },
-            ),
-        }
+        self.nearest(key, Dir::Right)
     }
 
     /// The entry with the greatest key strictly less than `key`, observed
     /// atomically (mirror of [`successor`](Self::successor)).
     pub fn predecessor(&mut self, key: &K) -> Option<(K, V)> {
+        self.nearest(key, Dir::Left)
+    }
+
+    /// The nearest entry strictly beyond `key` on `side`.
+    fn nearest(&mut self, key: &K, side: Dir) -> Option<(K, V)> {
         match self.forest.router_kind() {
-            RouterKind::Range => self.directed_probe(key, Dir::Left),
+            RouterKind::Range => self.directed_probe(key, side),
             RouterKind::Hash => self.fan_out(
                 0,
                 self.forest.shard_count() - 1,
-                |session| session.directed_walk(key, Dir::Left),
-                |attempts| {
-                    attempts
-                        .iter()
-                        // SAFETY: `fan_out` extracts while every shard
-                        // guard is still held.
-                        .filter_map(|a| unsafe { a.candidate() })
-                        .max_by(|a, b| a.0.cmp(&b.0))
-                },
+                WalkQuery::Directed { key, side },
+                // SAFETY: `fan_out` extracts while every shard guard is
+                // still held.
+                |walk| unsafe { walk.nearest(side) },
             ),
         }
     }
 
     /// Range-router successor/predecessor: probe the key's home shard,
     /// then widen one adjacent shard at a time in the probe direction
-    /// until a jointly validated attempt either holds a candidate or the
+    /// until a jointly validated walk either holds a candidate or the
     /// forest is exhausted. Shards are ordered under range routing, so
     /// the first shard in probe order with any qualifying key owns the
     /// answer — almost always the home shard or its neighbor, vs. hash
     /// routing's unconditional all-shard fan-out.
     ///
-    /// Each widened round re-collects **every** probed shard under one
-    /// set of guards and validates them jointly: probing shards one after
+    /// Each widened round re-walks **every** probed shard under one
+    /// guard and validates them jointly: probing shards one after
     /// another would not be linearizable, because a writer could insert a
     /// closer key into an already-probed shard and the eventually-found
     /// answer into a later one between probes, making the returned entry
@@ -1013,6 +985,9 @@ where
     /// the widening. Unlike [`fan_out`](Self::fan_out), a round walks its
     /// shards one after another, each to completion: whether the next
     /// shard is entered at all depends on the previous one's candidate.
+    /// A round cannot create a shard session while its guard borrows
+    /// them, so when `width` shards hold no candidate the next round
+    /// creates one more and re-walks from the home shard.
     fn directed_probe(&mut self, key: &K, side: Dir) -> Option<(K, V)> {
         chaos::point!("forest/scan/fan-out");
         let start = self.forest.shard_for(key);
@@ -1024,54 +999,43 @@ where
             Dir::Right => start + step,
             Dir::Left => start - step,
         };
+        let query = WalkQuery::Directed { key, side };
+        let mut walk = mem::take(&mut self.walk);
         let mut width = 1;
         loop {
-            for step in 0..width {
-                self.ensure_session(shard_at(step));
-            }
-            let mut guards = Vec::with_capacity(width);
-            let mut attempts: Vec<ScanAttempt<K, V>> = Vec::with_capacity(width);
-            let mut found = false;
-            for step in 0..width {
-                let session = self.sessions[shard_at(step)]
-                    .as_ref()
-                    .expect("ensured above");
-                guards.push(session.ordered_read_enter());
-                // SAFETY: the guard pushed just above holds this shard's
-                // read-side section and pin.
-                let attempt = unsafe { session.directed_walk(key, side).finish() };
-                found = attempt.has_candidate();
-                attempts.push(attempt);
-                if found {
-                    break;
+            self.ensure_session(shard_at(width - 1));
+            let mut probed = 0;
+            let (ok, out) = {
+                let mut guard = FanOutGuard::new(&self.sessions);
+                while probed < width && !walk.has_candidate() {
+                    // SAFETY: `guard` holds this shard's read-side context
+                    // from here until after extraction.
+                    unsafe {
+                        walk.visit(guard.enter(shard_at(probed)), &query);
+                        walk.run(&query);
+                    }
+                    probed += 1;
                 }
-            }
-            chaos::point!("forest/scan/validate");
-            // SAFETY: `guards` still holds every probed shard's read-side
-            // section and pin the attempts were collected under.
-            let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
-                || attempts.iter().all(|a| unsafe { a.validate() });
-            // The last probed shard is the first in probe order with a
-            // candidate (or the probe exhausted the forest empty); range
-            // partitioning orders whole shards, so its candidate beats
-            // every key in the shards beyond it.
-            let done = ok && (found || width == max_width);
-            // SAFETY: as above — guards still held.
-            let out = done.then(|| attempts.last().and_then(|a| unsafe { a.candidate() }));
-            drop(guards);
-            let probed = attempts.len();
-            for (step, attempt) in attempts.into_iter().enumerate() {
-                self.sessions[shard_at(step)]
-                    .as_ref()
-                    .expect("ensured above")
-                    .recycle(attempt);
-            }
+                chaos::point!("forest/scan/validate");
+                // SAFETY: `guard` still holds every probed shard's
+                // read-side context.
+                let ok = unsafe { walk.validate() };
+                // The last probed shard is the first in probe order with
+                // a candidate (or the probe exhausted the forest empty);
+                // range partitioning orders whole shards, so its
+                // candidate beats every key in the shards beyond it.
+                let done = ok && (walk.has_candidate() || width == max_width);
+                // SAFETY: as above.
+                (ok, done.then(|| unsafe { walk.nearest(side) }))
+            };
+            walk.reset();
             if !ok {
                 self.forest.metrics.record_scan_restart(self.stripe);
                 chaos::point!("forest/scan/restart");
                 continue;
             }
             if let Some(out) = out {
+                self.walk = walk;
                 self.forest.metrics.record_scan(self.stripe);
                 self.forest.metrics.record_fanout(probed, self.stripe);
                 return out;
@@ -1084,6 +1048,56 @@ where
     #[must_use]
     pub fn live_shard_sessions(&self) -> usize {
         self.sessions.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Capacity, in entries, the session's walk buffers keep between
+    /// ordered reads: at most [`WALK_BUF_RETAIN`](crate::WALK_BUF_RETAIN).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn walk_capacity(&self) -> usize {
+        self.walk.capacity()
+    }
+}
+
+/// The read-side contexts of the shards one ordered read has entered, a
+/// contiguous run of a forest session's shard sessions. Dropping the guard
+/// exits every one of them, on normal exit and during unwinding alike, so
+/// a panicking extraction leaves no shard's grace periods waiting on it.
+struct FanOutGuard<'a, 't, K, V, F: RcuFlavor> {
+    sessions: &'a [Option<CitrusSession<'t, K, V, F>>],
+    entered: Range<usize>,
+}
+
+impl<'a, 't, K, V, F: RcuFlavor> FanOutGuard<'a, 't, K, V, F> {
+    fn new(sessions: &'a [Option<CitrusSession<'t, K, V, F>>]) -> Self {
+        Self {
+            sessions,
+            entered: 0..0,
+        }
+    }
+
+    /// Enters shard `idx` — the first, or one next to the run entered so
+    /// far — and returns its tree's root sentinel.
+    fn enter(&mut self, idx: usize) -> *mut Node<K, V> {
+        let root = self.sessions[idx]
+            .as_ref()
+            .expect("fan-out shards have sessions")
+            .read_side_enter();
+        self.entered = if self.entered.is_empty() {
+            idx..idx + 1
+        } else {
+            debug_assert!(idx + 1 == self.entered.start || idx == self.entered.end);
+            self.entered.start.min(idx)..self.entered.end.max(idx + 1)
+        };
+        root
+    }
+}
+
+impl<K, V, F: RcuFlavor> Drop for FanOutGuard<'_, '_, K, V, F> {
+    fn drop(&mut self) {
+        for session in self.sessions[self.entered.clone()].iter().flatten() {
+            session.read_side_exit();
+        }
     }
 }
 

@@ -83,7 +83,7 @@ pub use checks::{InvariantViolation, TreeStats};
 pub use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
 pub use forest::{even_splitters, CitrusForest, ForestMetrics, ForestSession, RouterKind};
 pub use metrics::TreeMetrics;
-pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats};
+pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats, WALK_BUF_RETAIN};
 
 #[cfg(test)]
 mod tests {

@@ -14,18 +14,18 @@
 //! * `validate` / `incrementTag` — lines 33–41 → [`validate`] /
 //!   [`Node::increment_tag`].
 //! * `range_scan` / `successor` / `predecessor` — ordered reads layered on
-//!   the same read-side protocol (DESIGN.md §6i): collect an in-order
-//!   traversal recording every crossed edge, re-check all of them after
-//!   the walk, and restart from scratch when a concurrent update moved
-//!   one.
+//!   the same read-side protocol (DESIGN.md §6i): walk the tree
+//!   breadth-first recording every crossed edge, re-check all of them
+//!   after the walk, and restart from scratch when a concurrent update
+//!   moved one.
 
 use crate::metrics::TreeMetrics;
 use crate::node::{Dir, Node};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::MetricsRegistry;
-use citrus_rcu::{RcuFlavor, RcuHandle, RcuReadGuard, ScalableRcu};
-use citrus_reclaim::{EbrDomain, EbrGuard, EbrHandle};
+use citrus_rcu::{RcuFlavor, RcuHandle, ScalableRcu};
+use citrus_reclaim::{EbrDomain, EbrHandle};
 use citrus_sync::SpinMutex;
 use core::cell::{Cell, RefCell};
 use core::cmp::Ordering as CmpOrdering;
@@ -207,7 +207,7 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
                 ReclaimInner::Leak(_) => None,
             },
             graveyard: RefCell::new(Vec::new()),
-            walk_bufs: Cell::default(),
+            walk: Cell::default(),
             stats: SessionStats::default(),
             stripe: self.metrics.assign_stripe(),
         }
@@ -332,20 +332,21 @@ pub struct CitrusSession<'t, K, V, F: RcuFlavor> {
     stats: SessionStats,
     /// This session's tree-metric counter stripe.
     stripe: usize,
-    /// The ordered reads' walk buffers, empty between reads: a walk takes
-    /// them and [`recycle`](Self::recycle) hands them back, so a warmed
-    /// session's reads allocate nothing but their results.
-    walk_bufs: Cell<ScanAttempt<K, V>>,
+    /// The ordered reads' walk buffers, empty between reads: a read takes
+    /// them and hands them back reset, so a warmed session's reads
+    /// allocate nothing but their results.
+    walk: Cell<ScanWalk<K, V>>,
 }
 
 /// Batch size for flushing the session graveyard to the shared one.
 const GRAVEYARD_FLUSH: usize = 256;
 
 /// The most entries of capacity each walk buffer keeps between ordered
-/// reads (at most 96 KiB per session in all): enough for a walk over a
+/// reads (at most 64 KiB per session in all): enough for a walk over a
 /// few hundred keys, so one full-range scan does not leave megabytes
 /// attached to the session.
-const WALK_BUF_RETAIN: usize = 2048;
+#[doc(hidden)]
+pub const WALK_BUF_RETAIN: usize = 2048;
 
 /// RAII set of node locks held by one update operation.
 ///
@@ -421,58 +422,80 @@ enum ScanEdge<K, V> {
     },
 }
 
-/// A collected, not-yet-validated ordered-read traversal: every edge the
-/// walk crossed plus the nodes whose keys answered the query (in visit
-/// order). Its buffers belong to the session that walked: they come from
-/// and go back to [`CitrusSession::recycle`], so their capacity is reused.
-///
-/// Collection and validation are deliberately split: all edge *reads*
-/// happen before all edge *re-checks*, so when [`validate`](Self::validate)
-/// succeeds every per-edge constancy interval contains the instant the
-/// collection ended — the entire traversed region existed simultaneously
-/// at that instant, which is the read's linearization point. `pub(crate)`
-/// so [`ForestSession`](crate::ForestSession) can collect one attempt per
-/// shard and validate the whole fan-out together.
-pub(crate) struct ScanAttempt<K, V> {
-    edges: Vec<ScanEdge<K, V>>,
-    hits: Vec<*mut Node<K, V>>,
-    /// The walk's frame stack. Empty once the walk has finished; it rides
-    /// along only so its capacity returns to the session with the rest.
-    frames: Vec<Frame<K, V>>,
+/// What an ordered-read walk is looking for.
+pub(crate) enum WalkQuery<'q, K> {
+    /// Every node with `lo <= key <= hi`.
+    Range { lo: &'q K, hi: &'q K },
+    /// The nearest real key strictly beyond `key` on `side`.
+    Directed { key: &'q K, side: Dir },
 }
 
-impl<K, V> Default for ScanAttempt<K, V> {
+/// The ordered reads' frontier walk: the only range-walk implementation,
+/// shared by the single tree and the forest, over one tree or over every
+/// shard a fan-out enters at once.
+///
+/// The walk is breadth-first, and its edge log doubles as the FIFO of
+/// pending nodes: [`visit`](Self::visit) of a tree's root adds the tree,
+/// and [`run`](Self::run) visits, in log order, the child of every live edge
+/// recorded so far, until none is left. Visiting a node records the edges
+/// and the hit the query needs from it and prefetches each live child, so
+/// the boundary paths and the in-range subtrees of every entered tree
+/// have their cache misses in flight together: a read waits for about
+/// *descent depth + in-range depth* dependent misses, not one per
+/// in-range edge. Validation needs no order among the reads, only that
+/// every read precedes every re-check (DESIGN.md §6i).
+///
+/// Collection and validation are deliberately split: when
+/// [`validate`](Self::validate) succeeds, every per-edge constancy
+/// interval contains the instant the collection ended — the entire
+/// traversed region existed simultaneously at that instant, which is the
+/// read's linearization point.
+///
+/// The buffers belong to a session, which takes them for one read and
+/// [`reset`](Self::reset)s them afterwards, so a warmed session's reads
+/// allocate nothing but their results.
+pub(crate) struct ScanWalk<K, V> {
+    edges: Vec<ScanEdge<K, V>>,
+    /// Visited nodes that answer the query: for a range, the in-range
+    /// nodes; for a directed walk, every candidate along each path.
+    hits: Vec<*mut Node<K, V>>,
+    /// The first edge of `edges` whose child the walk has not visited.
+    next: usize,
+}
+
+impl<K, V> Default for ScanWalk<K, V> {
     fn default() -> Self {
         Self {
             edges: Vec::new(),
             hits: Vec::new(),
-            frames: Vec::new(),
+            next: 0,
         }
     }
 }
 
-impl<K, V> ScanAttempt<K, V> {
-    fn is_empty(&self) -> bool {
-        self.edges.is_empty() && self.hits.is_empty() && self.frames.is_empty()
-    }
-
-    /// Empties the buffers for the next walk, keeping at most
+impl<K, V> ScanWalk<K, V> {
+    /// Empties the buffers for the next read, keeping at most
     /// [`WALK_BUF_RETAIN`] entries of capacity in each.
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.edges.clear();
         self.edges.shrink_to(WALK_BUF_RETAIN);
         self.hits.clear();
         self.hits.shrink_to(WALK_BUF_RETAIN);
-        self.frames.clear();
-        self.frames.shrink_to(WALK_BUF_RETAIN);
+        self.next = 0;
     }
 
-    /// Loads and records `parent`'s `dir` edge, returning the child.
+    /// The larger of the two buffers' capacities, in entries.
+    pub(crate) fn capacity(&self) -> usize {
+        self.edges.capacity().max(self.hits.capacity())
+    }
+
+    /// Loads and records `parent`'s `dir` edge, prefetching a live child
+    /// for the visit [`run`](Self::run) will make to it.
     ///
     /// # Safety
     ///
     /// `parent` must be a valid node.
-    unsafe fn record_edge(&mut self, parent: *mut Node<K, V>, dir: Dir) -> *mut Node<K, V> {
+    unsafe fn record_edge(&mut self, parent: *mut Node<K, V>, dir: Dir) {
         // SAFETY: valid per contract.
         let child = unsafe { (*parent).child(dir) };
         if child.is_null() {
@@ -480,9 +503,9 @@ impl<K, V> ScanAttempt<K, V> {
             let tag = unsafe { (*parent).tag(dir) };
             self.edges.push(ScanEdge::Null { parent, dir, tag });
         } else {
+            Node::prefetch(child);
             self.edges.push(ScanEdge::Live { parent, dir, child });
         }
-        child
     }
 
     /// Re-checks every recorded edge; `true` means none moved since it was
@@ -497,251 +520,157 @@ impl<K, V> ScanAttempt<K, V> {
     ///
     /// # Safety
     ///
-    /// Every recorded node must still be allocated: the read-side section
-    /// and pin the attempt was collected under must still be held.
+    /// Every recorded node must still be allocated: the read-side sections
+    /// and pins the walk was collected under must still be held.
     pub(crate) unsafe fn validate(&self) -> bool {
-        self.edges.iter().all(|edge| match *edge {
-            ScanEdge::Live { parent, dir, child } => {
-                // SAFETY: allocated per contract.
-                unsafe { (*parent).child(dir) == child && !(*child).is_marked() }
-            }
-            ScanEdge::Null { parent, dir, tag } => {
-                // SAFETY: allocated per contract.
-                unsafe { (*parent).child(dir).is_null() && (*parent).tag(dir) == tag }
-            }
-        })
+        // The mutant is a test-only planted bug (chaos builds only):
+        // skipping validation can tear the read across a concurrent
+        // update — the exploration suite must find the resulting
+        // non-linearizable result.
+        chaos::mutant_enabled("citrus/scan/skip-validation")
+            || self.edges.iter().all(|edge| match *edge {
+                ScanEdge::Live { parent, dir, child } => {
+                    // SAFETY: allocated per contract.
+                    unsafe { (*parent).child(dir) == child && !(*child).is_marked() }
+                }
+                ScanEdge::Null { parent, dir, tag } => {
+                    // SAFETY: allocated per contract.
+                    unsafe { (*parent).child(dir).is_null() && (*parent).tag(dir) == tag }
+                }
+            })
     }
 
-    /// Whether the attempt recorded any candidate hit. Safe: only the hit
-    /// list's emptiness is inspected, no node is dereferenced — the forest's
-    /// widening directed probe uses this to decide whether to stop before
-    /// the attempt has been validated.
+    /// Whether the walk recorded any hit. Safe: only the hit list's
+    /// emptiness is inspected, no node is dereferenced — the forest's
+    /// widening directed probe uses this to decide whether to enter
+    /// another shard.
     pub(crate) fn has_candidate(&self) -> bool {
         !self.hits.is_empty()
     }
 }
 
-impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
-    /// Clones the matched entries of `attempts`, walks of trees whose key
-    /// sets are disjoint, into one ascending list: a k-way merge of the
-    /// attempts' hit lists, which are each ascending, that needs no heap
-    /// or buffer beyond the result. It collapses the adjacent duplicate
-    /// the two-child delete's replacement window can expose: between
-    /// splice and unlink, the replacement copy and the old successor both
-    /// carry the successor's key *and value*, and sit next to each other
-    /// in visit order. The hit lists are consumed.
+impl<K: Ord, V> ScanWalk<K, V> {
+    /// Visits every pending node, breadth-first across all entered trees,
+    /// until none is left.
     ///
     /// # Safety
     ///
-    /// As for [`validate`](Self::validate), for every attempt.
-    pub(crate) unsafe fn merge_entries(attempts: &mut [Self]) -> Vec<(K, V)> {
-        let total = attempts.iter().map(|a| a.hits.len()).sum();
-        let mut out: Vec<(K, V)> = Vec::with_capacity(total);
-        // Reversed, each list pops its least remaining hit from the end.
-        for attempt in attempts.iter_mut() {
-            attempt.hits.reverse();
-        }
-        loop {
-            let mut least: Option<(usize, &(K, V))> = None;
-            for (i, attempt) in attempts.iter().enumerate() {
-                if let Some(&hit) = attempt.hits.last() {
-                    // SAFETY: allocated per contract; hits are real
-                    // (non-sentinel) nodes, whose key and value never
-                    // change after construction.
-                    let entry = unsafe { (*hit).entry.as_ref() }.expect("hits carry real entries");
-                    if least.is_none_or(|(_, best)| entry.0 < best.0) {
-                        least = Some((i, entry));
-                    }
-                }
-            }
-            let Some((i, (key, value))) = least else {
-                return out;
-            };
-            attempts[i].hits.pop();
-            if out.last().is_some_and(|(k, _)| k == key) {
-                continue;
-            }
-            out.push((key.clone(), value.clone()));
-        }
-    }
-
-    /// Clones the single candidate entry (successor / predecessor probes
-    /// record at most one hit).
-    ///
-    /// # Safety
-    ///
-    /// As for [`validate`](Self::validate).
-    pub(crate) unsafe fn candidate(&self) -> Option<(K, V)> {
-        self.hits.last().map(|&hit| {
-            // SAFETY: as in `entries`.
-            let node = unsafe { &*hit };
-            node.entry.clone().expect("candidates carry real entries")
-        })
-    }
-}
-
-/// What an ordered-read walk is looking for.
-enum WalkQuery<'q, K> {
-    /// Every node with `lo <= key <= hi`, in order.
-    Range { lo: &'q K, hi: &'q K },
-    /// The nearest real key strictly beyond `key` on `side`.
-    Directed { key: &'q K, side: Dir },
-}
-
-/// In-order walk frames: descend left first, then emit and go right.
-/// A directed walk only ever uses `Enter`.
-enum Frame<K, V> {
-    Enter(*mut Node<K, V>),
-    Visit(*mut Node<K, V>),
-}
-
-/// A resumable ordered-read traversal of one tree: the only range-walk
-/// implementation, shared by the single tree and the forest.
-///
-/// Each [`step`](Self::step) advances until it has recorded one new
-/// non-null child edge, prefetches that child, and returns — so a forest
-/// fan-out can step every shard's walk round-robin and keep one cache
-/// miss per shard in flight instead of taking the shards' dependent miss
-/// chains one after another. A single tree just runs the walk to
-/// completion ([`finish`](Self::finish)). Either way each walk records
-/// exactly the same edges and hits in the same order; only the order of
-/// reads *across* walks changes, and joint validation needs no order
-/// among the reads — only that all of them precede every re-check
-/// (DESIGN.md §6i).
-pub(crate) struct ScanWalk<'q, K, V> {
-    query: WalkQuery<'q, K>,
-    attempt: ScanAttempt<K, V>,
-}
-
-impl<'q, K: Ord, V> ScanWalk<'q, K, V> {
-    /// Starts a walk at `start` that records into `attempt`, a session's
-    /// emptied walk buffers.
-    fn new(
-        query: WalkQuery<'q, K>,
-        start: Option<*mut Node<K, V>>,
-        mut attempt: ScanAttempt<K, V>,
-    ) -> Self {
-        debug_assert!(attempt.is_empty(), "walk buffers are recycled empty");
-        attempt.frames.extend(start.map(Frame::Enter));
-        Self { query, attempt }
-    }
-
-    /// Advances the walk until it records a new non-null child edge (or
-    /// runs out of frames). Returns `true` while work remains; stepping a
-    /// finished walk is a cheap no-op returning `false`.
-    ///
-    /// # Safety
-    ///
-    /// The read-side context of the session that started the walk
-    /// ([`CitrusSession::ordered_read_enter`]) must have been held
-    /// continuously since the walk started.
-    pub(crate) unsafe fn step(&mut self) -> bool {
-        while let Some(frame) = self.attempt.frames.pop() {
-            // SAFETY: every frame's pointer was read from a live edge
-            // inside the read-side section the caller has held since, so
-            // it stays allocated (Leak never frees; Epoch is covered by
-            // the caller's pin).
-            let child = unsafe { self.advance(frame) };
-            if !child.is_null() {
-                Node::prefetch(child);
-                self.attempt.frames.push(Frame::Enter(child));
-                return true;
+    /// As for [`visit`](Self::visit), for every entered tree.
+    pub(crate) unsafe fn run(&mut self, query: &WalkQuery<'_, K>) {
+        while let Some(edge) = self.edges.get(self.next) {
+            self.next += 1;
+            if let ScanEdge::Live { child, .. } = *edge {
+                // SAFETY: `child` was read from a live edge inside the
+                // read-side context the caller has held since, so it stays
+                // allocated (Leak never frees; Epoch is covered by the pin).
+                unsafe { self.visit(child, query) };
             }
         }
-        false
     }
 
-    /// Processes one frame and returns the child edge it crossed (null
-    /// when it crossed none, or crossed a null edge).
+    /// Records the edges and the hit `query` needs from node `n`. Visiting
+    /// a tree's root sentinel adds that tree to the walk.
     ///
     /// # Safety
     ///
-    /// The frame's node must still be allocated (see [`step`](Self::step)).
-    unsafe fn advance(&mut self, frame: Frame<K, V>) -> *mut Node<K, V> {
+    /// `n` must be a root sentinel, or a node this walk recorded, of a
+    /// tree whose read-side context — a session's RCU read lock and, in
+    /// `Epoch` mode, its EBR pin — is held from the tree's first read
+    /// until the walk has been validated and extracted.
+    pub(crate) unsafe fn visit(&mut self, n: *mut Node<K, V>, query: &WalkQuery<'_, K>) {
+        chaos::point!("citrus/scan/step");
         // SAFETY: valid per contract; `record_edge` reads only `n`.
         unsafe {
-            match (frame, &self.query) {
-                (Frame::Enter(n), &WalkQuery::Range { lo, .. }) => {
-                    chaos::point!("citrus/scan/step");
-                    self.attempt.frames.push(Frame::Visit(n));
+            let node = &*n;
+            match *query {
+                WalkQuery::Range { lo, hi } => {
+                    let vs_lo = node.cmp_key(lo);
+                    let vs_hi = node.cmp_key(hi);
                     // Keys below `n` can only matter when n.key > lo
                     // (sentinels prune themselves: −∞ is never greater,
                     // so the root's left edge is skipped).
-                    if (*n).cmp_key(lo) == CmpOrdering::Greater {
-                        self.attempt.record_edge(n, Dir::Left)
-                    } else {
-                        ptr::null_mut()
+                    if vs_lo == CmpOrdering::Greater {
+                        self.record_edge(n, Dir::Left);
                     }
-                }
-                (Frame::Visit(n), &WalkQuery::Range { lo, hi }) => {
-                    let node = &*n;
                     // Sentinels compare outside every [lo, hi].
-                    if node.cmp_key(lo) != CmpOrdering::Less
-                        && node.cmp_key(hi) != CmpOrdering::Greater
-                    {
-                        self.attempt.hits.push(n);
+                    if vs_lo != CmpOrdering::Less && vs_hi != CmpOrdering::Greater {
+                        self.hits.push(n);
                     }
                     // Keys above `n` can only matter when n.key < hi.
-                    if node.cmp_key(hi) == CmpOrdering::Less {
-                        self.attempt.record_edge(n, Dir::Right)
-                    } else {
-                        ptr::null_mut()
+                    if vs_hi == CmpOrdering::Less {
+                        self.record_edge(n, Dir::Right);
                     }
                 }
-                (Frame::Enter(n), &WalkQuery::Directed { key, side }) => {
-                    chaos::point!("citrus/scan/step");
-                    let cmp = (*n).cmp_key(key);
+                WalkQuery::Directed { key, side } => {
+                    let cmp = node.cmp_key(key);
                     // Successor: any node with key > probe is a candidate,
                     // and the search continues left toward smaller ones;
                     // otherwise right. Predecessor is the mirror image.
                     // Sentinels steer the walk but never become candidates.
-                    let toward_probe = if side == Dir::Right {
-                        cmp == CmpOrdering::Greater
-                    } else {
-                        cmp == CmpOrdering::Less
+                    let (toward_probe, back) = match side {
+                        Dir::Right => (cmp == CmpOrdering::Greater, Dir::Left),
+                        Dir::Left => (cmp == CmpOrdering::Less, Dir::Right),
                     };
-                    let dir = if toward_probe {
-                        if (*n).as_key().is_some() {
-                            self.attempt.hits.clear();
-                            self.attempt.hits.push(n);
-                        }
-                        if side == Dir::Right {
-                            Dir::Left
-                        } else {
-                            Dir::Right
-                        }
-                    } else {
-                        side
-                    };
-                    self.attempt.record_edge(n, dir)
-                }
-                (Frame::Visit(_), WalkQuery::Directed { .. }) => {
-                    unreachable!("directed walks push only Enter frames")
+                    if toward_probe && node.as_key().is_some() {
+                        self.hits.push(n);
+                    }
+                    self.record_edge(n, if toward_probe { back } else { side });
                 }
             }
         }
     }
+}
 
-    /// Steps the walk to completion and hands back the collected,
-    /// not-yet-validated attempt, whose buffers go back to the session
-    /// through [`CitrusSession::recycle`] once it has been used.
+impl<K: Ord + Clone, V: Clone> ScanWalk<K, V> {
+    /// Clones the hits' entries into one ascending list: gather, sort by
+    /// key, dedup. The breadth-first walk leaves its hits in no key order,
+    /// and a forest's shards add more lists of them; sorting costs less
+    /// than keeping them ordered. Dedup collapses the duplicate the
+    /// two-child delete's replacement window can expose: between splice
+    /// and unlink, the replacement copy and the old successor both carry
+    /// the successor's key *and value*, so the pair is adjacent after the
+    /// sort and either copy is the right entry.
     ///
     /// # Safety
     ///
-    /// As for [`step`](Self::step).
-    pub(crate) unsafe fn finish(mut self) -> ScanAttempt<K, V> {
-        // SAFETY: forwarded to the caller's contract.
-        while unsafe { self.step() } {}
-        self.attempt
+    /// As for [`validate`](Self::validate).
+    pub(crate) unsafe fn entries(&self) -> Vec<(K, V)> {
+        let mut out: Vec<(K, V)> = self
+            .hits
+            .iter()
+            // SAFETY: allocated per contract; hits are real (non-sentinel)
+            // nodes, whose entry never changes after construction.
+            .map(|&hit| unsafe { (*hit).entry.clone() }.expect("hits carry real entries"))
+            .collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.dedup_by(|a, b| a.0 == b.0);
+        out
     }
-}
 
-/// Read-side guards for one ordered-read attempt: the session's EBR pin
-/// (`Epoch` mode) plus its RCU read lock, bundled so the forest can hold
-/// one per shard for the whole fan-out's collect-then-validate window.
-pub(crate) struct OrderedReadGuard<'s, 't, F: RcuFlavor> {
-    _pin: Option<EbrGuard<'s, 't>>,
-    _rcu: RcuReadGuard<'s, F::Handle<'t>>,
+    /// Clones a directed walk's answer: the least candidate recorded when
+    /// `side` is `Dir::Right` (successor), the greatest when it is
+    /// `Dir::Left` (predecessor). Along one tree's path each new
+    /// candidate is nearer the probe, so this is each tree's answer and
+    /// the best across all entered trees.
+    ///
+    /// # Safety
+    ///
+    /// As for [`validate`](Self::validate).
+    pub(crate) unsafe fn nearest(&self, side: Dir) -> Option<(K, V)> {
+        let mut best: Option<&(K, V)> = None;
+        for &hit in &self.hits {
+            // SAFETY: as in `entries`.
+            let entry = unsafe { (*hit).entry.as_ref() }.expect("candidates carry real entries");
+            let nearer = best.is_none_or(|b| match side {
+                Dir::Right => entry.0 < b.0,
+                Dir::Left => entry.0 > b.0,
+            });
+            if nearer {
+                best = Some(entry);
+            }
+        }
+        best.cloned()
+    }
 }
 
 /// The paper's `validate` (lines 33–38): all checks are on locked nodes'
@@ -838,144 +767,93 @@ where
         !curr.is_null()
     }
 
-    /// Enters the read-side context ordered reads traverse under — the
-    /// EBR pin (`Epoch` mode) and the RCU read lock — bundled so the
-    /// forest can hold one per shard across a fan-out scan.
-    pub(crate) fn ordered_read_enter(&self) -> OrderedReadGuard<'_, 't, F> {
-        OrderedReadGuard {
-            _pin: self.ebr.as_ref().map(|h| h.pin()),
-            _rcu: self.rcu.read_lock(),
-        }
-    }
-
-    /// Starts an in-order walk over `[lo, hi]` that records every
-    /// traversed edge and every in-range node. Collection only — the
-    /// caller steps the walk (possibly interleaved with other shards'
-    /// walks) and validates afterwards.
-    ///
-    /// Must be stepped inside this session's read-side context
-    /// ([`ordered_read_enter`](Self::ordered_read_enter)).
-    pub(crate) fn range_walk<'q>(&self, lo: &'q K, hi: &'q K) -> ScanWalk<'q, K, V> {
-        debug_assert!(self.rcu.in_read_section());
-        // An empty span starts finished: there is nothing to traverse.
-        let start = if lo > hi { None } else { Some(self.tree.root) };
-        ScanWalk::new(WalkQuery::Range { lo, hi }, start, self.walk_bufs.take())
-    }
-
-    /// Starts a walk down the successor (`side == Dir::Right`) or
-    /// predecessor (`side == Dir::Left`) search path for `key`, recording
-    /// every traversed edge; the attempt's hit list ends holding the
-    /// candidate — the nearest real key strictly beyond the probe — if one
-    /// exists.
-    ///
-    /// Must be stepped inside this session's read-side context, like
-    /// [`range_walk`](Self::range_walk).
-    pub(crate) fn directed_walk<'q>(&self, key: &'q K, side: Dir) -> ScanWalk<'q, K, V> {
-        debug_assert!(self.rcu.in_read_section());
-        ScanWalk::new(
-            WalkQuery::Directed { key, side },
-            Some(self.tree.root),
-            self.walk_bufs.take(),
-        )
-    }
-
-    /// Hands a walk's buffers back, emptied, for this session's next
-    /// ordered read. Called after extraction on the validated path and
-    /// on the restart path alike. A walk whose buffers never come back
-    /// (a panic during extraction) costs only an allocation: the next
-    /// walk then starts from empty buffers.
-    pub(crate) fn recycle(&self, mut attempt: ScanAttempt<K, V>) {
-        attempt.reset();
-        self.walk_bufs.set(attempt);
-    }
-
-    /// Runs one ordered read to a validated completion: collect inside
-    /// the read-side context, validate every crossed edge, extract —
+    /// Runs one ordered read to a validated completion: walk inside the
+    /// read-side context, validate every crossed edge, extract —
     /// restarting from scratch whenever a concurrent update moved one.
     /// Restarts are bounded by interference: each one implies a
     /// concurrent update completed inside the attempt's window (DESIGN.md
     /// §6i), the same progress argument as the updaters' retry loops.
-    fn ordered_read<'q, T>(
+    ///
+    /// The walk buffers come from the session and go back to it reset; a
+    /// read whose buffers never come back (a panic during extraction)
+    /// costs only an allocation: the next read starts from empty buffers.
+    fn ordered_read<T>(
         &self,
-        walk: impl Fn(&Self) -> ScanWalk<'q, K, V>,
-        extract: impl Fn(&mut ScanAttempt<K, V>) -> T,
-    ) -> T
-    where
-        K: 'q,
-    {
+        query: WalkQuery<'_, K>,
+        extract: impl Fn(&ScanWalk<K, V>) -> T,
+    ) -> T {
+        let mut walk = self.walk.take();
         loop {
             let out = {
-                let _guard = self.ordered_read_enter();
-                // SAFETY: `_guard` has held this session's read-side
-                // context since before the walk started.
-                let mut attempt = unsafe { walk(self).finish() };
+                let _pin = self.ebr.as_ref().map(|h| h.pin());
+                let _guard = self.rcu.read_lock();
+                // SAFETY: the guards hold this session's read-side context
+                // from before the walk's first read until after extraction.
+                unsafe {
+                    walk.visit(self.tree.root, &query);
+                    walk.run(&query);
+                }
                 chaos::point!("citrus/scan/validate");
-                // The mutant is a test-only planted bug (chaos builds
-                // only): skipping validation can tear the read across a
-                // concurrent update — the exploration suite must find the
-                // resulting non-linearizable result.
-                // SAFETY: `_guard` still holds the read-side section and
-                // pin `collect` ran under.
-                let out = if chaos::mutant_enabled("citrus/scan/skip-validation")
-                    || unsafe { attempt.validate() }
-                {
-                    Some(extract(&mut attempt))
-                } else {
-                    None
-                };
-                self.recycle(attempt);
-                out
+                // SAFETY: as above.
+                unsafe { walk.validate() }.then(|| extract(&walk))
             };
-            match out {
-                Some(value) => {
-                    self.tree.metrics.record_scan_op(self.stripe);
-                    return value;
-                }
-                None => {
-                    self.stats
-                        .scan_restarts
-                        .set(self.stats.scan_restarts.get() + 1);
-                    self.tree.metrics.record_scan_restart(self.stripe);
-                    chaos::point!("citrus/scan/restart");
-                }
+            walk.reset();
+            if let Some(value) = out {
+                self.walk.set(walk);
+                self.tree.metrics.record_scan_op(self.stripe);
+                return value;
             }
+            self.stats
+                .scan_restarts
+                .set(self.stats.scan_restarts.get() + 1);
+            self.tree.metrics.record_scan_restart(self.stripe);
+            chaos::point!("citrus/scan/restart");
         }
     }
 
     /// Every `(key, value)` pair with `lo <= key <= hi`, in ascending key
-    /// order, observed atomically: after the in-order walk, every crossed
-    /// edge is re-checked — all reads precede all re-checks, so success
-    /// means the whole traversed region existed at one instant, the
-    /// scan's linearization point — and the walk restarts when a
-    /// concurrent update interfered (DESIGN.md §6i).
+    /// order, observed atomically: after the walk, every crossed edge is
+    /// re-checked — all reads precede all re-checks, so success means the
+    /// whole traversed region existed at one instant, the scan's
+    /// linearization point — and the walk restarts when a concurrent
+    /// update interfered (DESIGN.md §6i).
     pub fn range_scan(&mut self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        self.ordered_read(
-            |s| s.range_walk(lo, hi),
-            // SAFETY: `ordered_read` extracts under its read-side guard.
-            |attempt| unsafe { ScanAttempt::merge_entries(core::slice::from_mut(attempt)) },
-        )
+        // SAFETY: `ordered_read` extracts under its read-side guard.
+        self.ordered_read(WalkQuery::Range { lo, hi }, |walk| unsafe {
+            walk.entries()
+        })
     }
 
     /// The entry with the least key strictly greater than `key`, observed
     /// atomically (validated traversal, as in
     /// [`range_scan`](Self::range_scan)).
     pub fn successor(&mut self, key: &K) -> Option<(K, V)> {
-        self.ordered_read(
-            |s| s.directed_walk(key, Dir::Right),
-            // SAFETY: `ordered_read` extracts under its read-side guard.
-            |attempt| unsafe { attempt.candidate() },
-        )
+        self.nearest(key, Dir::Right)
     }
 
     /// The entry with the greatest key strictly less than `key`, observed
     /// atomically (validated traversal, as in
     /// [`range_scan`](Self::range_scan)).
     pub fn predecessor(&mut self, key: &K) -> Option<(K, V)> {
-        self.ordered_read(
-            |s| s.directed_walk(key, Dir::Left),
-            // SAFETY: `ordered_read` extracts under its read-side guard.
-            |attempt| unsafe { attempt.candidate() },
-        )
+        self.nearest(key, Dir::Left)
+    }
+
+    /// The nearest entry strictly beyond `key` on `side`.
+    fn nearest(&mut self, key: &K, side: Dir) -> Option<(K, V)> {
+        // SAFETY: `ordered_read` extracts under its read-side guard.
+        self.ordered_read(WalkQuery::Directed { key, side }, |walk| unsafe {
+            walk.nearest(side)
+        })
+    }
+
+    /// Capacity, in entries, the session's walk buffers keep between
+    /// ordered reads: at most [`WALK_BUF_RETAIN`].
+    #[doc(hidden)]
+    pub fn walk_capacity(&self) -> usize {
+        let walk = self.walk.take();
+        let capacity = walk.capacity();
+        self.walk.set(walk);
+        capacity
     }
 
     /// The paper's `insert` (lines 21–32). Returns `true` iff `key` was
@@ -1203,6 +1081,30 @@ where
                     }
                 }
             }
+        }
+    }
+}
+
+impl<K, V, F: RcuFlavor> CitrusSession<'_, K, V, F> {
+    /// Enters the read-side context ordered reads walk under — the EBR
+    /// pin (`Epoch` mode), then the RCU read lock — and returns the tree's
+    /// root sentinel. Pair with exactly one
+    /// [`read_side_exit`](Self::read_side_exit): a forest fan-out holds
+    /// several shards' contexts at once and releases them together.
+    pub(crate) fn read_side_enter(&self) -> *mut Node<K, V> {
+        if let Some(ebr) = &self.ebr {
+            ebr.raw_pin();
+        }
+        self.rcu.raw_read_lock();
+        self.tree.root
+    }
+
+    /// Leaves the context [`read_side_enter`](Self::read_side_enter)
+    /// entered.
+    pub(crate) fn read_side_exit(&self) {
+        self.rcu.raw_read_unlock();
+        if let Some(ebr) = &self.ebr {
+            ebr.raw_unpin();
         }
     }
 }

@@ -462,7 +462,7 @@ fn range_forest_torn_scan_sweep_is_clean_with_validation() {
 // ---- Hash-routed forest: full fan-out windows (DESIGN.md §6i) ---------
 
 /// A 2-shard *hash* forest: every ordered read fans out to both shards
-/// and steps their walks round-robin before validating them jointly.
+/// and walks them together before validating them jointly.
 fn make_hash_forest() -> Forest {
     Forest::with_config(2, 0, ReclaimMode::Leak)
 }

@@ -5,7 +5,10 @@
 //! top-level `linearizability.rs` scan battery and the explore-window
 //! suite; this file pins the single-threaded semantics and accounting.
 
-use citrus::{even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
+use citrus::{
+    even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu,
+    WALK_BUF_RETAIN,
+};
 use citrus_api::testkit::SplitMix64;
 use citrus_api::OrderedMapSession;
 use std::collections::BTreeMap;
@@ -266,4 +269,142 @@ fn long_lived_sessions_reuse_walk_buffers_correctly() {
     let range: CitrusForest<u64, u64> =
         CitrusForest::with_range_router(even_splitters(8, 3 * REUSE_KEYS));
     reuse_run("range forest", &mut range.session());
+}
+
+/// Keys of the tree-shape battery: enough that a full-range scan
+/// outgrows the walk buffers' retention cap.
+const SHAPE_KEYS: u64 = 1_500;
+
+/// The insertion orders of the tree-shape battery. Ascending and
+/// descending inserts build one-sided trees (depth = key count, in every
+/// shard of a forest too); random inserts build bushy ones, whose
+/// full-range frontier is a whole tree level.
+fn shaped_keys(shape: &str) -> Vec<u64> {
+    // Keys spaced 7 apart from 3, so that every probe can fall on a key
+    // or between two, plus both `u64` extremes.
+    let mut keys: Vec<u64> = (0..SHAPE_KEYS).map(|i| 3 + 7 * i).collect();
+    keys.insert(0, 0);
+    keys.push(u64::MAX);
+    match shape {
+        "ascending" => {}
+        "descending" => keys.reverse(),
+        _ => {
+            let mut rng = SplitMix64::new(0x5AA9E);
+            for i in (1..keys.len()).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                keys.swap(i, j);
+            }
+        }
+    }
+    keys
+}
+
+/// Fills `s` with `keys` in order, then checks full-range scans, spans
+/// touching 0 and `u64::MAX`, inverted spans and probes beyond both ends
+/// against a `BTreeMap`; ends with a full-range scan.
+fn shape_run(name: &str, keys: &[u64], s: &mut impl OrderedMapSession<u64, u64>) {
+    let mut oracle = BTreeMap::new();
+    for &k in keys {
+        assert!(s.insert(k, k ^ 0xA5), "{name}: insert {k}");
+        oracle.insert(k, k ^ 0xA5);
+    }
+    let last = 3 + 7 * (SHAPE_KEYS - 1);
+    let mut spans = vec![
+        (0, u64::MAX),
+        (0, 0),
+        (u64::MAX, u64::MAX),
+        (1, u64::MAX - 1),
+        (last, u64::MAX),
+        (last + 1, u64::MAX),
+        (0, 3),
+        (1, 2),
+        (u64::MAX, 0),
+        (11, 10),
+    ];
+    let mut rng = SplitMix64::new(0x5BA7);
+    for _ in 0..60 {
+        let lo = rng.below(last + 8);
+        let width = [0, 1, 6, 7, 64, 700][rng.below(6) as usize];
+        spans.push((lo, lo.saturating_add(width)));
+        spans.push((0, lo));
+        spans.push((lo, u64::MAX));
+    }
+    for (lo, hi) in spans {
+        assert_eq!(
+            s.range_scan(&lo, &hi),
+            oracle_scan(&oracle, lo, hi),
+            "{name}: range_scan [{lo}, {hi}]"
+        );
+    }
+    let mut probes = vec![
+        0,
+        1,
+        2,
+        3,
+        4,
+        last - 1,
+        last,
+        last + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    probes.extend((0..60).map(|_| rng.below(last + 8)));
+    for key in probes {
+        assert_eq!(
+            s.successor(&key),
+            oracle_successor(&oracle, key),
+            "{name}: successor {key}"
+        );
+        assert_eq!(
+            s.predecessor(&key),
+            oracle_predecessor(&oracle, key),
+            "{name}: predecessor {key}"
+        );
+    }
+    assert_eq!(
+        s.range_scan(&0, &u64::MAX).len(),
+        keys.len(),
+        "{name}: final full scan"
+    );
+}
+
+#[test]
+fn wide_frontiers_and_one_sided_trees_match_a_btreemap() {
+    for shape in ["ascending", "descending", "random"] {
+        let keys = shaped_keys(shape);
+        // A handful of the keys, in the same order: spread over 64 hash
+        // shards, most shards stay empty.
+        let few: Vec<u64> = keys.iter().copied().filter(|k| k % 211 == 3).collect();
+
+        let tree: CitrusTree<u64, u64> = CitrusTree::new();
+        let mut s = tree.session();
+        shape_run(&format!("tree, {shape}"), &keys, &mut s);
+        assert!(s.walk_capacity() <= WALK_BUF_RETAIN, "tree, {shape}");
+
+        // Every key below the first splitter: seven of eight shards empty.
+        let lopsided: Vec<u64> = (1..8).map(|i| (1 << 40) * i).collect();
+        for (name, forest, keys) in [
+            ("hash forest", CitrusForest::with_shards(8), &keys),
+            (
+                "range forest",
+                CitrusForest::with_range_router(even_splitters(8, 3 + 7 * SHAPE_KEYS)),
+                &keys,
+            ),
+            (
+                "lopsided range forest",
+                CitrusForest::with_range_router(lopsided),
+                &keys,
+            ),
+            (
+                "sparse 64-shard hash forest",
+                CitrusForest::with_shards(64),
+                &few,
+            ),
+        ] {
+            let forest: CitrusForest<u64, u64> = forest;
+            let mut s = forest.session();
+            shape_run(&format!("{name}, {shape}"), keys, &mut s);
+            assert!(s.walk_capacity() <= WALK_BUF_RETAIN, "{name}, {shape}");
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! Heap allocations per ordered read on a warmed session (DESIGN.md §6i,
-//! *Reused walk buffers*): a single-tree `range_scan` allocates only its
-//! result, an 8-shard hash-forest `range_scan` a handful of vectors of
-//! shard length besides, and `successor`/`predecessor` no more than that.
-//! None of these counts may grow with the span or with the tree.
+//! *Reused walk buffers*): a `range_scan`, on a single tree or an 8-shard
+//! hash forest, allocates exactly its result, and `successor` /
+//! `predecessor` allocate nothing. None of these counts may grow with the
+//! span or with the tree.
 //!
 //! A single-test binary on purpose: the counting allocator below is
 //! process-global, and only the thread that switches counting on is
@@ -80,8 +80,6 @@ fn worst(limit: u64, mut op: impl FnMut(u64) -> u64) -> u64 {
 
 #[test]
 fn warmed_ordered_reads_allocate_only_their_results() {
-    let mut tree_counts = Vec::new();
-    let mut forest_counts = Vec::new();
     for keys in [4_096u64, 32_768] {
         // Keys are the even numbers below 2 * keys, inserted in a
         // scattered order so the trees are not degenerate.
@@ -113,8 +111,6 @@ fn warmed_ordered_reads_allocate_only_their_results() {
             f.predecessor(&lo);
         }
 
-        let mut tree_row = Vec::new();
-        let mut forest_row = Vec::new();
         for span in SPANS {
             let range = worst(2 * keys, |lo| {
                 allocations(|| t.range_scan(&lo, &(lo + span)))
@@ -123,15 +119,13 @@ fn warmed_ordered_reads_allocate_only_their_results() {
                 range, 1,
                 "tree range_scan (span {span}, {keys} keys) allocates only its result"
             );
-            tree_row.push(range);
             let range = worst(2 * keys, |lo| {
                 allocations(|| f.range_scan(&lo, &(lo + span)))
             });
-            assert!(
-                range <= 5,
-                "forest range_scan (span {span}, {keys} keys): {range} allocations"
+            assert_eq!(
+                range, 1,
+                "forest range_scan (span {span}, {keys} keys) allocates only its result"
             );
-            forest_row.push(range);
         }
         for (name, count) in [
             (
@@ -151,22 +145,8 @@ fn warmed_ordered_reads_allocate_only_their_results() {
                 worst(2 * keys, |k| allocations(|| f.predecessor(&k))),
             ),
         ] {
-            assert!(count <= 4, "{name} ({keys} keys): {count} allocations");
-            if name.starts_with("tree") {
-                // A `(u64, u64)` candidate is returned without allocating.
-                assert_eq!(count, 0, "{name} ({keys} keys): {count} allocations");
-            }
+            // A `(u64, u64)` candidate is returned without allocating.
+            assert_eq!(count, 0, "{name} ({keys} keys): {count} allocations");
         }
-        eprintln!("{keys} keys: tree range_scan {tree_row:?}, forest range_scan {forest_row:?} (spans {SPANS:?})");
-        tree_counts.push(tree_row);
-        forest_counts.push(forest_row);
-    }
-    // Independent of span (within a row) and of tree size (across rows).
-    for counts in [&tree_counts, &forest_counts] {
-        let first = counts[0][0];
-        assert!(
-            counts.iter().flatten().all(|&n| n == first),
-            "allocation counts vary with span or size: {counts:?}"
-        );
     }
 }

@@ -281,6 +281,15 @@ impl<'d> EbrHandle<'d> {
     ///
     /// Pins nest; only the outermost pin touches shared state.
     pub fn pin(&self) -> EbrGuard<'_, 'd> {
+        self.raw_pin();
+        EbrGuard { handle: self }
+    }
+
+    /// Pins the domain without a guard; pair it with exactly one
+    /// [`raw_unpin`](Self::raw_unpin). For a caller that holds pins on
+    /// several domains at once and releases them together. Prefer
+    /// [`pin`](Self::pin).
+    pub fn raw_pin(&self) {
         let depth = self.pin_depth.get();
         self.pin_depth.set(depth + 1);
         if depth == 0 {
@@ -292,7 +301,22 @@ impl<'d> EbrHandle<'d> {
             // shared structure (pairs with collectors' SeqCst scans).
             fence(Ordering::SeqCst);
         }
-        EbrGuard { handle: self }
+    }
+
+    /// Releases one [`raw_pin`](Self::raw_pin).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the handle is not pinned.
+    pub fn raw_unpin(&self) {
+        let depth = self.pin_depth.get();
+        debug_assert!(depth > 0, "raw_unpin without a matching pin");
+        self.pin_depth.set(depth - 1);
+        if depth == 1 {
+            // Order the critical region's accesses before unpinning.
+            fence(Ordering::Release);
+            self.slot.state.store(0, Ordering::Release);
+        }
     }
 
     /// Returns `true` while the calling thread holds at least one pin.
@@ -406,14 +430,7 @@ pub struct EbrGuard<'h, 'd> {
 
 impl Drop for EbrGuard<'_, '_> {
     fn drop(&mut self) {
-        let depth = self.handle.pin_depth.get();
-        debug_assert!(depth > 0);
-        self.handle.pin_depth.set(depth - 1);
-        if depth == 1 {
-            // Order the critical region's accesses before unpinning.
-            fence(Ordering::Release);
-            self.handle.slot.state.store(0, Ordering::Release);
-        }
+        self.handle.raw_unpin();
     }
 }
 

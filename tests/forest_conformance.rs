@@ -48,8 +48,8 @@ fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
         });
         assert_eq!(stats.len, oracle.len_quiescent());
 
-        // Ordered reads must agree too: the forest's k-way merge over
-        // per-shard scans must reproduce the oracle's in-order view.
+        // Ordered reads must agree too: the forest's one walk over all
+        // shards, sorted, must reproduce the oracle's in-order view.
         let mut fs = forest.session();
         let mut os = oracle.session();
         assert_eq!(
@@ -404,8 +404,8 @@ fn routed_shard_is_where_the_key_lives() {
 /// query endpoints reach a little past it.
 const INTERLEAVE_KEY_RANGE: u64 = 1000;
 
-/// Interleaved fan-out equals sequential: a forest's ordered reads
-/// advance their per-shard walks round-robin, so on a quiescent forest
+/// Interleaved fan-out equals sequential: a forest's ordered reads walk
+/// all entered shards together, breadth-first, so on a quiescent forest
 /// every `range_scan` / `successor` / `predecessor` must return exactly
 /// what one tree holding the same entries returns — over seeded random
 /// spans and probes plus the edge cases (inverted span, single-point
