@@ -694,21 +694,20 @@ where
 }
 
 /// Checks the grace-period property end-to-end against an [`RcuFlavor`],
-/// with grace-period *sharing* (piggybacked `synchronize_rcu` returns,
-/// DESIGN.md §6d) exercised whenever `syncers > 1`:
+/// with `syncers` synchronizers running their grace periods concurrently:
 ///
 /// `syncers` threads each repeatedly unpublish a value, call
 /// `synchronize`, and only then mark the value freed. Two reader threads
 /// continuously enter read-side critical sections, load the currently
 /// published value, and assert — both on entry and again just before
 /// leaving the section — that it has not been freed. A `synchronize` that
-/// returns early (e.g. a piggyback riding a grace period that started
-/// before the caller's entry fence) frees a value some still-running
-/// reader observed, and the reader's second assertion fires.
+/// returns before every reader that was inside a section at its entry
+/// has left frees a value some still-running reader observed, and the
+/// reader's second assertion fires.
 ///
 /// Values are never republished, so the assertions are exact, not
 /// heuristic. Run it under an installed [`ChaosPlan`] to sweep schedule
-/// perturbations over the piggyback decision window.
+/// perturbations over the flavor's failpoints.
 ///
 /// # Panics
 ///

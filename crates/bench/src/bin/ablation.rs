@@ -5,21 +5,12 @@
 //! * **D2** — scalable-RCU reader word: single packed word + fence vs two
 //!   separate stores + fence.
 //! * **D3** — reclamation: Citrus in `Leak` mode (paper methodology) vs
-//!   `Epoch` mode (EBR) under the 50%-contains workload. With
-//!   `CITRUS_RCU_NO_SHARING=1` the trees' RCU domains run without
-//!   grace-period sharing.
-//! * **D5** — grace-period sharing: concurrent `synchronize_rcu` callers
-//!   piggybacking on a peer's grace period vs every caller scanning for
-//!   itself, per RCU flavor (both modes, whatever
-//!   `CITRUS_RCU_NO_SHARING` says).
+//!   `Epoch` mode (EBR) under the 50%-contains workload.
 
-use citrus::{CitrusTree, ReclaimMode};
-use citrus_bench::synchronize_storm;
 use citrus_harness::{runner, Algo, BenchConfig, OpMix, WorkloadSpec};
-use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
 use citrus_sync::RawSpinLock;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn bench_ns(label: &str, iters: u32, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -29,22 +20,6 @@ fn bench_ns(label: &str, iters: u32, mut f: impl FnMut()) -> f64 {
     let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
     println!("  {label:<42} {ns:>8.1} ns/op");
     ns
-}
-
-/// Grace-period sharing for D3's RCU domains: off when
-/// `CITRUS_RCU_NO_SHARING` is `1`, `true` or `yes`.
-fn sharing_from_env() -> bool {
-    match std::env::var("CITRUS_RCU_NO_SHARING") {
-        Ok(raw) => match raw.trim() {
-            "1" | "true" | "yes" => false,
-            "" | "0" | "false" | "no" => true,
-            other => {
-                panic!("invalid CITRUS_RCU_NO_SHARING={other:?}: expected 1/true/yes or 0/false/no")
-            }
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(e) => panic!("invalid CITRUS_RCU_NO_SHARING: {e}"),
-    }
 }
 
 fn main() {
@@ -103,57 +78,12 @@ fn main() {
         *cfg.threads.last().unwrap_or(&4),
         cfg.duration,
     );
-    let sharing = sharing_from_env();
-    let reps = cfg.reps.max(1);
-    for (algo, mode) in [
-        (Algo::Citrus, ReclaimMode::Leak),
-        (Algo::CitrusEbr, ReclaimMode::Epoch),
-    ] {
-        // A fresh tree per repetition, as `runner::run_algo` builds them,
-        // but over a domain with the sharing mode picked above.
-        let total: f64 = (0..reps)
-            .map(|rep| {
-                let tree: CitrusTree<u64, u64, ScalableRcu> =
-                    CitrusTree::with_rcu(ScalableRcu::with_sharing(sharing), mode);
-                runner::run_throughput(&tree, &spec, 0xAB1A ^ (rep as u64) << 32).throughput()
-            })
-            .sum();
-        println!("  {:<42} {:>10.0} ops/s", algo.label(), total / reps as f64);
+    for algo in [Algo::Citrus, Algo::CitrusEbr] {
+        let ops_per_s = runner::run_algo(algo, &spec, cfg.reps, 0xAB1A);
+        println!("  {:<42} {ops_per_s:>10.0} ops/s", algo.label());
     }
     println!(
         "\nexpected: Leak (paper methodology) modestly above Epoch — EBR's pin/\n\
          retire bookkeeping is the price of bounded memory.\n"
-    );
-
-    println!("D5 — grace-period sharing (4 concurrent synchronizers, 2 readers):");
-    let dur = Duration::from_millis(match std::env::var("CITRUS_DURATION_MS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_DURATION_MS={raw:?}: {e} (expected milliseconds)")
-        }),
-        Err(std::env::VarError::NotPresent) => 200,
-        Err(e) => panic!("invalid CITRUS_DURATION_MS: {e}"),
-    });
-    fn d5_row<F: RcuFlavor>(label: &str, rcu: &F, dur: Duration) {
-        let cell = synchronize_storm(rcu, 4, 2, dur);
-        println!(
-            "  {label:<42} {:>10.0} sync/s  ({} piggybacked, {} full GPs)",
-            cell.per_sec, cell.piggybacks, cell.grace_periods
-        );
-    }
-    d5_row("scalable, shared", &ScalableRcu::with_sharing(true), dur);
-    d5_row("scalable, unshared", &ScalableRcu::with_sharing(false), dur);
-    d5_row(
-        "global-lock, shared",
-        &GlobalLockRcu::with_sharing(true),
-        dur,
-    );
-    d5_row(
-        "global-lock, unshared",
-        &GlobalLockRcu::with_sharing(false),
-        dur,
-    );
-    println!(
-        "\nexpected: shared above unshared — queued synchronizers return on a\n\
-         peer's grace period instead of scanning for themselves (DESIGN.md §6d)."
     );
 }

@@ -3,22 +3,16 @@
 //!
 //! 1. read-side cost (`rcu_read_lock` + `rcu_read_unlock`) per flavor;
 //! 2. `synchronize_rcu` storm: aggregate completion rate as the number of
-//!    *concurrent* synchronizers grows (up to 8), per flavor, with
-//!    grace-period sharing on and off, plus the piggyback counts that
-//!    explain the difference;
+//!    *concurrent* synchronizers grows (up to 8), per flavor;
 //! 3. validated range-scan storm: linearizable `range_scan` throughput on
 //!    a Citrus tree as updater churn grows, with the validation-restart
 //!    counts that price the guarantee (DESIGN.md §6i).
 //!
 //! The global-lock flavor's synchronize rate should flatten (callers
-//! serialize); the scalable flavor's aggregate rate should not — and with
-//! sharing on, queued callers increasingly return on a peer's grace
-//! period instead of scanning themselves.
+//! serialize); the scalable flavor's aggregate rate should not.
 //!
 //! Results are persisted to `BENCH_rcu_micro.json` (see
-//! `citrus_bench::benchjson`). Set `CITRUS_STORM_REQUIRE_PIGGYBACK=1` to
-//! make the run fail unless the widest sharing-on cell of each flavor
-//! piggybacked at least once (used as a CI smoke assertion).
+//! `citrus_bench::benchjson`).
 
 use citrus_bench::{benchjson, scan_storm, synchronize_storm, ScanCell, StormCell};
 use citrus_rcu::{GlobalLockRcu, RcuFlavor, RcuHandle, ScalableRcu};
@@ -45,37 +39,13 @@ fn read_side_cost<F: RcuFlavor>() -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(ITERS)
 }
 
-/// One storm row: a fresh domain per cell so piggyback/grace-period
-/// deltas are per-cell and earlier cells can't warm later ones.
-fn storm_row<F: RcuFlavor, M: Fn() -> F>(make: M, dur: Duration) -> Vec<StormCell> {
+/// One storm row: a fresh domain per cell so grace-period deltas are
+/// per-cell and earlier cells can't warm later ones.
+fn storm_row<F: RcuFlavor>(dur: Duration) -> Vec<StormCell> {
     SYNCERS
         .iter()
-        .map(|&n| synchronize_storm(&make(), n, READERS, dur))
+        .map(|&n| synchronize_storm(&F::new(), n, READERS, dur))
         .collect()
-}
-
-fn print_row(label: &str, cells: &[StormCell]) {
-    print!("{label:<28}");
-    for c in cells {
-        print!("{:>14.0}", c.per_sec);
-    }
-    print!("   piggybacks:");
-    for c in cells {
-        print!(" {}", c.piggybacks);
-    }
-    println!();
-}
-
-fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(raw) => match raw.trim() {
-            "1" | "true" | "yes" => true,
-            "" | "0" | "false" | "no" => false,
-            other => panic!("invalid {name}={other:?}: expected 1/true/yes or 0/false/no"),
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("invalid {name}: {e}"),
-    }
 }
 
 fn env_duration_ms(default: u64) -> Duration {
@@ -101,43 +71,27 @@ fn main() {
         "\nsynchronize_rcu storm: aggregate completions/s ({READERS} background \
          readers, {dur:?}/cell):"
     );
-    print!("{:<28}", "flavor / sharing \\ syncers");
+    print!("{:<28}", "flavor \\ syncers");
     for n in SYNCERS {
         print!("{n:>14}");
     }
     println!();
 
-    let rows: Vec<(&str, bool, Vec<StormCell>)> = vec![
-        (
-            ScalableRcu::NAME,
-            true,
-            storm_row(|| ScalableRcu::with_sharing(true), dur),
-        ),
-        (
-            ScalableRcu::NAME,
-            false,
-            storm_row(|| ScalableRcu::with_sharing(false), dur),
-        ),
-        (
-            GlobalLockRcu::NAME,
-            true,
-            storm_row(|| GlobalLockRcu::with_sharing(true), dur),
-        ),
-        (
-            GlobalLockRcu::NAME,
-            false,
-            storm_row(|| GlobalLockRcu::with_sharing(false), dur),
-        ),
+    let rows: Vec<(&str, Vec<StormCell>)> = vec![
+        (ScalableRcu::NAME, storm_row::<ScalableRcu>(dur)),
+        (GlobalLockRcu::NAME, storm_row::<GlobalLockRcu>(dur)),
     ];
-    for (name, sharing, cells) in &rows {
-        let label = format!("{name} ({})", if *sharing { "shared" } else { "unshared" });
-        print_row(&label, cells);
+    for (name, cells) in &rows {
+        print!("{name:<28}");
+        for c in cells {
+            print!("{:>14.0}", c.per_sec);
+        }
+        println!();
     }
     println!(
         "\nexpected: the global-lock flavor's rate stays flat or degrades with\n\
          more synchronizers (they serialize); the scalable flavor's aggregate\n\
-         rate grows — the mechanism behind Fig. 8. With sharing on, queued\n\
-         synchronizers piggyback on a peer's grace period (DESIGN.md §6d)."
+         rate grows — the mechanism behind Fig. 8."
     );
 
     println!(
@@ -195,17 +149,16 @@ fn main() {
         dur.as_millis(),
     );
     let mut first = true;
-    for (name, sharing, cells) in &rows {
+    for (name, cells) in &rows {
         for c in cells {
             let _ = write!(
                 json,
-                "{}\n      {{\"flavor\": \"{}\", \"sharing\": {sharing}, \"syncers\": {}, \
-                 \"synchronize_per_s\": {}, \"piggybacks\": {}, \"grace_periods\": {}}}",
+                "{}\n      {{\"flavor\": \"{}\", \"syncers\": {}, \
+                 \"synchronize_per_s\": {}, \"grace_periods\": {}}}",
                 if first { "" } else { "," },
                 benchjson::esc(name),
                 c.syncers,
                 benchjson::num(c.per_sec),
-                c.piggybacks,
                 c.grace_periods,
             );
             first = false;
@@ -240,20 +193,5 @@ fn main() {
     match benchjson::write("rcu_micro", &json) {
         Ok(path) => println!("\n(bench json: {})", path.display()),
         Err(e) => eprintln!("\n(bench json write failed: {e})"),
-    }
-
-    if env_flag("CITRUS_STORM_REQUIRE_PIGGYBACK") {
-        for (name, sharing, cells) in &rows {
-            let widest = cells.last().expect("storm rows are non-empty");
-            if *sharing && widest.piggybacks == 0 {
-                eprintln!(
-                    "CITRUS_STORM_REQUIRE_PIGGYBACK: {name} ran {} syncers with \
-                     sharing on but recorded no piggybacked synchronize calls",
-                    widest.syncers
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("(piggyback smoke check passed: every sharing-on flavor piggybacked)");
     }
 }

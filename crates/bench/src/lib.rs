@@ -87,24 +87,20 @@ pub struct StormCell {
     pub syncers: usize,
     /// Aggregate `synchronize_rcu` completions per second.
     pub per_sec: f64,
-    /// Piggybacked returns during the cell (grace-period sharing hits).
-    pub piggybacks: u64,
     /// Full grace periods run during the cell.
     pub grace_periods: u64,
 }
 
 /// Runs `syncers` threads hammering `synchronize_rcu` on `rcu` for `dur`,
 /// with `readers` background readers keeping scans honest; returns the
-/// aggregate completion rate plus this cell's piggyback and grace-period
-/// deltas. The workhorse behind `rcu_micro`'s storm mode and the D5
-/// grace-period-sharing ablation.
+/// aggregate completion rate plus this cell's grace-period delta. The
+/// workhorse behind `rcu_micro`'s storm mode.
 pub fn synchronize_storm<F: RcuFlavor>(
     rcu: &F,
     syncers: usize,
     readers: usize,
     dur: Duration,
 ) -> StormCell {
-    let piggybacks_before = rcu.synchronize_piggybacks();
     let grace_periods_before = rcu.grace_periods();
     let done = AtomicUsize::new(0);
     let total = AtomicU64::new(0);
@@ -141,7 +137,6 @@ pub fn synchronize_storm<F: RcuFlavor>(
     StormCell {
         syncers,
         per_sec: total.load(Ordering::Relaxed) as f64 / dur.as_secs_f64(),
-        piggybacks: rcu.synchronize_piggybacks() - piggybacks_before,
         grace_periods: rcu.grace_periods() - grace_periods_before,
     }
 }

@@ -425,7 +425,7 @@ mod tests {
     /// tests move it too.
     #[test]
     fn pool_lines_are_reused_across_threads_and_churn() {
-        use crate::{CitrusTree, ReclaimMode, ScalableRcu};
+        use crate::{CitrusTree, ReclaimMode};
         const HANDED_OVER: u64 = 4096;
         const LIVE: u64 = 512;
         const ROUNDS: u64 = 100;
@@ -441,8 +441,7 @@ mod tests {
                 // SAFETY: allocated by the exited thread, never published.
                 unsafe { Node::<u64, u64>::free(p as *mut _) };
             }
-            let tree: CitrusTree<u64, u64> =
-                CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
+            let tree: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
             let mut s = tree.session();
             for k in 0..LIVE {
                 s.insert(k, k);

@@ -114,20 +114,13 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
 
     /// Creates an empty tree with the given reclamation mode.
     pub fn with_reclaim(mode: ReclaimMode) -> Self {
-        Self::with_rcu(F::new(), mode)
-    }
-
-    /// Creates an empty tree over a caller-constructed RCU domain — lets
-    /// tests and ablations pin a domain configuration (e.g.
-    /// `ScalableRcu::with_sharing(false)`).
-    pub fn with_rcu(rcu: F, mode: ReclaimMode) -> Self {
         let inf = Node::new_sentinel(false);
         let root = Node::new_sentinel(true);
         // SAFETY: freshly allocated, exclusively owned until `Self` exists.
         unsafe { (*root).set_child(Dir::Right, inf) };
         Self {
             root,
-            rcu,
+            rcu: F::new(),
             reclaim: match mode {
                 ReclaimMode::Leak => ReclaimInner::Leak(SpinMutex::new(Vec::new())),
                 ReclaimMode::Epoch => ReclaimInner::Epoch(EbrDomain::new()),

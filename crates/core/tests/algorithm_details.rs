@@ -16,7 +16,7 @@ type Tree = CitrusTree<u64, u64, ScalableRcu>;
 /// A tree whose two-child deletes pay the paper's `synchronize_rcu`
 /// (line 74): the tests below assert line-74 accounting.
 fn inline_tree() -> Tree {
-    Tree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch)
+    Tree::with_reclaim(ReclaimMode::Epoch)
 }
 
 /// One synchronize_rcu per two-child delete; none for leaf/one-child

@@ -50,7 +50,7 @@ type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
 const PINNED_INLINE_DELETE_SCHEDULE: &str = "1110";
 
 fn make_inline() -> Tree {
-    Tree::with_rcu(GlobalLockRcu::new(), ReclaimMode::Leak)
+    Tree::with_reclaim(ReclaimMode::Leak)
 }
 
 fn validate(tree: &mut Tree) -> Result<(), String> {
@@ -125,7 +125,7 @@ fn explored_schedule_count_is_stable() {
     );
     if first.completed && second.completed {
         assert_eq!(
-            first.schedules, 21,
+            first.schedules, 20,
             "bound-1 schedule count drifted — a yield point appeared or vanished \
              in the delete window; re-harvest if deliberate"
         );

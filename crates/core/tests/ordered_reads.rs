@@ -79,8 +79,7 @@ fn successor_and_predecessor_are_strict_and_sentinel_safe() {
 
 #[test]
 fn sequential_scans_never_restart_and_are_counted() {
-    let tree: CitrusTree<u64, u64, ScalableRcu> =
-        CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64, ScalableRcu> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     for k in 0..64u64 {
         s.insert(k, k);

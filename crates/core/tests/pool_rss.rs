@@ -10,7 +10,7 @@
 
 #![cfg(target_os = "linux")]
 
-use citrus::{CitrusTree, ReclaimMode, ScalableRcu};
+use citrus::{CitrusTree, ReclaimMode};
 use citrus_api::testkit::SplitMix64;
 
 /// Node lines carved by the test: 256 KiB, well under the 2 MiB a huge
@@ -52,7 +52,7 @@ fn carving_lines_grows_rss_by_the_lines_not_by_huge_pages() {
     let mut rng = SplitMix64::new(0x9001);
     let keys: Vec<u64> = (0..N).map(|_| rng.next_u64()).collect();
     let before = vm_rss();
-    let tree: CitrusTree<u64, u64> = CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     let mut inserted = 0;
     for &k in &keys {

@@ -74,10 +74,11 @@ pub trait RcuFlavor: Send + Sync + Default + 'static {
         0
     }
 
-    /// Number of `synchronize` calls that returned by piggybacking on a
-    /// concurrent caller's completed grace period instead of finishing
-    /// their own reader scan (grace-period sharing, DESIGN.md §6d).
-    /// Counted unconditionally (not gated on the `stats` feature).
+    /// The former count of `synchronize` calls that returned on a peer's
+    /// grace period. Always 0: grace-period sharing was removed and every
+    /// call runs its own grace period. Kept only because the benchmark
+    /// program still calls it; the next change to the benchmark deletes
+    /// it.
     fn synchronize_piggybacks(&self) -> u64 {
         0
     }

@@ -75,47 +75,23 @@ pub struct GlobalLockRcu {
     gp_lock: SpinMutex<()>,
     /// Global grace-period phase, in steps of [`PHASE_ONE`].
     gp_phase: AtomicU64,
-    /// Queued-waiter grace-period sharing enabled (urcu-style; see
-    /// [`Self::with_sharing`]).
-    sharing: bool,
     registry: Registry<ReaderSlot>,
     grace_periods: AtomicU64,
-    /// Piggybacked `synchronize` returns, counted unconditionally.
-    piggybacks: AtomicU64,
     metrics: RcuMetrics,
     watchdog: StallWatchdog,
 }
 
 impl GlobalLockRcu {
-    /// Creates a new domain with no registered threads and grace-period
-    /// sharing on.
+    /// Creates a new domain with no registered threads.
     pub fn new() -> Self {
-        Self::with_sharing(true)
-    }
-
-    /// Creates a new domain with grace-period sharing on or off. With
-    /// sharing on, a caller that
-    /// queued behind `gp_lock` while two full phase flips elapsed returns
-    /// on acquiry without flipping again (liburcu's batching idea);
-    /// semantics are unchanged either way.
-    pub fn with_sharing(sharing: bool) -> Self {
         Self {
             gp_lock: SpinMutex::new(()),
             gp_phase: AtomicU64::new(PHASE_ONE),
-            sharing,
             registry: Registry::new(),
             grace_periods: AtomicU64::new(0),
-            piggybacks: AtomicU64::new(0),
             metrics: RcuMetrics::new(),
             watchdog: StallWatchdog::new(),
         }
-    }
-
-    /// `true` when this domain shares grace periods between queued
-    /// synchronizers.
-    #[must_use]
-    pub fn sharing(&self) -> bool {
-        self.sharing
     }
 }
 
@@ -130,8 +106,6 @@ impl fmt::Debug for GlobalLockRcu {
         f.debug_struct("GlobalLockRcu")
             .field("threads", &self.registry.slot_count())
             .field("grace_periods", &self.grace_periods())
-            .field("sharing", &self.sharing)
-            .field("piggybacks", &self.synchronize_piggybacks())
             .finish()
     }
 }
@@ -166,10 +140,6 @@ impl RcuFlavor for GlobalLockRcu {
 
     fn stall_events(&self) -> u64 {
         self.watchdog.events()
-    }
-
-    fn synchronize_piggybacks(&self) -> u64 {
-        self.piggybacks.load(Ordering::Relaxed)
     }
 
     fn take_stall_diagnostic(&self) -> Option<String> {
@@ -246,36 +216,11 @@ impl RcuHandle for GlobalLockRcuHandle<'_> {
         // Time from before lock acquisition: queueing behind other
         // synchronizers is precisely the latency Fig. 8 is about.
         let stopwatch = Stopwatch::start();
-        // Order the caller's prior stores before the phase snapshot below
-        // (and before the flips, for the non-shared path).
+        // Order the caller's prior stores (e.g. unlinking a node) before
+        // the phase flips.
         fence(Ordering::SeqCst);
-        // Grace-period sharing (DESIGN.md §6d), urcu-style: snapshot the
-        // phase *before* queueing on the lock.
-        let snap = domain
-            .sharing
-            .then(|| domain.gp_phase.load(Ordering::SeqCst));
         // === The global lock: all synchronizers serialize here. ===
         let _gp = domain.gp_lock.lock();
-        if let Some(snap) = snap {
-            // The piggyback decision window for the queued waiter.
-            chaos::point!("rcu-global-lock/synchronize/piggyback-check");
-            if domain.gp_phase.load(Ordering::SeqCst).wrapping_sub(snap) >= 2 * PHASE_ONE {
-                // Two full flips elapsed while we queued. Both started
-                // after our snapshot (their fetch_adds are SeqCst-after our
-                // phase load), and their reader waits completed before the
-                // prior holders released the lock — which happens-before
-                // our acquiry. Every reader in-section at our fence has
-                // exited; return without flipping.
-                drop(_gp);
-                domain.piggybacks.fetch_add(1, Ordering::Relaxed);
-                domain.metrics.record_synchronize_piggyback(self.stripe);
-                domain
-                    .metrics
-                    .record_synchronize(self.stripe, stopwatch.elapsed_ns());
-                domain.metrics.record_scan_slots(0);
-                return;
-            }
-        }
         let own = core::ptr::from_ref::<ReaderSlot>(&self.slot).cast::<u8>();
         // Two phase flips, as in liburcu: a reader may fetch the phase and
         // publish its word a moment later, so one flip can miss it; it
@@ -288,10 +233,11 @@ impl RcuHandle for GlobalLockRcuHandle<'_> {
             chaos::point!("rcu-global-lock/synchronize/phase-flip");
             let new_phase = domain.gp_phase.fetch_add(PHASE_ONE, Ordering::SeqCst) + PHASE_ONE;
             // Order the flip before the reader scan in the SeqCst total
-            // order: a queued waiter that piggybacks on this flip pair
-            // snapshotted the phase before this fetch_add, so readers whose
-            // read-lock fences precede that snapshot also precede this
-            // fence and are therefore observed below with current words.
+            // order, as liburcu does after every flip: a reader whose
+            // read-lock fence precedes this one published its word under
+            // the old phase, and the scan below is then sure to see that
+            // word. A reader that fetched the old phase but publishes it
+            // after this point is what the second flip covers.
             fence(Ordering::SeqCst);
             for (index, slot) in domain.registry.iter().enumerate() {
                 chaos::point!("rcu-global-lock/synchronize/scan-step");
@@ -465,7 +411,7 @@ mod tests {
     /// two flips, so the reader may need to turn over once per flip.
     #[test]
     fn synchronize_returns_when_blocking_reader_reenters() {
-        let rcu = GlobalLockRcu::with_sharing(false);
+        let rcu = GlobalLockRcu::new();
         // The watchdog is the "synchronizer is blocked on us" signal.
         rcu.set_stall_timeout(Some(Duration::from_millis(1)));
         let h = rcu.register();
@@ -500,112 +446,5 @@ mod tests {
             h.raw_read_unlock();
         });
         assert_eq!(rcu.grace_periods(), 1);
-    }
-
-    /// Queued-waiter sharing: while synchronizer A is blocked mid-grace-
-    /// period on a parked reader, B and C queue behind the lock (snapshots
-    /// taken after A's first flip). Once the reader leaves, whichever of
-    /// B/C acquires the lock second sees both the tail of A's grace period
-    /// and the first acquirer's full one — two flip pairs after its
-    /// snapshot — and piggybacks.
-    #[test]
-    fn queued_synchronizers_piggyback() {
-        // The scenario's key ordering — B and C snapshot the phase before
-        // A's grace period completes — is enforced only by the sleep after
-        // `queued` reaches 2 (the increment precedes the snapshot inside
-        // `synchronize`, which is not observable from outside). Under
-        // pathological scheduling both snapshots can land after A's grace
-        // period, so no one piggybacks; retry a few times before calling
-        // that a failure.
-        for attempt in 0.. {
-            let piggybacks = queued_piggyback_scenario();
-            if piggybacks >= 1 {
-                return;
-            }
-            assert!(
-                attempt < 5,
-                "no queued waiter piggybacked in any of 5 attempts"
-            );
-        }
-    }
-
-    /// One run of the three-synchronizer scenario above, on a fresh
-    /// domain; returns the piggyback count.
-    fn queued_piggyback_scenario() -> u64 {
-        let rcu = GlobalLockRcu::with_sharing(true);
-        assert!(rcu.sharing());
-        let reader_in = AtomicBool::new(false);
-        let release_reader = AtomicBool::new(false);
-        let first_flipped = AtomicBool::new(false);
-        let queued = AtomicU64::new(0);
-
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let h = rcu.register();
-                let g = h.read_lock();
-                reader_in.store(true, Ordering::SeqCst);
-                let backoff = Backoff::new();
-                while !release_reader.load(Ordering::SeqCst) {
-                    backoff.snooze();
-                }
-                drop(g);
-            });
-            let phase_at_start = rcu.gp_phase.load(Ordering::SeqCst);
-            s.spawn(|| {
-                let h = rcu.register();
-                let backoff = Backoff::new();
-                while !reader_in.load(Ordering::SeqCst) {
-                    backoff.snooze();
-                }
-                h.synchronize(); // A: blocks on the reader mid-GP
-            });
-            // Wait for A's first flip so B and C snapshot after it.
-            let backoff = Backoff::new();
-            while rcu.gp_phase.load(Ordering::SeqCst) == phase_at_start {
-                backoff.snooze();
-            }
-            first_flipped.store(true, Ordering::SeqCst);
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let h = rcu.register();
-                    let backoff = Backoff::new();
-                    while !first_flipped.load(Ordering::SeqCst) {
-                        backoff.snooze();
-                    }
-                    queued.fetch_add(1, Ordering::SeqCst);
-                    h.synchronize(); // B / C: queue behind A
-                });
-            }
-            // Let B and C take their snapshots and queue behind the lock.
-            let backoff = Backoff::new();
-            while queued.load(Ordering::SeqCst) != 2 {
-                backoff.snooze();
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            release_reader.store(true, Ordering::SeqCst);
-        });
-        // All three callers were satisfied, each either by its own grace
-        // period or by riding a peer's.
-        assert_eq!(rcu.grace_periods() + rcu.synchronize_piggybacks(), 3);
-        rcu.synchronize_piggybacks()
-    }
-
-    /// With sharing off, queued waiters always flip for themselves.
-    #[test]
-    fn unshared_queued_synchronizers_never_piggyback() {
-        let rcu = GlobalLockRcu::with_sharing(false);
-        assert!(!rcu.sharing());
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    let h = rcu.register();
-                    for _ in 0..20 {
-                        h.synchronize();
-                    }
-                });
-            }
-        });
-        assert_eq!(rcu.synchronize_piggybacks(), 0);
-        assert_eq!(rcu.grace_periods(), 60);
     }
 }

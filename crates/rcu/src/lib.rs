@@ -27,12 +27,8 @@
 //! swapping implementations — the whole point of Figure 8 — is a type
 //! parameter.
 //!
-//! Beyond the paper, both flavors *share* grace periods between concurrent
-//! `synchronize_rcu` callers (Linux-`gp_seq`-style piggybacking; see
-//! DESIGN.md §6d): a caller that observes a full grace period started
-//! after its own entry completed by someone else returns without finishing
-//! its own scan. Sharing changes throughput, never semantics; it is on by
-//! default, and a domain built with `with_sharing(false)` turns it off.
+//! Each `synchronize_rcu` call runs its own grace period: neither flavor
+//! lets a caller return on a peer's grace period.
 //!
 //! # Thread model
 //!

@@ -54,7 +54,6 @@ pub struct RcuMetrics {
     synchronize_calls: Counter,
     synchronize_ns: Log2Histogram,
     synchronize_stalls: Counter,
-    synchronize_piggyback: Counter,
     synchronize_scan_slots: Log2Histogram,
     /// Round-robin stripe allocator for handles (cold path: one
     /// `fetch_add` per `register`, never on read/synchronize).
@@ -68,7 +67,6 @@ impl RcuMetrics {
             synchronize_calls: Counter::new(STRIPES),
             synchronize_ns: Log2Histogram::new(),
             synchronize_stalls: Counter::new(STRIPES),
-            synchronize_piggyback: Counter::new(STRIPES),
             synchronize_scan_slots: Log2Histogram::new(),
             next_stripe: AtomicUsize::new(0),
         }
@@ -98,15 +96,7 @@ impl RcuMetrics {
         self.synchronize_stalls.incr(stripe);
     }
 
-    /// Records one `synchronize_rcu` that returned by piggybacking on a
-    /// concurrent caller's completed grace period (DESIGN.md §6d).
-    #[inline]
-    pub(crate) fn record_synchronize_piggyback(&self, stripe: usize) {
-        self.synchronize_piggyback.incr(stripe);
-    }
-
-    /// Records how many reader slots one `synchronize_rcu` examined before
-    /// returning (full scan or cut short by a piggyback).
+    /// Records how many reader slots one `synchronize_rcu` examined.
     #[inline]
     pub(crate) fn record_scan_slots(&self, slots: u64) {
         self.synchronize_scan_slots.record(slots);
@@ -132,14 +122,6 @@ impl RcuMetrics {
         self.synchronize_stalls.get()
     }
 
-    /// Total `synchronize_rcu` calls satisfied by a concurrent caller's
-    /// grace period instead of a full own scan (`0` with stats off; the
-    /// flavor's `synchronize_piggybacks()` counts unconditionally).
-    #[must_use]
-    pub fn synchronize_piggyback(&self) -> u64 {
-        self.synchronize_piggyback.get()
-    }
-
     /// Snapshot of the `synchronize_rcu` latency distribution, in
     /// nanoseconds (empty with stats off).
     #[must_use]
@@ -161,11 +143,6 @@ impl RcuMetrics {
         registry.register_counter(component, "synchronize_calls", &self.synchronize_calls);
         registry.register_histogram(component, "synchronize_ns", &self.synchronize_ns);
         registry.register_counter(component, "synchronize_stalls", &self.synchronize_stalls);
-        registry.register_counter(
-            component,
-            "synchronize_piggyback",
-            &self.synchronize_piggyback,
-        );
         registry.register_histogram(
             component,
             "synchronize_scan_slots",

@@ -15,18 +15,8 @@
 //!
 //! The decisive property (quoting the paper): "multiple threads executing
 //! `synchronize_rcu` need not coordinate among themselves, and they do not
-//! acquire any locks."
-//!
-//! On top of the paper's design this implementation *shares* grace periods
-//! (DESIGN.md §6d): a global even/odd sequence [`gp_seq`] records scan
-//! announcements (odd) and completions (even). A synchronizer snapshots
-//! the sequence at entry and, while scanning, piggybacks — returns without
-//! finishing its own scan — as soon as a full grace period that started
-//! after its snapshot has completed. Piggybacking is opportunistic: no
-//! synchronizer ever *waits* on a peer, so the no-locks property above is
-//! preserved.
-//!
-//! [`gp_seq`]: ScalableRcu::with_sharing
+//! acquire any locks." This implementation keeps it: a synchronizer
+//! takes no lock and waits on nothing but the reader slots it scans.
 
 use crate::flavor::{RcuFlavor, RcuHandle};
 use crate::metrics::RcuMetrics;
@@ -76,47 +66,20 @@ impl ReaderSlot {
 /// ```
 pub struct ScalableRcu {
     registry: Registry<ReaderSlot>,
-    /// Grace-period sequence for sharing (DESIGN.md §6d): even = no scan
-    /// announced, odd = a scan announced at this value is in progress.
-    /// Announcing a scan bumps even → odd; completing it bumps odd → even.
-    gp_seq: AtomicU64,
-    /// Grace-period sharing enabled for this domain (see
-    /// [`Self::with_sharing`]).
-    sharing: bool,
     grace_periods: AtomicU64,
-    /// Piggybacked `synchronize` returns, counted unconditionally (the
-    /// `stats`-gated counterpart lives in [`RcuMetrics`]).
-    piggybacks: AtomicU64,
     metrics: RcuMetrics,
     watchdog: StallWatchdog,
 }
 
 impl ScalableRcu {
-    /// Creates a new domain with no registered threads and grace-period
-    /// sharing on.
+    /// Creates a new domain with no registered threads.
     pub fn new() -> Self {
-        Self::with_sharing(true)
-    }
-
-    /// Creates a new domain with grace-period sharing on or off. Sharing
-    /// affects synchronize throughput only, never grace-period semantics.
-    pub fn with_sharing(sharing: bool) -> Self {
         Self {
             registry: Registry::new(),
-            gp_seq: AtomicU64::new(0),
-            sharing,
             grace_periods: AtomicU64::new(0),
-            piggybacks: AtomicU64::new(0),
             metrics: RcuMetrics::new(),
             watchdog: StallWatchdog::new(),
         }
-    }
-
-    /// `true` when this domain shares grace periods between concurrent
-    /// synchronizers.
-    #[must_use]
-    pub fn sharing(&self) -> bool {
-        self.sharing
     }
 }
 
@@ -131,8 +94,6 @@ impl fmt::Debug for ScalableRcu {
         f.debug_struct("ScalableRcu")
             .field("threads", &self.registry.slot_count())
             .field("grace_periods", &self.grace_periods())
-            .field("sharing", &self.sharing)
-            .field("piggybacks", &self.synchronize_piggybacks())
             .finish()
     }
 }
@@ -170,10 +131,6 @@ impl RcuFlavor for ScalableRcu {
 
     fn stall_events(&self) -> u64 {
         self.watchdog.events()
-    }
-
-    fn synchronize_piggybacks(&self) -> u64 {
-        self.piggybacks.load(Ordering::Relaxed)
     }
 
     fn take_stall_diagnostic(&self) -> Option<String> {
@@ -262,58 +219,6 @@ impl RcuHandle for ScalableRcuHandle<'_> {
         // observe those stores, so only readers whose flag we see can hold
         // pre-unlink references.
         fence(Ordering::SeqCst);
-        // Grace-period sharing (DESIGN.md §6d). Snapshot the sequence and
-        // compute how far it must advance before a grace period that
-        // *started after the fence above* has fully completed: from an even
-        // snapshot the next announcement is snap+1 and completes at snap+2;
-        // from an odd snapshot the in-progress scan may predate our fence,
-        // so only the following cycle (snap+3) is guaranteed to cover us.
-        let share = domain.sharing.then(|| {
-            let snap = domain.gp_seq.load(Ordering::SeqCst);
-            (snap, if snap & 1 == 0 { 2 } else { 3 })
-        });
-        let caught_up = |(snap, needed): (u64, u64)| {
-            // The piggyback decision window: a synchronizer paused here may
-            // miss (or catch) a peer's completion.
-            chaos::point!("rcu-scalable/synchronize/piggyback-check");
-            domain.gp_seq.load(Ordering::SeqCst).wrapping_sub(snap) >= needed
-        };
-        // Announce our scan: turn an even sequence odd, or adopt the odd
-        // value a peer already announced. Pure CAS loop — no waiting.
-        let mut announced = None;
-        if let Some(target) = share {
-            loop {
-                if caught_up(target) {
-                    return self.finish_piggybacked(&stopwatch, 0);
-                }
-                let cur = domain.gp_seq.load(Ordering::SeqCst);
-                if cur & 1 == 1 {
-                    announced = Some(cur);
-                    break;
-                }
-                if domain
-                    .gp_seq
-                    .compare_exchange(cur, cur.wrapping_add(1), Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    // gp_seq advanced: peers polling caught_up should look.
-                    chaos::wake_hint();
-                    announced = Some(cur.wrapping_add(1));
-                    break;
-                }
-            }
-        }
-        if announced.is_some() {
-            // Order our announcement before the slot scans in the SeqCst
-            // total order. A peer that piggybacks on us snapshotted gp_seq
-            // *before* our announcement, so any reader whose read-lock
-            // fence precedes that snapshot also precedes this fence — the
-            // fence-to-fence rule then guarantees our scan observes that
-            // reader's current word, even though our own entry fence may
-            // predate the reader. Without this, piggybacked coverage would
-            // rest only on the announcement RMW's ordering.
-            fence(Ordering::SeqCst);
-        }
         let own = core::ptr::from_ref::<ReaderSlot>(&self.slot).cast::<u8>();
         let stall_limit = domain.watchdog.timeout();
         let mut scanned = 0u64;
@@ -321,11 +226,6 @@ impl RcuHandle for ScalableRcuHandle<'_> {
             // A synchronizer paused between slot scans lets later slots'
             // readers turn over many times before being snapshotted.
             chaos::point!("rcu-scalable/synchronize/scan-step");
-            if let Some(target) = share {
-                if caught_up(target) {
-                    return self.finish_piggybacked(&stopwatch, scanned);
-                }
-            }
             // Skip our own slot (we are outside any read section).
             if core::ptr::from_ref::<ReaderSlot>(slot.value()).cast::<u8>() == own {
                 continue;
@@ -345,22 +245,14 @@ impl RcuHandle for ScalableRcuHandle<'_> {
             let mut waited_since: Option<Instant> = None;
             let mut reported = false;
             while word.load(Ordering::Acquire) == snapshot {
-                // While blocked on a reader is where piggybacking pays off:
-                // a peer that started its scan after us can finish first.
-                if let Some(target) = share {
-                    if caught_up(target) {
-                        return self.finish_piggybacked(&stopwatch, scanned);
-                    }
-                }
-                // `caught_up` is a yield point: under a deterministic
-                // schedule the reader may exit (and fire its wake) inside
-                // that window, after the loop condition was sampled. Re-read
-                // the word before parking or that wake is lost for good.
+                // Re-read the word before parking: a reader exit between
+                // the loop condition and the park would otherwise fire its
+                // wake before anyone waits for it.
                 if word.load(Ordering::Acquire) != snapshot {
                     break;
                 }
-                // Progress needs the reader's word to change (or a peer's
-                // gp_seq completion): park under a deterministic schedule.
+                // Progress needs the reader's word to change: park under a
+                // deterministic schedule.
                 chaos::blocked!("rcu-scalable/synchronize/reader-wait");
                 backoff.snooze();
                 if let Some(limit) = stall_limit {
@@ -378,20 +270,6 @@ impl RcuHandle for ScalableRcuHandle<'_> {
         // Pair with readers' release stores: everything their critical
         // sections read happens-before our return.
         fence(Ordering::SeqCst);
-        if let Some(announced) = announced {
-            // Publish completion of the announcement we scanned under.
-            // Single attempt, never a wait: if it fails, a peer already
-            // completed this very announcement. We must not complete a
-            // *later* announcement — our scan did not start after it.
-            let _ = domain.gp_seq.compare_exchange(
-                announced,
-                announced.wrapping_add(1),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            // Completion published: blocked piggyback candidates re-check.
-            chaos::wake_hint();
-        }
         domain.grace_periods.fetch_add(1, Ordering::Relaxed);
         domain
             .metrics
@@ -402,25 +280,6 @@ impl RcuHandle for ScalableRcuHandle<'_> {
     #[inline]
     fn in_read_section(&self) -> bool {
         self.nesting.get() > 0
-    }
-}
-
-impl ScalableRcuHandle<'_> {
-    /// Books a `synchronize` satisfied by a peer's grace period. The SeqCst
-    /// load that observed the advanced sequence read (a successor of) the
-    /// completer's release RMW — every write to `gp_seq` is an RMW, so the
-    /// release sequence is unbroken — which makes all reader exits the
-    /// completer acquired happen-before our return. `grace_periods` is not
-    /// bumped: no new grace period ran.
-    #[cold]
-    fn finish_piggybacked(&self, stopwatch: &Stopwatch, scanned: u64) {
-        let domain = self.domain;
-        domain.piggybacks.fetch_add(1, Ordering::Relaxed);
-        domain.metrics.record_synchronize_piggyback(self.stripe);
-        domain
-            .metrics
-            .record_synchronize(self.stripe, stopwatch.elapsed_ns());
-        domain.metrics.record_scan_slots(scanned);
     }
 }
 
@@ -527,92 +386,6 @@ mod tests {
         assert!(format!("{h:?}").contains("ScalableRcuHandle"));
     }
 
-    #[test]
-    fn gp_seq_announce_complete_cycle() {
-        let rcu = ScalableRcu::with_sharing(true);
-        assert!(rcu.sharing());
-        let h = rcu.register();
-        assert_eq!(rcu.gp_seq.load(Ordering::Relaxed), 0);
-        h.synchronize();
-        // Solo: announce 0→1, complete 1→2.
-        assert_eq!(rcu.gp_seq.load(Ordering::Relaxed), 2);
-        h.synchronize();
-        assert_eq!(rcu.gp_seq.load(Ordering::Relaxed), 4);
-        assert_eq!(rcu.grace_periods(), 2);
-        assert_eq!(
-            rcu.synchronize_piggybacks(),
-            0,
-            "solo callers never piggyback"
-        );
-    }
-
-    #[test]
-    fn unshared_domain_leaves_gp_seq_untouched() {
-        let rcu = ScalableRcu::with_sharing(false);
-        assert!(!rcu.sharing());
-        let h = rcu.register();
-        h.synchronize();
-        assert_eq!(rcu.gp_seq.load(Ordering::Relaxed), 0);
-        assert_eq!(rcu.grace_periods(), 1);
-        assert_eq!(rcu.synchronize_piggybacks(), 0);
-    }
-
-    /// The piggyback mechanism, deterministically: a synchronizer blocked
-    /// on a parked reader returns as soon as a (simulated) peer completes a
-    /// grace period that started after the synchronizer's snapshot —
-    /// without waiting for the reader and without bumping `grace_periods`.
-    #[test]
-    fn blocked_synchronize_piggybacks_on_peer_completion() {
-        use std::sync::atomic::AtomicBool;
-        let rcu = ScalableRcu::with_sharing(true);
-        let reader_in = AtomicBool::new(false);
-        let release_reader = AtomicBool::new(false);
-        let sync_done = AtomicBool::new(false);
-
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let h = rcu.register();
-                let g = h.read_lock();
-                reader_in.store(true, Ordering::SeqCst);
-                while !release_reader.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-                drop(g);
-            });
-            s.spawn(|| {
-                while !reader_in.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-                let h = rcu.register();
-                h.synchronize(); // blocks on the parked reader
-                sync_done.store(true, Ordering::SeqCst);
-            });
-            // Wait until the synchronizer announced its scan (0 → 1)...
-            while rcu.gp_seq.load(Ordering::SeqCst) != 1 {
-                std::hint::spin_loop();
-            }
-            assert!(!sync_done.load(Ordering::SeqCst));
-            // ...then play the peer that adopted announcement 1, scanned,
-            // and completed it (1 → 2): a full grace period that started
-            // after the blocked synchronizer's snapshot of 0.
-            rcu.gp_seq
-                .compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst)
-                .unwrap();
-            while !sync_done.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-            // It returned while the reader was still parked in-section.
-            assert!(reader_in.load(Ordering::SeqCst));
-            assert_eq!(rcu.synchronize_piggybacks(), 1);
-            assert_eq!(
-                rcu.grace_periods(),
-                0,
-                "a piggyback is not a new grace period"
-            );
-            release_reader.store(true, Ordering::SeqCst);
-        });
-    }
-
     /// The "counter changed" quiescence exit: a synchronizer blocked on a
     /// reader must return when the reader exits and *re-enters* (word
     /// changes but the flag never settles clear), not only when it
@@ -624,7 +397,7 @@ mod tests {
     #[test]
     fn synchronize_returns_when_blocking_reader_reenters() {
         use std::sync::atomic::AtomicBool;
-        let rcu = ScalableRcu::with_sharing(false);
+        let rcu = ScalableRcu::new();
         // The watchdog is the "synchronizer is blocked on us" signal.
         rcu.set_stall_timeout(Some(Duration::from_millis(1)));
         let h = rcu.register();
@@ -655,56 +428,5 @@ mod tests {
             h.raw_read_unlock();
         });
         assert_eq!(rcu.grace_periods(), 1);
-    }
-
-    /// An *odd* snapshot must not piggyback on the in-progress scan it
-    /// observed (that scan may predate the caller): from snapshot 1 the
-    /// completion 1→2 alone is insufficient; only the next full cycle is.
-    #[test]
-    fn odd_snapshot_needs_a_full_extra_cycle() {
-        use std::sync::atomic::AtomicBool;
-        let rcu = ScalableRcu::with_sharing(true);
-        // Simulate a peer's scan already announced before we enter.
-        rcu.gp_seq.store(1, Ordering::SeqCst);
-        let reader_in = AtomicBool::new(false);
-        let release_reader = AtomicBool::new(false);
-        let sync_done = AtomicBool::new(false);
-
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let h = rcu.register();
-                let g = h.read_lock();
-                reader_in.store(true, Ordering::SeqCst);
-                while !release_reader.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-                drop(g);
-            });
-            s.spawn(|| {
-                while !reader_in.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-                let h = rcu.register();
-                h.synchronize(); // adopts announcement 1, blocks on reader
-                sync_done.store(true, Ordering::SeqCst);
-            });
-            while !reader_in.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-            // "Complete" the pre-existing announcement: 1 → 2. From the
-            // odd snapshot 1 this must NOT satisfy the blocked caller
-            // (needed = 3), so it keeps waiting on the reader.
-            std::thread::sleep(Duration::from_millis(50));
-            rcu.gp_seq
-                .compare_exchange(1, 2, Ordering::SeqCst, Ordering::SeqCst)
-                .unwrap();
-            std::thread::sleep(Duration::from_millis(100));
-            assert!(
-                !sync_done.load(Ordering::SeqCst),
-                "odd snapshot piggybacked on a scan that may predate it"
-            );
-            release_reader.store(true, Ordering::SeqCst);
-        });
-        assert!(sync_done.load(Ordering::SeqCst));
     }
 }

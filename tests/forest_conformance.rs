@@ -411,7 +411,7 @@ const INTERLEAVE_KEY_RANGE: u64 = 1000;
 /// spans and probes plus the edge cases (inverted span, single-point
 /// span, the full key space, probes at both ends of `u64`).
 fn ordered_reads_match_single_tree(forest: &CitrusForest<u64, u64>, keys: &[u64], label: &str) {
-    let oracle: CitrusTree<u64, u64> = CitrusTree::with_rcu(ScalableRcu::new(), ReclaimMode::Epoch);
+    let oracle: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut f = forest.session();
         let mut t = oracle.session();
