@@ -21,7 +21,8 @@
 //! the same test with `CITRUS_SCHEDULE=<encoding>` in the environment
 //! replays exactly that interleaving (with a step-by-step trace on
 //! stderr) instead of sweeping, and a schedule dump is written under
-//! `CITRUS_EXPLORE_DUMP_DIR` (default: the OS temp dir) for CI to
+//! `CITRUS_LIN_DUMP_DIR` (default: the OS temp dir), named with the
+//! process id and a sequence number so no rerun overwrites it, for CI to
 //! archive. Pinned regression tests replay one known-bad-adjacent
 //! schedule forever via [`replay_schedule`].
 //!
@@ -40,7 +41,7 @@
 //! report.assert_clean("delete-two-child-vs-get");
 //! ```
 
-use crate::lincheck::{check_history, History, HistoryRecorder, RecordedOp};
+use crate::lincheck::{check_history, dump_dir, write_dump, History, HistoryRecorder, RecordedOp};
 use crate::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos::{
     run_schedule, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
@@ -342,8 +343,10 @@ where
 }
 
 /// Writes a replayable description of a failing schedule (reason, replay
-/// recipe, full step trace from a deterministic rerun) under
-/// `CITRUS_EXPLORE_DUMP_DIR` (default: the OS temp dir) so CI can attach
+/// recipe, full step trace from a deterministic rerun) as
+/// `explore_<scenario>_<schedule>_<pid>_<n>.schedule.txt` under the
+/// lincheck dump directory (`CITRUS_LIN_DUMP_DIR`, default the OS temp
+/// dir), so a rerun never overwrites earlier evidence and CI can attach
 /// it as an artifact. Dump failure never masks the sweep verdict.
 fn dump_failure<M, F, V>(
     make: &F,
@@ -357,15 +360,6 @@ where
     F: Fn() -> M,
     V: Fn(&mut M) -> Result<(), String>,
 {
-    let dir =
-        std::env::var_os("CITRUS_EXPLORE_DUMP_DIR").map_or_else(std::env::temp_dir, PathBuf::from);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "[citrus-explore] cannot create dump dir {}: {e}",
-            dir.display()
-        );
-        return None;
-    }
     let plan = SchedulePlan::decode(&failure.schedule).ok()?;
     // Schedules are deterministic: rerun the failing one to recover its
     // step-by-step trace for the artifact.
@@ -379,17 +373,18 @@ where
     for (step, (thread, point)) in rerun.outcome.trace.iter().enumerate() {
         body.push_str(&format!("step {step:>3}: thread {thread} @ {point}\n"));
     }
-    let path = dir.join(format!(
-        "explore_{}_{}.schedule.txt",
+    let dir = dump_dir();
+    let stem = format!(
+        "explore_{}_{}",
         scenario.name.replace(['/', ' '], "-"),
         failure.schedule
-    ));
-    match std::fs::write(&path, body) {
-        Ok(()) => Some(path),
+    );
+    match write_dump(&dir, &stem, ".schedule.txt", &body) {
+        Ok(path) => Some(path),
         Err(e) => {
             eprintln!(
-                "[citrus-explore] schedule dump to {} failed: {e}",
-                path.display()
+                "[citrus-explore] schedule dump under {} failed: {e}",
+                dir.display()
             );
             None
         }
@@ -399,80 +394,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::btree_map::Entry;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex as StdMutex;
-
-    #[derive(Default, Debug)]
-    struct CoarseMap {
-        inner: StdMutex<BTreeMap<u64, u64>>,
-    }
-
-    struct CoarseSession<'a>(&'a CoarseMap);
-
-    impl ConcurrentMap<u64, u64> for CoarseMap {
-        type Session<'a> = CoarseSession<'a>;
-        const NAME: &'static str = "coarse-btreemap";
-
-        fn session(&self) -> CoarseSession<'_> {
-            CoarseSession(self)
-        }
-    }
-
-    impl MapSession<u64, u64> for CoarseSession<'_> {
-        fn get(&mut self, key: &u64) -> Option<u64> {
-            self.0.inner.lock().unwrap().get(key).copied()
-        }
-
-        fn insert(&mut self, key: u64, value: u64) -> bool {
-            match self.0.inner.lock().unwrap().entry(key) {
-                Entry::Occupied(_) => false,
-                Entry::Vacant(e) => {
-                    e.insert(value);
-                    true
-                }
-            }
-        }
-
-        fn remove(&mut self, key: &u64) -> bool {
-            self.0.inner.lock().unwrap().remove(key).is_some()
-        }
-    }
-
-    impl OrderedMapSession<u64, u64> for CoarseSession<'_> {
-        fn range_scan(&mut self, lo: &u64, hi: &u64) -> Vec<(u64, u64)> {
-            if lo > hi {
-                return Vec::new();
-            }
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(*lo..=*hi)
-                .map(|(k, v)| (*k, *v))
-                .collect()
-        }
-
-        fn successor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range((std::ops::Bound::Excluded(*key), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(k, v)| (*k, *v))
-        }
-
-        fn predecessor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(..*key)
-                .next_back()
-                .map(|(k, v)| (*k, *v))
-        }
-    }
+    use crate::coarse::CoarseMap;
 
     fn scenario() -> ScheduleScenario {
         ScheduleScenario::new("coarse-smoke")
@@ -509,16 +431,64 @@ mod tests {
         assert!(run.verdict.is_ok());
     }
 
-    #[test]
-    fn structure_oracle_failures_are_findings() {
+    fn reject_all(_: &mut CoarseMap) -> Result<(), String> {
+        Err("structure oracle rejects everything".to_string())
+    }
+
+    /// Sweeps `scenario` with a structure oracle that rejects every
+    /// schedule and returns the reported failure. The sweep dumps that
+    /// failure, so each caller names its scenario apart and removes its
+    /// dumps with [`remove_own_dumps`].
+    fn rejected_sweep(scenario: &ScheduleScenario) -> ScheduleFailure {
         let report = explore_schedules_with(
             CoarseMap::default,
-            &scenario(),
+            scenario,
             ExploreConfig::default(),
-            |_| Err("structure oracle rejects everything".to_string()),
+            reject_all,
         );
-        let failure = report.failure.expect("oracle failure must be reported");
+        report.failure.expect("oracle failure must be reported")
+    }
+
+    /// Deletes this process's dumps of scenario `name` from the dump dir.
+    fn remove_own_dumps(name: &str) {
+        let prefix = format!("explore_{name}_");
+        let pid = format!("_{}_", std::process::id());
+        for entry in std::fs::read_dir(dump_dir())
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            let file = entry.file_name().to_string_lossy().into_owned();
+            if file.starts_with(&prefix) && file.contains(&pid) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
+
+    #[test]
+    fn structure_oracle_failures_are_findings() {
+        let failure = rejected_sweep(&scenario());
         assert!(failure.reason.contains("structure oracle"));
+        remove_own_dumps(scenario().name);
+    }
+
+    #[test]
+    fn a_repeated_failure_dump_does_not_overwrite_the_first() {
+        let s = ScheduleScenario {
+            name: "coarse-dump",
+            ..scenario()
+        };
+        let failure = rejected_sweep(&s);
+        let first =
+            dump_failure(&CoarseMap::default, &s, &failure, &reject_all).expect("first dump");
+        let second =
+            dump_failure(&CoarseMap::default, &s, &failure, &reject_all).expect("second dump");
+        assert_ne!(first, second, "a rerun's dump must get a fresh name");
+        for path in [&first, &second] {
+            let body = std::fs::read_to_string(path).expect("dump exists");
+            assert!(body.contains(&format!("CITRUS_SCHEDULE={}", failure.schedule)));
+        }
+        remove_own_dumps(s.name);
     }
 
     #[test]

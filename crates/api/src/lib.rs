@@ -28,6 +28,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+pub(crate) mod coarse;
 pub mod explore;
 pub mod lincheck;
 pub mod testkit;
@@ -116,82 +118,7 @@ pub trait OrderedMapSession<K, V>: MapSession<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    /// A trivial coarse-locked reference implementation, used to sanity
-    /// check the trait contracts and the testkit itself.
-    #[derive(Default, Debug)]
-    struct CoarseMap {
-        inner: Mutex<BTreeMap<u64, u64>>,
-    }
-
-    struct CoarseSession<'a>(&'a CoarseMap);
-
-    impl ConcurrentMap<u64, u64> for CoarseMap {
-        type Session<'a> = CoarseSession<'a>;
-        const NAME: &'static str = "coarse-btreemap";
-
-        fn session(&self) -> CoarseSession<'_> {
-            CoarseSession(self)
-        }
-    }
-
-    impl MapSession<u64, u64> for CoarseSession<'_> {
-        fn get(&mut self, key: &u64) -> Option<u64> {
-            self.0.inner.lock().unwrap().get(key).copied()
-        }
-
-        fn insert(&mut self, key: u64, value: u64) -> bool {
-            let mut m = self.0.inner.lock().unwrap();
-            match m.entry(key) {
-                std::collections::btree_map::Entry::Occupied(_) => false,
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(value);
-                    true
-                }
-            }
-        }
-
-        fn remove(&mut self, key: &u64) -> bool {
-            self.0.inner.lock().unwrap().remove(key).is_some()
-        }
-    }
-
-    impl OrderedMapSession<u64, u64> for CoarseSession<'_> {
-        fn range_scan(&mut self, lo: &u64, hi: &u64) -> Vec<(u64, u64)> {
-            if lo > hi {
-                return Vec::new();
-            }
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(*lo..=*hi)
-                .map(|(k, v)| (*k, *v))
-                .collect()
-        }
-
-        fn successor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range((std::ops::Bound::Excluded(*key), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(k, v)| (*k, *v))
-        }
-
-        fn predecessor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(..*key)
-                .next_back()
-                .map(|(k, v)| (*k, *v))
-        }
-    }
+    use crate::coarse::{CoarseMap, CoarseSession};
 
     #[test]
     fn ordered_session_contract_on_the_reference_map() {

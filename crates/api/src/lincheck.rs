@@ -503,8 +503,51 @@ fn clear_bit(mask: &mut [u64], i: usize) {
     mask[i / 64] &= !(1 << (i % 64));
 }
 
-/// Wing–Gong DFS with Lowe's memoization over one key's subhistory:
-/// `true` iff a linearization exists.
+/// An abstract sequential-spec state the WGL search walks: a step
+/// replays one recorded operation, and a memo key identifies the state
+/// for the visited-configuration set.
+trait SpecState: Default + Sized {
+    /// What the memo stores to recognise this state again.
+    type Memo: Eq + std::hash::Hash;
+
+    /// The post-state of replaying `op`, or `None` when its recorded
+    /// response is impossible from `self`.
+    fn step(&self, op: &RecordedOp) -> Option<Self>;
+
+    fn memo_key(&self) -> Self::Memo;
+}
+
+/// One key's value (absent or present): the state of a component whose
+/// operations are all point operations on that key.
+impl SpecState for Option<u64> {
+    type Memo = Self;
+
+    fn step(&self, op: &RecordedOp) -> Option<Self> {
+        apply(op, *self)
+    }
+
+    fn memo_key(&self) -> Self {
+        *self
+    }
+}
+
+/// The map restricted to a component's keys, for components containing
+/// ordered reads; memoized as a sorted entry list.
+impl SpecState for BTreeMap<u64, u64> {
+    type Memo = Vec<(u64, u64)>;
+
+    fn step(&self, op: &RecordedOp) -> Option<Self> {
+        apply_multi(op, self)
+    }
+
+    fn memo_key(&self) -> Vec<(u64, u64)> {
+        self.iter().map(|(&k, &v)| (k, v)).collect()
+    }
+}
+
+/// Wing–Gong DFS with Lowe's memoization over one component's
+/// subhistory, starting from the empty state `S::default()`: `true` iff
+/// a linearization exists.
 ///
 /// An operation is *eligible* next iff no other still-unlinearized
 /// operation responded before it was invoked (real-time precedence must
@@ -515,14 +558,14 @@ fn clear_bit(mask: &mut [u64], i: usize) {
 /// An operation with `ret_at == PENDING` had not responded when the
 /// history was cut: it may linearize anywhere after its invocation, or
 /// not at all, and it never constrains another operation's position.
-fn is_linearizable(ops: &[RecordedOp]) -> bool {
+fn is_linearizable<S: SpecState>(ops: &[RecordedOp]) -> bool {
     let n = ops.len();
     if n == 0 {
         return true;
     }
     let mut done = vec![0u64; n.div_ceil(64)];
-    let mut memo: HashSet<(Box<[u64]>, Option<u64>)> = HashSet::new();
-    dfs(ops, &mut done, required(ops), None, &mut memo)
+    let mut memo = HashSet::new();
+    dfs(ops, &mut done, required(ops), &S::default(), &mut memo)
 }
 
 /// The response ticket of an operation still running at a cut.
@@ -534,17 +577,17 @@ fn required(ops: &[RecordedOp]) -> usize {
     ops.iter().filter(|o| o.ret_at != PENDING).count()
 }
 
-fn dfs(
+fn dfs<S: SpecState>(
     ops: &[RecordedOp],
     done: &mut [u64],
     left: usize,
-    state: Option<u64>,
-    memo: &mut HashSet<(Box<[u64]>, Option<u64>)>,
+    state: &S,
+    memo: &mut HashSet<(Box<[u64]>, S::Memo)>,
 ) -> bool {
     if left == 0 {
         return true;
     }
-    if !memo.insert((done.to_vec().into_boxed_slice(), state)) {
+    if !memo.insert((done.to_vec().into_boxed_slice(), state.memo_key())) {
         return false;
     }
     // Smallest and second-smallest response tickets among pending ops:
@@ -569,10 +612,10 @@ fn dfs(
         if earliest_other_ret < op.inv {
             continue; // some pending op completed before this one started
         }
-        if let Some(next) = apply(op, state) {
+        if let Some(next) = state.step(op) {
             set_bit(done, i);
             let left = left - usize::from(op.ret_at != PENDING);
-            if dfs(ops, done, left, next, memo) {
+            if dfs(ops, done, left, &next, memo) {
                 return true;
             }
             clear_bit(done, i);
@@ -581,77 +624,14 @@ fn dfs(
     false
 }
 
-/// Memo key for the multi-key DFS: the done-set bitmap plus the abstract
-/// map state as a sorted entry list.
-type MultiMemo = HashSet<(Box<[u64]>, Vec<(u64, u64)>)>;
-
-/// Multi-key variant of [`is_linearizable`], for components containing
-/// ordered reads: the abstract state is the map restricted to the
-/// component's keys (a `BTreeMap`), memoized as a sorted entry list.
-fn is_linearizable_multi(ops: &[RecordedOp]) -> bool {
-    let n = ops.len();
-    if n == 0 {
-        return true;
-    }
-    let mut done = vec![0u64; n.div_ceil(64)];
-    let mut memo: MultiMemo = HashSet::new();
-    dfs_multi(ops, &mut done, required(ops), &BTreeMap::new(), &mut memo)
-}
-
-fn dfs_multi(
-    ops: &[RecordedOp],
-    done: &mut [u64],
-    left: usize,
-    state: &BTreeMap<u64, u64>,
-    memo: &mut MultiMemo,
-) -> bool {
-    if left == 0 {
-        return true;
-    }
-    let snapshot: Vec<(u64, u64)> = state.iter().map(|(&k, &v)| (k, v)).collect();
-    if !memo.insert((done.to_vec().into_boxed_slice(), snapshot)) {
-        return false;
-    }
-    // Same eligibility rule as the single-key DFS: an op may linearize
-    // next iff no *other* pending op responded before it was invoked.
-    let (mut min1, mut min1_at, mut min2) = (u64::MAX, usize::MAX, u64::MAX);
-    for (i, op) in ops.iter().enumerate() {
-        if bit(done, i) {
-            continue;
-        }
-        if op.ret_at < min1 {
-            (min2, min1, min1_at) = (min1, op.ret_at, i);
-        } else if op.ret_at < min2 {
-            min2 = op.ret_at;
-        }
-    }
-    for (i, op) in ops.iter().enumerate() {
-        if bit(done, i) {
-            continue;
-        }
-        let earliest_other_ret = if i == min1_at { min2 } else { min1 };
-        if earliest_other_ret < op.inv {
-            continue;
-        }
-        if let Some(next) = apply_multi(op, state) {
-            set_bit(done, i);
-            let left = left - usize::from(op.ret_at != PENDING);
-            if dfs_multi(ops, done, left, &next, memo) {
-                return true;
-            }
-            clear_bit(done, i);
-        }
-    }
-    false
-}
-
-/// Dispatches a component to the cheapest sound checker: the
-/// `Option<u64>`-state DFS when every op is a point op on one key,
-/// otherwise the multi-key DFS.
+/// Dispatches a component to the cheapest sound state: `Option<u64>`
+/// when every op is a point op on one key, otherwise the multi-key map.
 fn component_linearizable(ops: &[RecordedOp]) -> bool {
     match ops.first().and_then(|o| o.op.key()) {
-        Some(k0) if ops.iter().all(|o| o.op.key() == Some(k0)) => is_linearizable(ops),
-        _ => is_linearizable_multi(ops),
+        Some(k0) if ops.iter().all(|o| o.op.key() == Some(k0)) => {
+            is_linearizable::<Option<u64>>(ops)
+        }
+        _ => is_linearizable::<BTreeMap<u64, u64>>(ops),
     }
 }
 
@@ -1342,8 +1322,7 @@ pub fn lin_ops(default: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::btree_map::Entry;
-    use std::sync::Mutex as StdMutex;
+    use crate::coarse::CoarseMap;
 
     // ---- checker self-test battery: hand-written histories ----------
 
@@ -1574,8 +1553,8 @@ mod tests {
         assert_eq!(err.cut, 16, "{err}");
         // A cut marks the still-running insert as pending, and a pending
         // operation is optional.
-        assert!(is_linearizable(&cut_at(&h.ops, 10)));
-        assert!(!is_linearizable(&cut_at(&h.ops, 16)));
+        assert!(is_linearizable::<Option<u64>>(&cut_at(&h.ops, 10)));
+        assert!(!is_linearizable::<Option<u64>>(&cut_at(&h.ops, 16)));
     }
 
     #[test]
@@ -1764,75 +1743,6 @@ mod tests {
     }
 
     // ---- recorder + end-to-end over a known-correct map -------------
-
-    /// Coarse-locked reference map (mirrors the one in `crate::tests`).
-    #[derive(Default, Debug)]
-    struct CoarseMap {
-        inner: StdMutex<BTreeMap<u64, u64>>,
-    }
-
-    struct CoarseSession<'a>(&'a CoarseMap);
-
-    impl ConcurrentMap<u64, u64> for CoarseMap {
-        type Session<'a> = CoarseSession<'a>;
-        const NAME: &'static str = "coarse-btreemap";
-        fn session(&self) -> CoarseSession<'_> {
-            CoarseSession(self)
-        }
-    }
-
-    impl MapSession<u64, u64> for CoarseSession<'_> {
-        fn get(&mut self, key: &u64) -> Option<u64> {
-            self.0.inner.lock().unwrap().get(key).copied()
-        }
-        fn insert(&mut self, key: u64, value: u64) -> bool {
-            match self.0.inner.lock().unwrap().entry(key) {
-                Entry::Occupied(_) => false,
-                Entry::Vacant(e) => {
-                    e.insert(value);
-                    true
-                }
-            }
-        }
-        fn remove(&mut self, key: &u64) -> bool {
-            self.0.inner.lock().unwrap().remove(key).is_some()
-        }
-    }
-
-    impl OrderedMapSession<u64, u64> for CoarseSession<'_> {
-        fn range_scan(&mut self, lo: &u64, hi: &u64) -> Vec<(u64, u64)> {
-            if lo > hi {
-                return Vec::new();
-            }
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(*lo..=*hi)
-                .map(|(k, v)| (*k, *v))
-                .collect()
-        }
-
-        fn successor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range((std::ops::Bound::Excluded(*key), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(k, v)| (*k, *v))
-        }
-
-        fn predecessor(&mut self, key: &u64) -> Option<(u64, u64)> {
-            self.0
-                .inner
-                .lock()
-                .unwrap()
-                .range(..*key)
-                .next_back()
-                .map(|(k, v)| (*k, *v))
-        }
-    }
 
     #[test]
     fn recorder_intervals_nest_and_order_per_thread() {

@@ -98,17 +98,19 @@ impl SplitMix64 {
 }
 
 /// Runs `ops` random operations single-threaded and compares every return
-/// value against `BTreeMap`.
+/// value against `BTreeMap`, then sweeps every key of `key_range`.
+/// Returns the final model, for callers that audit the map further.
 ///
 /// # Panics
 ///
-/// Panics on the first divergence from the model.
+/// Panics on the first divergence from the model; the message names
+/// `seed`.
 pub fn check_sequential_model<M: ConcurrentMap<u64, u64>>(
     map: &M,
     ops: usize,
     key_range: u64,
     seed: u64,
-) {
+) -> BTreeMap<u64, u64> {
     let mut rng = SplitMix64::new(seed);
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut session = map.session();
@@ -154,6 +156,7 @@ pub fn check_sequential_model<M: ConcurrentMap<u64, u64>>(
             "final sweep diverged at key {k} (seed {seed})"
         );
     }
+    model
 }
 
 /// Runs the same random operation stream against two maps and compares

@@ -3,9 +3,9 @@
 //!
 //! The paper's two-child `delete` calls `synchronize_rcu` while holding
 //! node locks, so every updater of a single tree ultimately queues behind
-//! one grace-period domain. Grace-period *sharing* (PR 3) amortizes that
-//! wait but cannot remove the serialization: a reader of key `1` still
-//! delays a deleter of key `10⁶` because both live in one RCU domain.
+//! one grace-period domain: a reader of key `1` delays a deleter of key
+//! `10⁶` because both live in one RCU domain, and each deleter's
+//! `synchronize_rcu` must scan every reader slot of that domain.
 //!
 //! A forest partitions the key space over a fixed power-of-two array of
 //! independent [`CitrusTree`] shards. Each shard owns a **private** RCU

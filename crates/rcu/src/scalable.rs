@@ -245,12 +245,6 @@ impl RcuHandle for ScalableRcuHandle<'_> {
             let mut waited_since: Option<Instant> = None;
             let mut reported = false;
             while word.load(Ordering::Acquire) == snapshot {
-                // Re-read the word before parking: a reader exit between
-                // the loop condition and the park would otherwise fire its
-                // wake before anyone waits for it.
-                if word.load(Ordering::Acquire) != snapshot {
-                    break;
-                }
                 // Progress needs the reader's word to change: park under a
                 // deterministic schedule.
                 chaos::blocked!("rcu-scalable/synchronize/reader-wait");
