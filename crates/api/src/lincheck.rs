@@ -786,8 +786,8 @@ impl UnionFind {
 /// ordered read returned — is unioned into one component. Keys no
 /// operation ever touches or observes are absent at every instant (the
 /// map starts empty), so they impose no cross-component constraints.
-/// Point-only components run the fast single-key WGL DFS; components
-/// with ordered reads run the multi-key variant.
+/// Point-only components run the WGL DFS over a single key's state;
+/// components with ordered reads run it over the multi-key map state.
 ///
 /// A violating component is localized to its shortest failing prefix:
 /// the earliest response ticket by which the events already admit no
