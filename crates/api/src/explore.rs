@@ -220,7 +220,9 @@ where
 }
 
 /// [`explore_schedules`] with explicit bounds and a structure-validation
-/// oracle run against the quiesced map after every clean schedule.
+/// oracle run against the quiesced map after every clean schedule. A
+/// failing sweep writes a schedule dump and names it in
+/// [`ExploreReport::dump`].
 pub fn explore_schedules_with<M, F, V>(
     make: F,
     scenario: &ScheduleScenario,
@@ -241,14 +243,16 @@ where
     if let Ok(encoded) = std::env::var("CITRUS_SCHEDULE") {
         return replay_env(&make, scenario, &encoded, config.max_steps, &validate);
     }
-    let report = Explorer::new(config).explore(|plan| run_one(&make, scenario, plan, &validate));
+    let mut report =
+        Explorer::new(config).explore(|plan| run_one(&make, scenario, plan, &validate));
     if let Some(failure) = &report.failure {
         eprintln!(
             "[citrus-explore] scenario {}: {failure}\n  replay: rerun this test with \
              CITRUS_SCHEDULE={}",
             scenario.name, failure.schedule
         );
-        if let Some(path) = dump_failure(&make, scenario, failure, &validate) {
+        report.dump = dump_failure(&make, scenario, failure, &validate);
+        if let Some(path) = &report.dump {
             eprintln!("[citrus-explore] schedule dump: {}", path.display());
         }
     }
@@ -436,9 +440,8 @@ mod tests {
     }
 
     /// Sweeps `scenario` with a structure oracle that rejects every
-    /// schedule and returns the reported failure. The sweep dumps that
-    /// failure, so each caller names its scenario apart and removes its
-    /// dumps with [`remove_own_dumps`].
+    /// schedule, deletes the sweep's schedule dump, and returns the
+    /// reported failure.
     fn rejected_sweep(scenario: &ScheduleScenario) -> ScheduleFailure {
         let report = explore_schedules_with(
             CoarseMap::default,
@@ -446,30 +449,30 @@ mod tests {
             ExploreConfig::default(),
             reject_all,
         );
+        let dump = report.dump.expect("a failing sweep names its dump");
+        std::fs::remove_file(&dump).expect("the named dump exists");
         report.failure.expect("oracle failure must be reported")
-    }
-
-    /// Deletes this process's dumps of scenario `name` from the dump dir.
-    fn remove_own_dumps(name: &str) {
-        let prefix = format!("explore_{name}_");
-        let pid = format!("_{}_", std::process::id());
-        for entry in std::fs::read_dir(dump_dir())
-            .into_iter()
-            .flatten()
-            .flatten()
-        {
-            let file = entry.file_name().to_string_lossy().into_owned();
-            if file.starts_with(&prefix) && file.contains(&pid) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
     }
 
     #[test]
     fn structure_oracle_failures_are_findings() {
         let failure = rejected_sweep(&scenario());
         assert!(failure.reason.contains("structure oracle"));
-        remove_own_dumps(scenario().name);
+    }
+
+    #[test]
+    fn a_failing_sweep_names_its_dump() {
+        let s = ScheduleScenario {
+            name: "coarse-named-dump",
+            ..scenario()
+        };
+        let report =
+            explore_schedules_with(CoarseMap::default, &s, ExploreConfig::default(), reject_all);
+        let failure = report.failure.expect("oracle failure must be reported");
+        let dump = report.dump.expect("a failing sweep names its dump");
+        let body = std::fs::read_to_string(&dump).expect("the named dump exists");
+        assert!(body.contains(&format!("CITRUS_SCHEDULE={}", failure.schedule)));
+        std::fs::remove_file(dump).unwrap();
     }
 
     #[test]
@@ -484,11 +487,11 @@ mod tests {
         let second =
             dump_failure(&CoarseMap::default, &s, &failure, &reject_all).expect("second dump");
         assert_ne!(first, second, "a rerun's dump must get a fresh name");
-        for path in [&first, &second] {
-            let body = std::fs::read_to_string(path).expect("dump exists");
+        for path in [first, second] {
+            let body = std::fs::read_to_string(&path).expect("dump exists");
             assert!(body.contains(&format!("CITRUS_SCHEDULE={}", failure.schedule)));
+            std::fs::remove_file(path).unwrap();
         }
-        remove_own_dumps(s.name);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::sched::{ScheduleOutcome, SchedulePlan};
 use std::collections::{BTreeSet, HashMap};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Bounds and budgets for one exploration sweep.
@@ -122,6 +123,10 @@ pub struct ExploreReport {
     /// Every failpoint name observed across all runs — assert against
     /// [`all_points`](crate::all_points) to catch dead yield points.
     pub points_hit: BTreeSet<&'static str>,
+    /// The file describing [`failure`](Self::failure), if the sweep's
+    /// caller wrote one (`citrus-api`'s sweeps do). A test that expects
+    /// the failure deletes it.
+    pub dump: Option<PathBuf>,
 }
 
 impl ExploreReport {

@@ -34,10 +34,11 @@ impl Dir {
     /// Branch-free: with uniform keys the direction is a coin flip at
     /// every level, so a conditional jump mispredicts about every other
     /// step of a descent. `select_unpredictable` asks for a conditional
-    /// move instead, which makes the next child load `child[dir]` an
-    /// indexed load (DESIGN.md §3, *Branch-free descent*). The function
-    /// must inline into the search loop: called out of line it costs more
-    /// than the branch it removes.
+    /// move instead. The search loop does not index `child[dir]` with the
+    /// result: it has already loaded both children and selects one the
+    /// same way (DESIGN.md §3, *Branch-free descent*). The function must
+    /// inline into the search loop: called out of line it costs more than
+    /// the branch it removes.
     #[inline(always)]
     pub(crate) fn from_cmp(current_vs_search: CmpOrdering) -> Self {
         core::hint::select_unpredictable(

@@ -25,6 +25,7 @@ use citrus_api::testkit::{
     enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
     Explorer, ScenarioOp, ScheduleScenario, StressWatchdog,
 };
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -67,6 +68,14 @@ fn delete_window_scenario(name: &'static str) -> ScheduleScenario {
         .prefill(&[(20, 200), (10, 100), (30, 300), (25, 250)])
         .thread(&[ScenarioOp::Remove(20)])
         .thread(&[ScenarioOp::Get(25)])
+}
+
+/// Deletes the schedule dump of a sweep whose failure the test expects,
+/// so a green run leaves no dump behind.
+fn remove_expected_dump(dump: Option<PathBuf>) {
+    let dump = dump.expect("a failing sweep names its schedule dump");
+    std::fs::remove_file(&dump)
+        .unwrap_or_else(|e| panic!("named dump {} not removable: {e}", dump.display()));
 }
 
 fn bounded(max_preemptions: usize) -> ExploreConfig {
@@ -141,6 +150,7 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
     let failure = report
         .failure
         .expect("skipping the delete-path synchronize_rcu must be caught");
+    remove_expected_dump(report.dump);
     eprintln!("[mutant] inline delete minimal schedule: {failure}");
     assert_eq!(
         failure.preemptions, 1,
@@ -202,6 +212,33 @@ fn pinned_inline_delete_schedule_regression() {
         mutant.verdict.is_err() || !mutant.outcome.clean(),
         "pinned schedule no longer exercises the delete window — re-harvest it"
     );
+}
+
+/// A search hits `citrus/search/step` once per node it visits: for ∞,
+/// then 20, 30 and 25 on the way to 25. The descent starts below ∞, so
+/// without ∞'s own point every search would lose a yield point and the
+/// schedule counts of scenarios with no pinned count would shrink
+/// silently.
+#[test]
+fn search_yields_once_per_visited_node() {
+    let _serial = exclusive("search_yields_once_per_visited_node");
+    let scenario = ScheduleScenario::new("search-steps")
+        .prefill(&delete_window_scenario("search-steps").prefill)
+        .thread(&[ScenarioOp::Get(25)]);
+    let run = replay_schedule_with(make_inline, &scenario, "-", validate);
+    assert!(
+        run.outcome.clean() && run.verdict.is_ok(),
+        "a lone get failed: {:?} / {:?}",
+        run.outcome.failure_reason(),
+        run.verdict
+    );
+    let steps = run
+        .outcome
+        .trace
+        .iter()
+        .filter(|&&(_, point)| point == "citrus/search/step")
+        .count();
+    assert_eq!(steps, 4, "trace: {:?}", run.outcome.trace);
 }
 
 /// remove(20) takes the two-child path with its successor 25 deep in the
@@ -304,6 +341,7 @@ fn scan_skip_validation_mutant_is_caught() {
     let failure = report
         .failure
         .expect("skipping scan validation must be caught");
+    remove_expected_dump(report.dump);
     eprintln!("[mutant] torn-scan minimal schedule: {failure}");
     assert!(
         failure.preemptions <= 2,
@@ -414,6 +452,7 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
     let failure = report
         .failure
         .expect("skipping the partial fan-out's validation must be caught");
+    remove_expected_dump(report.dump);
     eprintln!("[mutant] range-forest torn-scan minimal schedule: {failure}");
     assert!(
         failure.preemptions <= 2,
@@ -550,6 +589,7 @@ fn hash_forest_scan_skip_validation_mutant_is_caught() {
     let failure = report
         .failure
         .expect("skipping the full fan-out's validation must be caught");
+    remove_expected_dump(report.dump);
     eprintln!("[mutant] hash-forest torn-scan minimal schedule: {failure}");
     assert!(
         failure.preemptions <= 2,

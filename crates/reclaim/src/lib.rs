@@ -280,6 +280,7 @@ impl<'d> EbrHandle<'d> {
     /// structure while pinned stays valid.
     ///
     /// Pins nest; only the outermost pin touches shared state.
+    #[inline]
     pub fn pin(&self) -> EbrGuard<'_, 'd> {
         self.raw_pin();
         EbrGuard { handle: self }
@@ -289,6 +290,7 @@ impl<'d> EbrHandle<'d> {
     /// [`raw_unpin`](Self::raw_unpin). For a caller that holds pins on
     /// several domains at once and releases them together. Prefer
     /// [`pin`](Self::pin).
+    #[inline]
     pub fn raw_pin(&self) {
         let depth = self.pin_depth.get();
         self.pin_depth.set(depth + 1);
@@ -308,6 +310,7 @@ impl<'d> EbrHandle<'d> {
     /// # Panics
     ///
     /// Debug builds panic if the handle is not pinned.
+    #[inline]
     pub fn raw_unpin(&self) {
         let depth = self.pin_depth.get();
         debug_assert!(depth > 0, "raw_unpin without a matching pin");
@@ -429,6 +432,7 @@ pub struct EbrGuard<'h, 'd> {
 }
 
 impl Drop for EbrGuard<'_, '_> {
+    #[inline]
     fn drop(&mut self) {
         self.handle.raw_unpin();
     }

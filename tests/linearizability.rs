@@ -308,6 +308,8 @@ fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
         message.contains(&dump.display().to_string()),
         "failure report must name the dump path:\n{message}"
     );
+    // Expected evidence: a green run leaves no dump behind.
+    let _ = std::fs::remove_file(&dump);
 }
 
 /// The same adapter under a *concurrent* recording, via the raw recorder

@@ -215,6 +215,8 @@ mod planted_mutant {
             message.contains(&dump.display().to_string()),
             "failure report must name the dump path:\n{message}"
         );
+        // Expected evidence: a green run leaves no dump behind.
+        let _ = std::fs::remove_file(&dump);
     }
 
     /// With the mutant disarmed the very same server passes — the
