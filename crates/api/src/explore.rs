@@ -26,6 +26,11 @@
 //! archive. Pinned regression tests replay one known-bad-adjacent
 //! schedule forever via [`replay_schedule`].
 //!
+//! A scenario can plant [mutants](citrus_chaos::mutant_enabled)
+//! ([`ScheduleScenario::mutant`]) to prove the oracles catch a broken
+//! step. They are armed on the scenario's scheduled threads for each run
+//! only, so a mutant sweep and a clean sweep can run side by side.
+//!
 //! Everything here is meaningful only when the `chaos` cargo feature is
 //! enabled; without it `run_schedule` degrades to sequential execution
 //! and the sweep sees exactly one schedule.
@@ -86,6 +91,10 @@ pub struct ScheduleScenario {
     pub prefill: Vec<(u64, u64)>,
     /// Scripted operations, one list per scheduled thread.
     pub threads: Vec<Vec<ScenarioOp>>,
+    /// [Mutants](citrus_chaos::mutant_enabled) armed on the scheduled
+    /// threads of every run of this scenario: sweeps, replays, the
+    /// failure dump's rerun and `CITRUS_SCHEDULE` replays alike.
+    pub mutants: Vec<&'static str>,
 }
 
 impl ScheduleScenario {
@@ -96,6 +105,7 @@ impl ScheduleScenario {
             name,
             prefill: Vec::new(),
             threads: Vec::new(),
+            mutants: Vec::new(),
         }
     }
 
@@ -110,6 +120,13 @@ impl ScheduleScenario {
     #[must_use]
     pub fn thread(mut self, ops: &[ScenarioOp]) -> Self {
         self.threads.push(ops.to_vec());
+        self
+    }
+
+    /// Plants the named mutant in every run of the scenario.
+    #[must_use]
+    pub fn mutant(mut self, name: &'static str) -> Self {
+        self.mutants.push(name);
         self
     }
 }
@@ -183,7 +200,7 @@ where
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        run_schedule(plan, closures)
+        run_schedule(&plan.clone().with_mutants(&scenario.mutants), closures)
     };
     let verdict = if outcome.clean() {
         let mut thread_logs = logs

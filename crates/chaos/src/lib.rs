@@ -49,7 +49,8 @@
 //! Sites register themselves via the [`point!`], [`should_fail!`], and
 //! [`blocked!`] macros; [`all_points`] lists everything reached so far so
 //! sweeps can assert coverage. [`mutant_enabled`]-guarded test-only
-//! mutations let the suite prove the explorer actually catches bugs.
+//! mutations, named per run on the [`SchedulePlan`], let the suite prove
+//! the explorer actually catches bugs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -64,7 +65,7 @@ mod sched;
 pub use explore::{
     budget_from_env, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
 };
-pub use mutant::{enable_mutant, mutant_enabled, MutantGuard};
+pub use mutant::mutant_enabled;
 pub use plan::ChaosPlan;
 pub use point::{
     active_plan_seed, chaos_active, chaos_enabled, install, point, set_thread_stream, should_fail,

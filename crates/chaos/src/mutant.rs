@@ -1,6 +1,6 @@
 //! Test-only mutation hooks: named switches that make instrumented code
-//! *deliberately wrong*, so the exploration and chaos suites can prove
-//! they detect real bugs (and CI can self-test the detector).
+//! *deliberately wrong*, so the exploration suites can prove they detect
+//! real bugs (and CI can self-test the detector).
 //!
 //! Instrumented code guards a correctness-critical step with
 //! [`mutant_enabled`]:
@@ -13,63 +13,39 @@
 //!
 //! With the `chaos` feature off the check is `const false` and the
 //! branch folds away entirely — mutants cannot be enabled in production
-//! builds. Tests enable one with [`enable_mutant`] and hold the returned
-//! guard for the duration of the run.
-
-/// RAII guard from [`enable_mutant`]; dropping it disables the mutant.
-#[derive(Debug)]
-pub struct MutantGuard {
-    #[cfg(feature = "chaos")]
-    name: &'static str,
-}
+//! builds. With it on, a mutant is part of one scheduled run: a test
+//! names it on the [`SchedulePlan`](crate::SchedulePlan) (the explore
+//! kit's `ScheduleScenario::mutant` does this for every run of a
+//! scenario), and [`run_schedule`](crate::run_schedule) arms it on that
+//! run's scheduled threads only. Any other thread — a parallel test's, or
+//! one a scenario closure spawns itself — never sees it, and nothing
+//! outlives the run.
 
 #[cfg(feature = "chaos")]
 mod imp {
-    use super::MutantGuard;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, PoisonError};
+    use std::cell::RefCell;
 
-    /// Fast-path count of enabled mutants: the common case (none) is a
-    /// single relaxed load.
-    static ENABLED_COUNT: AtomicUsize = AtomicUsize::new(0);
-    static ENABLED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-
-    fn set() -> std::sync::MutexGuard<'static, BTreeSet<&'static str>> {
-        ENABLED.lock().unwrap_or_else(PoisonError::into_inner)
+    thread_local! {
+        /// The mutants of the scheduled run this thread belongs to.
+        static ARMED: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Whether the named mutation is currently enabled.
+    /// Arms `mutants` on the calling thread, a freshly spawned scheduled
+    /// thread that exits when its run ends.
+    pub(crate) fn arm(mutants: &[&'static str]) {
+        ARMED.with_borrow_mut(|armed| armed.extend_from_slice(mutants));
+    }
+
+    /// Whether the named mutation is armed on this thread's scheduled run.
     #[inline]
     #[must_use]
     pub fn mutant_enabled(name: &str) -> bool {
-        if ENABLED_COUNT.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        set().contains(name)
-    }
-
-    /// Enables the named mutation until the returned guard drops.
-    #[must_use]
-    pub fn enable_mutant(name: &'static str) -> MutantGuard {
-        let inserted = set().insert(name);
-        assert!(inserted, "mutant {name:?} enabled twice");
-        ENABLED_COUNT.fetch_add(1, Ordering::Relaxed);
-        MutantGuard { name }
-    }
-
-    impl Drop for MutantGuard {
-        fn drop(&mut self) {
-            set().remove(self.name);
-            ENABLED_COUNT.fetch_sub(1, Ordering::Relaxed);
-        }
+        ARMED.with_borrow(|armed| armed.contains(&name))
     }
 }
 
 #[cfg(not(feature = "chaos"))]
 mod imp {
-    use super::MutantGuard;
-
     /// Always `false` in this build: mutations are compiled out.
     #[inline(always)]
     #[must_use]
@@ -77,13 +53,8 @@ mod imp {
         let _ = name;
         false
     }
-
-    /// No-op guard in this build (the mutation will never fire).
-    #[must_use]
-    pub fn enable_mutant(name: &'static str) -> MutantGuard {
-        let _ = name;
-        MutantGuard {}
-    }
 }
 
-pub use imp::{enable_mutant, mutant_enabled};
+#[cfg(feature = "chaos")]
+pub(crate) use imp::arm;
+pub use imp::mutant_enabled;

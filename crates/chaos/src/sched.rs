@@ -46,10 +46,15 @@ pub const DEFAULT_MAX_STEPS: usize = 20_000;
 /// the run (a yield point with ≥ 2 eligible threads). After the sequence
 /// is exhausted the scheduler continues with the deterministic
 /// zero-preemption default, so short sequences are complete schedules.
+///
+/// A plan may also name [mutants](crate::mutant_enabled) to arm on the
+/// run's scheduled threads. They are not part of the
+/// [encoding](Self::encode): a replay names them again.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SchedulePlan {
     decisions: Vec<usize>,
     max_steps: usize,
+    mutants: Vec<&'static str>,
 }
 
 impl SchedulePlan {
@@ -59,6 +64,7 @@ impl SchedulePlan {
         Self {
             decisions,
             max_steps: DEFAULT_MAX_STEPS,
+            mutants: Vec::new(),
         }
     }
 
@@ -66,6 +72,14 @@ impl SchedulePlan {
     #[must_use]
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         self.max_steps = max_steps;
+        self
+    }
+
+    /// Arms `mutants` on this run's scheduled threads, and on no other
+    /// thread (see [`mutant_enabled`](crate::mutant_enabled)).
+    #[must_use]
+    pub fn with_mutants(mut self, mutants: &[&'static str]) -> Self {
+        self.mutants = mutants.to_vec();
         self
     }
 
@@ -553,6 +567,7 @@ pub(crate) mod imp {
                 std::thread::Builder::new()
                     .name(format!("sched-{i}"))
                     .spawn_scoped(s, move || {
+                        crate::mutant::arm(&plan.mutants);
                         let result = catch_unwind(AssertUnwindSafe(move || {
                             enter(i);
                             f();

@@ -198,14 +198,28 @@ fn registry_sees_fired_sites() {
     );
 }
 
+/// A mutant named on a plan is armed on that run's scheduled threads
+/// only: not on a thread a scenario closure spawns itself, and not on the
+/// calling thread once the run is over.
 #[test]
-fn mutant_guard_enables_and_disables() {
-    assert!(!chaos::mutant_enabled("toy/mutant/x"));
-    {
-        let _g = chaos::enable_mutant("toy/mutant/x");
-        assert!(chaos::mutant_enabled("toy/mutant/x"));
-        assert!(!chaos::mutant_enabled("toy/mutant/y"));
-    }
+fn a_plan_arms_its_mutants_on_its_scheduled_threads_only() {
+    let plan = SchedulePlan::new(vec![]).with_mutants(&["toy/mutant/x"]);
+    let seen = std::sync::Mutex::new(Vec::new());
+    let outcome = chaos::run_schedule(
+        &plan,
+        vec![Box::new(|| {
+            let spawned = std::thread::spawn(|| chaos::mutant_enabled("toy/mutant/x"))
+                .join()
+                .unwrap();
+            seen.lock().unwrap().extend([
+                chaos::mutant_enabled("toy/mutant/x"),
+                chaos::mutant_enabled("toy/mutant/y"),
+                spawned,
+            ]);
+        })],
+    );
+    assert!(outcome.clean(), "{:?}", outcome.failure_reason());
+    assert_eq!(*seen.lock().unwrap(), [true, false, false]);
     assert!(!chaos::mutant_enabled("toy/mutant/x"));
 }
 

@@ -41,10 +41,10 @@
 //!   overlaps, at the price of hash routing's skew resistance: hot
 //!   adjacent keys all land in one shard.
 //!
-//! The library takes the policy as a constructor choice only; the
-//! benchmark harness's `forest_with_env_router` picks it at run time from
-//! `CITRUS_ROUTER=hash|range`, with evenly spaced splitters
-//! ([`even_splitters`]) over the workload's key range.
+//! The library takes the policy as a constructor choice only. Callers
+//! that compare the two routers on one workload build both explicitly,
+//! the range arm with evenly spaced splitters ([`even_splitters`]) over
+//! the workload's key range.
 //!
 //! # What stays per-shard vs. global
 //!
@@ -197,28 +197,12 @@ pub enum RouterKind {
 }
 
 impl RouterKind {
-    /// Stable label used in bench JSON identity rows and CI lane output.
+    /// Stable label used in bench JSON identity rows and test messages.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             Self::Hash => "hash",
             Self::Range => "range",
-        }
-    }
-
-    /// Parses a router label; `name` is the knob being parsed, for the
-    /// error message. Malformed values are hard errors, per the repo's
-    /// env-knob convention: a typo must not silently bench the default.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `raw` (trimmed) is `""`, `"hash"`, or `"range"`.
-    #[must_use]
-    pub fn parse(name: &str, raw: &str) -> Self {
-        match raw.trim() {
-            "" | "hash" => Self::Hash,
-            "range" => Self::Range,
-            other => panic!("invalid {name}={other:?}: expected \"hash\" or \"range\""),
         }
     }
 }
@@ -1400,22 +1384,6 @@ mod tests {
     #[should_panic(expected = "cannot split")]
     fn even_splitters_reject_too_small_key_range() {
         let _ = even_splitters(8, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "CITRUS_ROUTER")]
-    fn router_kind_rejects_unknown_labels() {
-        let _ = RouterKind::parse("CITRUS_ROUTER", "radix");
-    }
-
-    #[test]
-    fn router_kind_parses_labels() {
-        assert_eq!(RouterKind::parse("CITRUS_ROUTER", ""), RouterKind::Hash);
-        assert_eq!(RouterKind::parse("CITRUS_ROUTER", "hash"), RouterKind::Hash);
-        assert_eq!(
-            RouterKind::parse("CITRUS_ROUTER", " range "),
-            RouterKind::Range
-        );
     }
 
     #[test]

@@ -694,7 +694,9 @@ where
 {
     /// The paper's `get` (lines 1–15): wait-free search from the root,
     /// inside a read-side critical section, returning
-    /// `(prev, tag, curr, direction)`.
+    /// `(prev, curr, direction)`. Only `insert` uses line 13's tag, so it
+    /// reads the tag itself, right after the search and inside the same
+    /// section.
     ///
     /// Must be called inside an RCU read-side critical section (and with
     /// the EBR pin held in `Epoch` mode).
@@ -703,7 +705,7 @@ where
     /// between both already loaded children (DESIGN.md §3, *Branch-free
     /// descent*). The descent starts below the `∞` sentinel, which keeps
     /// its `citrus/search/step` point.
-    fn search(&self, key: &K) -> (*mut Node<K, V>, u64, *mut Node<K, V>, Dir) {
+    fn search(&self, key: &K) -> (*mut Node<K, V>, *mut Node<K, V>, Dir) {
         debug_assert!(self.rcu.in_read_section());
         // SAFETY: the root is never null (line 4's comment) and never
         // freed before the tree, nor is its right child, the ∞ sentinel;
@@ -730,9 +732,7 @@ where
                 dir = Dir::from_cmp(cmp);
                 curr = core::hint::select_unpredictable(dir == Dir::Left, left, right);
             }
-            // Line 13: save the tag inside the read-side critical section.
-            let tag = (*prev).tag(dir);
-            (prev, tag, curr, dir)
+            (prev, curr, dir)
         }
     }
 
@@ -741,7 +741,7 @@ where
     pub fn get(&mut self, key: &K) -> Option<V> {
         let _pin = self.ebr.as_ref().map(|h| h.pin());
         let _guard = self.rcu.read_lock();
-        let (_prev, _tag, curr, _dir) = self.search(key);
+        let (_prev, curr, _dir) = self.search(key);
         // Widens the window between locating the node and reading its
         // value, still inside the read-side section — the interval where
         // a stale read would manifest if the RCU protocol were broken
@@ -763,7 +763,7 @@ where
     pub fn contains(&mut self, key: &K) -> bool {
         let _pin = self.ebr.as_ref().map(|h| h.pin());
         let _guard = self.rcu.read_lock();
-        let (_prev, _tag, curr, _dir) = self.search(key);
+        let (_prev, curr, _dir) = self.search(key);
         // Same window as `get`: the lincheck chaos sweeps drive both
         // operations through this point.
         chaos::point!("citrus/get/after-search");
@@ -871,7 +871,12 @@ where
             // (avoiding RCU deadlock), so the guard is scoped to the search.
             let (prev, tag, curr, dir) = {
                 let _guard = self.rcu.read_lock();
-                self.search(&payload.0)
+                let (prev, curr, dir) = self.search(&payload.0);
+                // Line 13: save the tag inside the read-side critical
+                // section.
+                // SAFETY: `prev` was reached inside this section, so it
+                // stays allocated until the section ends.
+                (prev, unsafe { (*prev).tag(dir) }, curr, dir)
             };
             if !curr.is_null() {
                 // Line 24: the key was found.
@@ -910,7 +915,7 @@ where
     pub fn remove(&mut self, key: &K) -> bool {
         let _pin = self.ebr.as_ref().map(|h| h.pin());
         loop {
-            let (prev, _tag, curr, dir) = {
+            let (prev, curr, dir) = {
                 let _guard = self.rcu.read_lock();
                 self.search(key)
             };

@@ -13,7 +13,8 @@
 //! deliberately skipped (`citrus/remove/skip-synchronize`), the explorer
 //! must find a reader that misses a key that was never absent — and the
 //! failing schedule it reports, replayed verbatim, must fail again (and
-//! pass once the mutant is disabled).
+//! pass without the mutant). A mutant is planted in a scenario's own
+//! scheduled runs only, so these tests run in parallel like any others.
 //!
 //! Replay any failure here with `CITRUS_SCHEDULE=<schedule> cargo test
 //! --features chaos -p citrus <test>`.
@@ -22,24 +23,13 @@
 
 use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
-    enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
-    Explorer, ScenarioOp, ScheduleScenario, StressWatchdog,
+    explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig, Explorer,
+    ScenarioOp, ScheduleFailure, ScheduleScenario,
 };
+use citrus_api::{ConcurrentMap, OrderedMapSession};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Barrier;
 use std::time::Duration;
-
-/// Serializes every test in this binary. Mutants are process-global: a
-/// test that enables one would leak it into sibling sweeps running in
-/// parallel (a clean sweep would then fail on a bug it never planted),
-/// and two tests enabling the same mutant at once trip its enabled-twice
-/// assertion. The stress watchdog starts only once the lock is held, so
-/// queueing behind siblings does not count against a test's timeout.
-fn exclusive(test: &str) -> (MutexGuard<'static, ()>, StressWatchdog) {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    (serial, stress_watchdog(test))
-}
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
@@ -85,9 +75,54 @@ fn bounded(max_preemptions: usize) -> ExploreConfig {
     }
 }
 
+const SKIP_SYNCHRONIZE: &str = "citrus/remove/skip-synchronize";
+const SKIP_SCAN_VALIDATION: &str = "citrus/scan/skip-validation";
+
+/// Sweeps `scenario` with `mutant` planted up to bound 2 and returns the
+/// failure the sweep must find. The failure must be a linearizability
+/// violation, its schedule must replay to a failure with the mutant, and
+/// the same schedule must pass without it, so the failure is the
+/// mutant's. Deletes the sweep's dump.
+fn assert_mutant_caught<M, V>(
+    make: fn() -> M,
+    scenario: &ScheduleScenario,
+    mutant: &'static str,
+    validate: V,
+) -> ScheduleFailure
+where
+    M: ConcurrentMap<u64, u64>,
+    for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
+    V: Fn(&mut M) -> Result<(), String> + Copy,
+{
+    let planted = scenario.clone().mutant(mutant);
+    let report = explore_schedules_with(make, &planted, bounded(2), validate);
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("[{}] the {mutant} mutant must be caught", scenario.name));
+    remove_expected_dump(report.dump);
+    eprintln!("[mutant] {} minimal schedule: {failure}", scenario.name);
+    assert!(
+        failure.reason.contains("non-linearizable"),
+        "the witness must be a linearizability violation, got: {}",
+        failure.reason
+    );
+    let rerun = replay_schedule_with(make, &planted, &failure.schedule, validate);
+    assert!(
+        rerun.verdict.is_err() || !rerun.outcome.clean(),
+        "replaying the failing schedule must reproduce the failure"
+    );
+    let fixed = replay_schedule_with(make, scenario, &failure.schedule, validate);
+    assert!(
+        fixed.outcome.clean() && fixed.verdict.is_ok(),
+        "the minimal schedule must pass without the {mutant} mutant: {:?}",
+        fixed.verdict
+    );
+    failure
+}
+
 #[test]
 fn inline_delete_window_sweep_is_clean() {
-    let _serial = exclusive("inline_delete_window_sweep_is_clean");
+    let _watchdog = stress_watchdog("inline_delete_window_sweep_is_clean");
     let scenario = delete_window_scenario("inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -123,7 +158,7 @@ fn inline_delete_window_sweep_is_clean() {
 /// incomplete sweep has no stable count.
 #[test]
 fn explored_schedule_count_is_stable() {
-    let _serial = exclusive("explored_schedule_count_is_stable");
+    let _watchdog = stress_watchdog("explored_schedule_count_is_stable");
     let scenario = delete_window_scenario("inline-two-child-delete-count");
     let first = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
     first.assert_clean(scenario.name);
@@ -141,40 +176,55 @@ fn explored_schedule_count_is_stable() {
     }
 }
 
+/// A mutant is armed on its own scenario's scheduled runs only: a
+/// skip-synchronize sweep and a clean sweep of the same window, run on
+/// two threads at once, must neither hide the mutant's failure nor leak
+/// it into the clean sweep, which keeps its pinned bound-1 count. Both
+/// sweeps start together, and the mutant sweep runs to completion so
+/// that it outlasts the clean one.
+#[test]
+fn a_mutant_sweep_beside_a_clean_sweep_stays_in_its_own_runs() {
+    let _watchdog = stress_watchdog("a_mutant_sweep_beside_a_clean_sweep_stays_in_its_own_runs");
+    let start = Barrier::new(2);
+    let (planted, clean) = std::thread::scope(|s| {
+        let planted = s.spawn(|| {
+            start.wait();
+            let scenario = delete_window_scenario("parallel-mutant").mutant(SKIP_SYNCHRONIZE);
+            let config = ExploreConfig {
+                stop_on_failure: false,
+                ..bounded(2)
+            };
+            explore_schedules_with(make_inline, &scenario, config, validate)
+        });
+        let clean = s.spawn(|| {
+            start.wait();
+            let scenario = delete_window_scenario("parallel-clean");
+            explore_schedules_with(make_inline, &scenario, bounded(1), validate)
+        });
+        (planted.join().unwrap(), clean.join().unwrap())
+    });
+    assert!(
+        planted.failure.is_some(),
+        "the skip-synchronize mutant must be caught beside a clean sweep"
+    );
+    remove_expected_dump(planted.dump);
+    clean.assert_clean("parallel-clean");
+    if clean.completed {
+        assert_eq!(
+            clean.schedules, 20,
+            "the clean sweep's bound-1 count drifted"
+        );
+    }
+}
+
 #[test]
 fn inline_delete_skip_synchronize_mutant_is_caught() {
-    let _serial = exclusive("inline_delete_skip_synchronize_mutant_is_caught");
+    let _watchdog = stress_watchdog("inline_delete_skip_synchronize_mutant_is_caught");
     let scenario = delete_window_scenario("inline-two-child-delete-mutant");
-    let guard = enable_mutant("citrus/remove/skip-synchronize");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
-    let failure = report
-        .failure
-        .expect("skipping the delete-path synchronize_rcu must be caught");
-    remove_expected_dump(report.dump);
-    eprintln!("[mutant] inline delete minimal schedule: {failure}");
+    let failure = assert_mutant_caught(make_inline, &scenario, SKIP_SYNCHRONIZE, validate);
     assert_eq!(
         failure.preemptions, 1,
         "iterative deepening must find a 1-preemption witness first"
-    );
-    assert!(
-        failure.reason.contains("non-linearizable"),
-        "the witness must be a linearizability violation, got: {}",
-        failure.reason
-    );
-    // The reported schedule is a replayable witness...
-    let rerun = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
-    assert!(
-        rerun.verdict.is_err() || !rerun.outcome.clean(),
-        "replaying the failing schedule must reproduce the failure"
-    );
-    // ...and the failure is the mutant's: the same schedule passes with
-    // the real synchronize_rcu back in place.
-    drop(guard);
-    let fixed = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once the grace period is restored: {:?}",
-        fixed.verdict
     );
 }
 
@@ -186,7 +236,7 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
 /// re-harvested from `inline_delete_skip_synchronize_mutant_is_caught`.
 #[test]
 fn pinned_inline_delete_schedule_regression() {
-    let _serial = exclusive("pinned_inline_delete_schedule_regression");
+    let _watchdog = stress_watchdog("pinned_inline_delete_schedule_regression");
     let scenario = delete_window_scenario("inline-two-child-delete-pinned");
     let run = replay_schedule_with(
         make_inline,
@@ -200,14 +250,12 @@ fn pinned_inline_delete_schedule_regression() {
         run.outcome.failure_reason(),
         run.verdict
     );
-    let guard = enable_mutant("citrus/remove/skip-synchronize");
     let mutant = replay_schedule_with(
         make_inline,
-        &scenario,
+        &scenario.mutant(SKIP_SYNCHRONIZE),
         PINNED_INLINE_DELETE_SCHEDULE,
         validate,
     );
-    drop(guard);
     assert!(
         mutant.verdict.is_err() || !mutant.outcome.clean(),
         "pinned schedule no longer exercises the delete window — re-harvest it"
@@ -221,7 +269,7 @@ fn pinned_inline_delete_schedule_regression() {
 /// silently.
 #[test]
 fn search_yields_once_per_visited_node() {
-    let _serial = exclusive("search_yields_once_per_visited_node");
+    let _watchdog = stress_watchdog("search_yields_once_per_visited_node");
     let scenario = ScheduleScenario::new("search-steps")
         .prefill(&delete_window_scenario("search-steps").prefill)
         .thread(&[ScenarioOp::Get(25)]);
@@ -259,7 +307,7 @@ fn successor_resurrection_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn successor_resurrection_window_sweep_is_clean() {
-    let _serial = exclusive("successor_resurrection_window_sweep_is_clean");
+    let _watchdog = stress_watchdog("successor_resurrection_window_sweep_is_clean");
     let scenario = successor_resurrection_scenario("successor-copy-vs-remove-successor");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -295,7 +343,7 @@ fn scan_window_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn scan_vs_inline_two_child_delete_sweep_is_clean() {
-    let _serial = exclusive("scan_vs_inline_two_child_delete_sweep_is_clean");
+    let _watchdog = stress_watchdog("scan_vs_inline_two_child_delete_sweep_is_clean");
     let scenario = scan_window_scenario("scan-vs-inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -334,36 +382,13 @@ fn torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 /// schedule must pass once validation is back on.
 #[test]
 fn scan_skip_validation_mutant_is_caught() {
-    let _serial = exclusive("scan_skip_validation_mutant_is_caught");
+    let _watchdog = stress_watchdog("scan_skip_validation_mutant_is_caught");
     let scenario = torn_scan_scenario("torn-scan-mutant");
-    let guard = enable_mutant("citrus/scan/skip-validation");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
-    let failure = report
-        .failure
-        .expect("skipping scan validation must be caught");
-    remove_expected_dump(report.dump);
-    eprintln!("[mutant] torn-scan minimal schedule: {failure}");
+    let failure = assert_mutant_caught(make_inline, &scenario, SKIP_SCAN_VALIDATION, validate);
     assert!(
         failure.preemptions <= 2,
         "iterative deepening must find a low-bound witness, got {}",
         failure.preemptions
-    );
-    assert!(
-        failure.reason.contains("non-linearizable"),
-        "the witness must be a linearizability violation, got: {}",
-        failure.reason
-    );
-    let rerun = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
-    assert!(
-        rerun.verdict.is_err() || !rerun.outcome.clean(),
-        "replaying the failing schedule must reproduce the failure"
-    );
-    drop(guard);
-    let fixed = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once validation is restored: {:?}",
-        fixed.verdict
     );
 }
 
@@ -371,7 +396,7 @@ fn scan_skip_validation_mutant_is_caught() {
 /// to the bound restarts instead of returning a torn result.
 #[test]
 fn torn_scan_sweep_is_clean_with_validation() {
-    let _serial = exclusive("torn_scan_sweep_is_clean_with_validation");
+    let _watchdog = stress_watchdog("torn_scan_sweep_is_clean_with_validation");
     let scenario = torn_scan_scenario("torn-scan-validated");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -380,8 +405,7 @@ fn torn_scan_sweep_is_clean_with_validation() {
 // ---- Range-routed forest: partial fan-out windows (DESIGN.md §6j) -----
 
 /// A 2-shard range forest with its splitter at 16: keys below 16 live in
-/// shard 0, the rest in shard 1. Built explicitly (not via the
-/// `CITRUS_ROUTER` env knob) so these windows are swept in every CI lane.
+/// shard 0, the rest in shard 1.
 fn make_range_forest() -> Forest {
     Forest::with_range_router_config(vec![16], ReclaimMode::Leak)
 }
@@ -408,7 +432,7 @@ fn range_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn range_forest_scan_window_sweep_is_clean() {
-    let _serial = exclusive("range_forest_scan_window_sweep_is_clean");
+    let _watchdog = stress_watchdog("range_forest_scan_window_sweep_is_clean");
     let scenario = range_forest_scan_scenario("range-forest-scan-vs-two-child-delete");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -445,46 +469,18 @@ fn range_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 /// failure, and the identical schedule must pass once validation is back.
 #[test]
 fn range_forest_scan_skip_validation_mutant_is_caught() {
-    let _serial = exclusive("range_forest_scan_skip_validation_mutant_is_caught");
+    let _watchdog = stress_watchdog("range_forest_scan_skip_validation_mutant_is_caught");
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-mutant");
-    let guard = enable_mutant("citrus/scan/skip-validation");
-    let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
-    let failure = report
-        .failure
-        .expect("skipping the partial fan-out's validation must be caught");
-    remove_expected_dump(report.dump);
-    eprintln!("[mutant] range-forest torn-scan minimal schedule: {failure}");
+    let failure = assert_mutant_caught(
+        make_range_forest,
+        &scenario,
+        SKIP_SCAN_VALIDATION,
+        validate_forest,
+    );
     assert!(
         failure.preemptions <= 2,
         "iterative deepening must find a low-bound witness, got {}",
         failure.preemptions
-    );
-    assert!(
-        failure.reason.contains("non-linearizable"),
-        "the witness must be a linearizability violation, got: {}",
-        failure.reason
-    );
-    let rerun = replay_schedule_with(
-        make_range_forest,
-        &scenario,
-        &failure.schedule,
-        validate_forest,
-    );
-    assert!(
-        rerun.verdict.is_err() || !rerun.outcome.clean(),
-        "replaying the failing schedule must reproduce the failure"
-    );
-    drop(guard);
-    let fixed = replay_schedule_with(
-        make_range_forest,
-        &scenario,
-        &failure.schedule,
-        validate_forest,
-    );
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once validation is restored: {:?}",
-        fixed.verdict
     );
 }
 
@@ -492,7 +488,7 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
 /// to the bound restarts instead of returning a torn result.
 #[test]
 fn range_forest_torn_scan_sweep_is_clean_with_validation() {
-    let _serial = exclusive("range_forest_torn_scan_sweep_is_clean_with_validation");
+    let _watchdog = stress_watchdog("range_forest_torn_scan_sweep_is_clean_with_validation");
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-validated");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -555,7 +551,7 @@ fn hash_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 
 #[test]
 fn hash_forest_scan_window_sweep_is_clean() {
-    let _serial = exclusive("hash_forest_scan_window_sweep_is_clean");
+    let _watchdog = stress_watchdog("hash_forest_scan_window_sweep_is_clean");
     let scenario = hash_forest_scan_scenario("hash-forest-scan-vs-two-child-delete");
     let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -582,46 +578,18 @@ fn hash_forest_scan_window_sweep_is_clean() {
 /// failure, and the identical schedule must pass once validation is back.
 #[test]
 fn hash_forest_scan_skip_validation_mutant_is_caught() {
-    let _serial = exclusive("hash_forest_scan_skip_validation_mutant_is_caught");
+    let _watchdog = stress_watchdog("hash_forest_scan_skip_validation_mutant_is_caught");
     let scenario = hash_forest_torn_scan_scenario("hash-forest-torn-scan-mutant");
-    let guard = enable_mutant("citrus/scan/skip-validation");
-    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
-    let failure = report
-        .failure
-        .expect("skipping the full fan-out's validation must be caught");
-    remove_expected_dump(report.dump);
-    eprintln!("[mutant] hash-forest torn-scan minimal schedule: {failure}");
+    let failure = assert_mutant_caught(
+        make_hash_forest,
+        &scenario,
+        SKIP_SCAN_VALIDATION,
+        validate_forest,
+    );
     assert!(
         failure.preemptions <= 2,
         "iterative deepening must find a low-bound witness, got {}",
         failure.preemptions
-    );
-    assert!(
-        failure.reason.contains("non-linearizable"),
-        "the witness must be a linearizability violation, got: {}",
-        failure.reason
-    );
-    let rerun = replay_schedule_with(
-        make_hash_forest,
-        &scenario,
-        &failure.schedule,
-        validate_forest,
-    );
-    assert!(
-        rerun.verdict.is_err() || !rerun.outcome.clean(),
-        "replaying the failing schedule must reproduce the failure"
-    );
-    drop(guard);
-    let fixed = replay_schedule_with(
-        make_hash_forest,
-        &scenario,
-        &failure.schedule,
-        validate_forest,
-    );
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once validation is restored: {:?}",
-        fixed.verdict
     );
 }
 
@@ -629,7 +597,7 @@ fn hash_forest_scan_skip_validation_mutant_is_caught() {
 /// to the bound restarts instead of returning a torn result.
 #[test]
 fn hash_forest_torn_scan_sweep_is_clean_with_validation() {
-    let _serial = exclusive("hash_forest_torn_scan_sweep_is_clean_with_validation");
+    let _watchdog = stress_watchdog("hash_forest_torn_scan_sweep_is_clean_with_validation");
     let scenario = hash_forest_torn_scan_scenario("hash-forest-torn-scan-validated");
     let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -671,7 +639,7 @@ fn keys_in_distinct_shards() -> (u64, u64) {
 /// not just the ones a stress run happens to sample.
 #[test]
 fn forest_cross_shard_sweep_is_clean() {
-    let _serial = exclusive("forest_cross_shard_sweep_is_clean");
+    let _watchdog = stress_watchdog("forest_cross_shard_sweep_is_clean");
     let (a, b) = keys_in_distinct_shards();
     let scenario = ScheduleScenario::new("forest-cross-shard")
         .prefill(&[(a, 1)])
@@ -695,7 +663,7 @@ fn forest_cross_shard_sweep_is_clean() {
 /// budget must cut the sweep short and say so, not hang or lie.
 #[test]
 fn explore_budget_marks_sweep_incomplete() {
-    let _serial = exclusive("explore_budget_marks_sweep_incomplete");
+    let _watchdog = stress_watchdog("explore_budget_marks_sweep_incomplete");
     let config = ExploreConfig {
         max_preemptions: 2,
         budget: Some(Duration::from_millis(0)),

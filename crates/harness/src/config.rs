@@ -1,7 +1,6 @@
 //! Environment-driven scaling of the benchmark suite.
 
 use crate::keydist::KeyDist;
-use citrus::{even_splitters, CitrusForest, RcuFlavor, ReclaimMode, RouterKind};
 use std::time::Duration;
 
 /// Global benchmark parameters.
@@ -20,7 +19,6 @@ use std::time::Duration;
 /// | `CITRUS_RANGE_LARGE` | large key range | 200000 | 2000000 |
 /// | `CITRUS_SHARDS` | comma-separated forest shard counts | `1,2,4,8` | — |
 /// | `CITRUS_METRICS` | attach internal-metrics sections to reports | unset | — |
-/// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) for [`forest_with_env_router`] and [`BenchConfig::router`]; the forest sweep A/Bs both routers regardless | `hash` | — |
 /// | `CITRUS_KEY_DIST` | key distribution for timed workload draws (`uniform`/`zipf:<theta>`); prefill stays uniform | `uniform` | — |
 ///
 /// Metric collection also requires the `stats` feature (on by default in
@@ -47,9 +45,6 @@ pub struct BenchConfig {
     /// Collect internal metrics (RCU, reclamation, tree counters) during
     /// the highest-thread-count point of each figure panel.
     pub collect_metrics: bool,
-    /// Forest routing policy for env-driven constructions (the forest
-    /// sweep's router axis A/Bs both regardless).
-    pub router: RouterKind,
     /// Key distribution for timed workload draws.
     pub key_dist: KeyDist,
 }
@@ -104,47 +99,6 @@ fn env_counts(name: &str, default: &str) -> Vec<usize> {
     parse_count_list(name, &raw)
 }
 
-/// Reads the `CITRUS_ROUTER` knob (`hash` when unset).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value (see [`RouterKind::parse`]).
-#[must_use]
-pub(crate) fn router_from_env() -> RouterKind {
-    match std::env::var("CITRUS_ROUTER") {
-        Ok(raw) => RouterKind::parse("CITRUS_ROUTER", &raw),
-        Err(std::env::VarError::NotPresent) => RouterKind::Hash,
-        Err(err) => panic!("invalid CITRUS_ROUTER: {err}"),
-    }
-}
-
-/// Builds a `u64`-keyed forest with the router picked by `CITRUS_ROUTER`:
-/// `hash` (the default) is
-/// [`CitrusForest::with_config`] with `seed`; `range` partitions
-/// `[0, key_range)` with [`even_splitters`] (the seed is then unused).
-/// `n` is rounded up to a power of two in **both** arms so the two routers
-/// sweep identical shard counts.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `CITRUS_ROUTER` value, or in `range` mode
-/// when `key_range` is smaller than the rounded shard count.
-#[must_use]
-pub fn forest_with_env_router<V: Send + Sync, F: RcuFlavor>(
-    n: usize,
-    seed: u64,
-    mode: ReclaimMode,
-    key_range: u64,
-) -> CitrusForest<u64, V, F> {
-    let n = n.max(1).next_power_of_two();
-    match router_from_env() {
-        RouterKind::Hash => CitrusForest::with_config(n, seed, mode),
-        RouterKind::Range => {
-            CitrusForest::with_range_router_config(even_splitters(n, key_range), mode)
-        }
-    }
-}
-
 impl BenchConfig {
     /// Reads the configuration from the environment (see type docs).
     pub fn from_env() -> Self {
@@ -163,7 +117,6 @@ impl BenchConfig {
             shards: env_counts("CITRUS_SHARDS", "1,2,4,8"),
             collect_metrics: std::env::var("CITRUS_METRICS")
                 .is_ok_and(|v| v != "0" && !v.is_empty()),
-            router: router_from_env(),
             key_dist: KeyDist::from_env(),
         }
     }
@@ -178,7 +131,6 @@ impl BenchConfig {
             range_large: 2_048,
             shards: vec![1, 2],
             collect_metrics: false,
-            router: RouterKind::Hash,
             key_dist: KeyDist::Uniform,
         }
     }

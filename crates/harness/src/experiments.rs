@@ -85,7 +85,7 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
             run_forest_observed::<ScalableRcu>(
                 forest_shards,
                 ReclaimMode::Leak,
-                cfg.router,
+                RouterKind::Hash,
                 &spec,
                 cfg.reps,
                 0x816,

@@ -28,7 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod workload;
 
-pub use config::{forest_with_env_router, BenchConfig};
+pub use config::BenchConfig;
 pub use experiments::{ForestCell, ForestScanCell, ForestSkewCell};
 pub use keydist::{KeyDist, KeySampler};
 pub use report::{Report, Series};

@@ -10,64 +10,83 @@
 //! cover the boundary cases: 1 (degenerate single-tree forest), 3
 //! (rounds up to 4 — non-power-of-two request), and 8.
 //!
-//! The sweeps construct their forests through the harness's
-//! `forest_with_env_router`, so the whole battery runs against the hash
-//! router by default and against the range router when CI's router lane
-//! sets `CITRUS_ROUTER=range`. The
-//! explicitly range-routed tests at the bottom (splitter boundaries,
-//! planted misroutes) run in both lanes regardless.
+//! Every sweep runs under both routers: hash routing seeded by the chaos
+//! seed, and range routing with evenly spaced splitters over the key
+//! range. The shard count is rounded up in both arms, so the two routers
+//! sweep identical shard counts. The explicitly range-routed tests at the
+//! bottom (splitter boundaries, planted misroutes) probe the range
+//! router's edges directly.
 
 use citrus_repro::citrus_api::testkit;
-use citrus_repro::citrus_harness::forest_with_env_router;
 use citrus_repro::prelude::*;
 
+/// A `u64`-keyed forest over `shards` shards (rounded up to a power of
+/// two) under `router`: hash routing seeded by `seed`, or range routing
+/// with [`even_splitters`] over `[0, key_range)`.
+fn forest<F: RcuFlavor>(
+    router: RouterKind,
+    shards: usize,
+    seed: u64,
+    key_range: u64,
+) -> CitrusForest<u64, u64, F> {
+    let shards = shards.next_power_of_two();
+    match router {
+        RouterKind::Hash => CitrusForest::with_config(shards, seed, ReclaimMode::Epoch),
+        RouterKind::Range => CitrusForest::with_range_router_config(
+            even_splitters(shards, key_range),
+            ReclaimMode::Epoch,
+        ),
+    }
+}
+
 /// Sweeps chaos seeds over forest-vs-oracle agreement for one flavor and
-/// shard count. The chaos seed doubles as sharding seed and stream seed,
-/// so a failure replays from the one number in the panic message.
+/// shard count, under each router. The chaos seed doubles as sharding
+/// seed and stream seed, so a failure replays from the router and the
+/// one number in the panic message.
 fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
     let _watchdog = testkit::stress_watchdog("forest_conformance::agreement_sweep");
-    for i in 0..testkit::chaos_seeds(3) {
-        let seed = base_seed.wrapping_add(i);
-        let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
-        let forest: CitrusForest<u64, u64, F> =
-            forest_with_env_router(shards, seed, ReclaimMode::Epoch, 128);
-        let oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
-        testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
+    for router in [RouterKind::Hash, RouterKind::Range] {
+        for i in 0..testkit::chaos_seeds(3) {
+            let seed = base_seed.wrapping_add(i);
+            let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
+            let mut forest = forest::<F>(router, shards, seed, 128);
+            let mut oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
+            testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
+            let case = format!("{router} router, seed {seed:#x}, {shards} shards");
 
-        // The quiescent views must agree too, and the forest must still
-        // satisfy every per-shard structural invariant.
-        let mut forest = forest;
-        let mut oracle = oracle;
-        assert_eq!(
-            forest.to_vec_quiescent(),
-            oracle.to_vec_quiescent(),
-            "quiescent contents diverged (seed {seed:#x}, {shards} shards)"
-        );
-        let stats = forest.validate_structure().unwrap_or_else(|v| {
-            panic!("forest invariant violation (seed {seed:#x}, {shards} shards): {v:?}")
-        });
-        assert_eq!(stats.len, oracle.len_quiescent());
+            // The quiescent views must agree too, and the forest must still
+            // satisfy every per-shard structural invariant.
+            assert_eq!(
+                forest.to_vec_quiescent(),
+                oracle.to_vec_quiescent(),
+                "quiescent contents diverged ({case})"
+            );
+            let stats = forest
+                .validate_structure()
+                .unwrap_or_else(|v| panic!("forest invariant violation ({case}): {v:?}"));
+            assert_eq!(stats.len, oracle.len_quiescent());
 
-        // Ordered reads must agree too: the forest's one walk over all
-        // shards, sorted, must reproduce the oracle's in-order view.
-        let mut fs = forest.session();
-        let mut os = oracle.session();
-        assert_eq!(
-            fs.range_scan(&0, &127),
-            os.range_scan(&0, &127),
-            "full-range scan diverged (seed {seed:#x}, {shards} shards)"
-        );
-        for probe in [0u64, 31, 64, 97, 127] {
+            // Ordered reads must agree too: the forest's one walk over all
+            // shards, sorted, must reproduce the oracle's in-order view.
+            let mut fs = forest.session();
+            let mut os = oracle.session();
             assert_eq!(
-                fs.successor(&probe),
-                os.successor(&probe),
-                "successor({probe})"
+                fs.range_scan(&0, &127),
+                os.range_scan(&0, &127),
+                "full-range scan diverged ({case})"
             );
-            assert_eq!(
-                fs.predecessor(&probe),
-                os.predecessor(&probe),
-                "predecessor({probe})"
-            );
+            for probe in [0u64, 31, 64, 97, 127] {
+                assert_eq!(
+                    fs.successor(&probe),
+                    os.successor(&probe),
+                    "successor({probe}) ({case})"
+                );
+                assert_eq!(
+                    fs.predecessor(&probe),
+                    os.predecessor(&probe),
+                    "predecessor({probe}) ({case})"
+                );
+            }
         }
     }
 }

@@ -17,7 +17,6 @@
 //! minimal counterexample.
 
 use citrus_repro::citrus_api::{lincheck, testkit, ConcurrentMap, MapSession, OrderedMapSession};
-use citrus_repro::citrus_harness::forest_with_env_router;
 use citrus_repro::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -100,30 +99,47 @@ fn citrus_global_lock_leak() {
     );
 }
 
-// ---- CitrusForest: shards 1 / 4 / 8 -----------------------------------
+// ---- CitrusForest: shards 1 / 4 / 8, under both routers ---------------
+
+/// Builds `u64`-keyed forests over `shards` shards (rounded up to a power
+/// of two) under `router`: hash routing seeded with `0x5EED`, or range
+/// routing with [`even_splitters`] over `[0, key_range)`.
+fn forest(
+    router: RouterKind,
+    shards: usize,
+    key_range: u64,
+) -> impl Fn() -> CitrusForest<u64, u64, ScalableRcu> {
+    let shards = shards.next_power_of_two();
+    move || match router {
+        RouterKind::Hash => CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch),
+        RouterKind::Range => CitrusForest::with_range_router_config(
+            even_splitters(shards, key_range),
+            ReclaimMode::Epoch,
+        ),
+    }
+}
+
+const ROUTERS: [RouterKind; 2] = [RouterKind::Hash, RouterKind::Range];
 
 #[test]
 fn forest_one_shard() {
-    lin_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(1, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0011,
-    );
+    for router in ROUTERS {
+        lin_battery(forest(router, 1, 32), 0x11A_0011);
+    }
 }
 
 #[test]
 fn forest_four_shards() {
-    lin_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(4, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0014,
-    );
+    for router in ROUTERS {
+        lin_battery(forest(router, 4, 32), 0x11A_0014);
+    }
 }
 
 #[test]
 fn forest_eight_shards() {
-    lin_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(8, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0018,
-    );
+    for router in ROUTERS {
+        lin_battery(forest(router, 8, 32), 0x11A_0018);
+    }
 }
 
 // ---- The five baselines -----------------------------------------------
@@ -174,33 +190,30 @@ fn scan_citrus_global_lock_inline() {
 
 #[test]
 fn scan_forest_one_shard() {
-    scan_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(1, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0011,
-    );
+    for router in ROUTERS {
+        scan_battery(forest(router, 1, 16), 0x5CA_0011);
+    }
 }
 
 #[test]
 fn scan_forest_four_shards() {
-    scan_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(4, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0014,
-    );
+    for router in ROUTERS {
+        scan_battery(forest(router, 4, 16), 0x5CA_0014);
+    }
 }
 
 #[test]
 fn scan_forest_eight_shards() {
-    scan_battery(
-        || forest_with_env_router::<u64, ScalableRcu>(8, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0018,
-    );
+    for router in ROUTERS {
+        scan_battery(forest(router, 8, 16), 0x5CA_0018);
+    }
 }
 
-/// Explicitly range-routed forest (independent of `CITRUS_ROUTER`): the
-/// partial fan-out — scans entering only overlapping shards, directed
-/// successor/predecessor probes touching one or two — must still
-/// linearize against the multi-key WGL checker. Splitters at 4 and 8 cut
-/// the 16-key scan range into three live shards.
+/// Range-routed forest with uneven shards: the partial fan-out — scans
+/// entering only overlapping shards, directed successor/predecessor
+/// probes touching one or two — must still linearize against the
+/// multi-key WGL checker. Splitters at 4 and 8 cut the 16-key scan range
+/// into three live shards.
 #[test]
 fn scan_forest_range_router() {
     scan_battery(

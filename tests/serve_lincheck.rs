@@ -11,7 +11,7 @@
 //! battery and the ordered-read (scan) battery. The
 //! checker itself is validated end-to-end too: a planted mutant that acks
 //! a write before applying it (`serve/drain/ack-before-apply`) must be
-//! rejected with a dumped minimal counterexample, exactly like the
+//! rejected by the explorer's linearizability oracle, exactly like the
 //! `StaleReadMap` adapter in `tests/linearizability.rs`.
 //!
 //! Knobs: `CITRUS_LIN_THREADS` / `CITRUS_LIN_OPS` bound history width and
@@ -20,17 +20,6 @@
 use citrus_repro::citrus_api::{lincheck, testkit, ConcurrentMap, OrderedMapSession};
 use citrus_repro::citrus_serve::Server;
 use citrus_repro::prelude::*;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
-
-/// Mutants are process-global: while the planted-mutant test below runs,
-/// every other check in this binary would drive the mutated executor
-/// and fail on a bug it never planted. Checks hold this lock shared; the
-/// mutant test holds it exclusively.
-static MUTANT_SCOPE: RwLock<()> = RwLock::new(());
-
-fn mutant_free() -> RwLockReadGuard<'static, ()> {
-    MUTANT_SCOPE.read().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A hash-routed server over `shards` shards.
 fn hash_server(shards: usize) -> Server<u64, u64> {
@@ -53,7 +42,6 @@ fn range_server() -> Server<u64, u64> {
 /// One direct check plus a chaos-seed sweep, as in
 /// `tests/linearizability.rs` — every op crossing the serve boundary.
 fn lin_battery<M: ConcurrentMap<u64, u64>>(make: impl Fn() -> M, base_seed: u64) {
-    let _clean = mutant_free();
     let _watchdog = testkit::stress_watchdog("serve_lincheck::lin_battery");
     let threads = lincheck::lin_threads(4);
     let ops = lincheck::lin_ops(250);
@@ -77,7 +65,6 @@ where
     M: ConcurrentMap<u64, u64>,
     for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
 {
-    let _clean = mutant_free();
     let _watchdog = testkit::stress_watchdog("serve_lincheck::scan_battery");
     let threads = lincheck::lin_threads(3);
     let ops = lincheck::lin_ops(150);
@@ -131,101 +118,49 @@ fn serve_scan_range_inline() {
 /// `tests/linearizability.rs` but end-to-end: the
 /// `serve/drain/ack-before-apply` mutant makes a session's executor
 /// deliver a write's predicted response *before* applying it to the
-/// shard (the apply happens only when the session's next request
-/// executes). A client that
-/// inserts a key and immediately reads it back sees `insert → true,
-/// get → None` — non-linearizable under every schedule — so the WGL
-/// checker must reject the server with a dumped minimal counterexample.
+/// shard (the apply happens only after the session's next request). A
+/// client that inserts a key and immediately reads it back sees `insert
+/// → true, get → None`, which no order of the two explains.
 ///
 /// Mutants only exist with the `chaos` cargo feature (`mutant_enabled`
-/// is `const false` otherwise), so this test is feature-gated.
+/// is `const false` otherwise), so these tests are feature-gated.
 #[cfg(feature = "chaos")]
 mod planted_mutant {
     use super::*;
-    use citrus_repro::citrus_chaos as chaos;
-    use citrus_repro::citrus_serve::ServeSession;
+    use testkit::{explore_schedules, ScenarioOp, ScheduleScenario};
 
-    /// Newtype so the checker's failure report names the mutant, not the
-    /// healthy server (`NAME` is a const on the map type).
-    struct ReorderedAckServe(Server<u64, u64>);
-
-    impl ConcurrentMap<u64, u64> for ReorderedAckServe {
-        type Session<'a> = ServeSession<'a, u64, u64>;
-        const NAME: &'static str = "serve-reordered-ack";
-        fn session(&self) -> Self::Session<'_> {
-            self.0.session()
-        }
+    /// One client inserts a key and reads it back: a single thread, so
+    /// the scenario has exactly one schedule and its verdict is not luck.
+    fn insert_then_get() -> ScheduleScenario {
+        ScheduleScenario::new("serve-insert-then-get")
+            .thread(&[ScenarioOp::Insert(7, 70), ScenarioOp::Get(7)])
     }
 
-    /// Single shard + single-threaded recording keeps the test fully
-    /// deterministic: every interval is totally ordered, so a stashed
-    /// write immediately followed by a read of the same key is a
-    /// violation under *every* schedule — the rejection is not luck.
-    /// (The seed is chosen so the generated stream contains such a
-    /// write-then-read pair; the stash applies after the *next* request,
-    /// so only an immediately-following read observes the reorder.)
     #[test]
     fn reordered_ack_mutant_is_rejected_with_minimal_counterexample() {
-        let _exclusive = MUTANT_SCOPE.write().unwrap_or_else(PoisonError::into_inner);
-        let _guard = chaos::enable_mutant("serve/drain/ack-before-apply");
-        let failure =
-            lincheck::check_linearizable(|| ReorderedAckServe(hash_server(1)), 1, 60, 4, 0x5E_3001)
-                .expect_err("the reordered-ack mutant must be rejected");
-        let message = failure.to_string();
+        let scenario = insert_then_get().mutant("serve/drain/ack-before-apply");
+        let report = explore_schedules(|| hash_server(1), &scenario);
+        let failure = report
+            .failure
+            .expect("the reordered-ack mutant must be rejected");
         assert!(
-            message.contains("non-linearizable history for serve-reordered-ack"),
-            "unexpected failure report:\n{message}"
-        );
-        assert!(
-            message.contains("minimal non-linearizable sub-history on key"),
-            "counterexample must be pretty-printed:\n{message}"
-        );
-        // The shrinker must reach a small core, not dump the whole
-        // workload. Header shape: "... on key(s) K[, K...] (N ops,
-        // invocation order):" — the op count lives in the last paren
-        // group.
-        let ops_line = message
-            .lines()
-            .find(|l| l.contains("minimal non-linearizable sub-history"))
-            .unwrap();
-        let n_ops: usize = ops_line
-            .rsplit('(')
-            .next()
-            .and_then(|s| s.split(' ').next())
-            .and_then(|s| s.parse().ok())
-            .expect("counterexample header names its op count");
-        assert!(
-            n_ops <= 3,
-            "counterexample not minimal ({n_ops} ops):\n{message}"
-        );
-
-        // The failed run must leave a forensic history dump whose path
-        // the report names — read from this check's own failure, not the
-        // process-global watchdog slot that parallel checks overwrite.
-        let dump = failure
-            .dump
-            .expect("a failing lincheck run must dump its history");
-        assert!(dump.exists(), "dump file {} missing", dump.display());
-        let contents = std::fs::read_to_string(&dump).unwrap();
-        assert!(
-            contents.contains("insert(") && contents.contains("# VERDICT"),
-            "dump must contain the history and the appended verdict:\n{contents}"
-        );
-        assert!(
-            message.contains(&dump.display().to_string()),
-            "failure report must name the dump path:\n{message}"
+            failure
+                .reason
+                .contains("non-linearizable history:\nminimal non-linearizable sub-history on key(s) 7 (2 ops"),
+            "unexpected failure report:\n{failure}"
         );
         // Expected evidence: a green run leaves no dump behind.
-        let _ = std::fs::remove_file(&dump);
+        let dump = report.dump.expect("a failing sweep names its dump");
+        std::fs::remove_file(&dump)
+            .unwrap_or_else(|e| panic!("named dump {} not removable: {e}", dump.display()));
     }
 
-    /// With the mutant disarmed the very same server passes — the
-    /// rejection above is caused by the planted bug, not by the serve
-    /// boundary itself.
+    /// Without the mutant the very same scenario passes — the rejection
+    /// above is caused by the planted bug, not by the serve boundary
+    /// itself.
     #[test]
     fn same_server_passes_without_the_mutant() {
-        let _clean = mutant_free();
-        lincheck::check_linearizable(|| hash_server(1), 1, 60, 4, 0x5E_3001)
-            .unwrap_or_else(|failure| panic!("{failure}"));
+        let scenario = insert_then_get();
+        explore_schedules(|| hash_server(1), &scenario).assert_clean(scenario.name);
     }
 }
