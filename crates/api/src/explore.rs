@@ -257,11 +257,11 @@ where
         "scenario {} has no threads",
         scenario.name
     );
+    let run = |plan: &SchedulePlan| run_one(&make, scenario, plan, &validate);
     if let Ok(encoded) = std::env::var("CITRUS_SCHEDULE") {
-        return replay_env(&make, scenario, &encoded, config.max_steps, &validate);
+        return replay_env(scenario.name, &encoded, config.max_steps, run);
     }
-    let mut report =
-        Explorer::new(config).explore(|plan| run_one(&make, scenario, plan, &validate));
+    let mut report = Explorer::new(config).explore(run);
     if let Some(failure) = &report.failure {
         eprintln!(
             "[citrus-explore] scenario {}: {failure}\n  replay: rerun this test with \
@@ -314,30 +314,39 @@ where
     run_one(&make, scenario, &plan, &validate)
 }
 
+/// Explores every schedule of a hand-driven scenario within `config`'s
+/// bounds, or, when `CITRUS_SCHEDULE` is set, replays that one schedule
+/// with a step trace on stderr. For scenarios the
+/// [`ScheduleScenario`] runner cannot express (a structure without
+/// ordered reads, say): `run` executes the scenario once under
+/// [`run_schedule`](citrus_chaos::run_schedule) with the given plan and
+/// returns its outcome and oracle verdict, as for [`Explorer::explore`].
+pub fn explore_or_replay<R>(name: &str, config: ExploreConfig, run: R) -> ExploreReport
+where
+    R: FnMut(&SchedulePlan) -> ExploredRun,
+{
+    match std::env::var("CITRUS_SCHEDULE") {
+        Ok(encoded) => replay_env(name, &encoded, config.max_steps, run),
+        Err(_) => Explorer::new(config).explore(run),
+    }
+}
+
 /// `CITRUS_SCHEDULE` handling: replay exactly one interleaving with a
 /// step trace on stderr, reported as a single-schedule sweep.
-fn replay_env<M, F, V>(
-    make: &F,
-    scenario: &ScheduleScenario,
+fn replay_env(
+    name: &str,
     encoded: &str,
     max_steps: usize,
-    validate: &V,
-) -> ExploreReport
-where
-    M: ConcurrentMap<u64, u64>,
-    for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
-    F: Fn() -> M,
-    V: Fn(&mut M) -> Result<(), String>,
-{
+    mut execute: impl FnMut(&SchedulePlan) -> ExploredRun,
+) -> ExploreReport {
     let plan = SchedulePlan::decode(encoded)
         .unwrap_or_else(|e| panic!("CITRUS_SCHEDULE: {e}"))
         .with_max_steps(max_steps);
     eprintln!(
-        "[citrus-explore] scenario {}: replaying CITRUS_SCHEDULE={}",
-        scenario.name,
+        "[citrus-explore] scenario {name}: replaying CITRUS_SCHEDULE={}",
         plan.encode()
     );
-    let run = run_one(make, scenario, &plan, validate);
+    let run = execute(&plan);
     for (step, (thread, point)) in run.outcome.trace.iter().enumerate() {
         eprintln!("  step {step:>3}: thread {thread} @ {point}");
     }
@@ -346,8 +355,8 @@ where
         completed: false,
         ..ExploreReport::default()
     };
-    for &(_, name) in &run.outcome.trace {
-        report.points_hit.insert(name);
+    for &(_, point) in &run.outcome.trace {
+        report.points_hit.insert(point);
     }
     if run.outcome.deadlocked {
         report.deadlocks = 1;

@@ -1230,15 +1230,25 @@ where
     )
 }
 
+/// What a failing sweep seed does and does not reproduce.
+const SEED_REPLAY: &str = "The seed reproduces the operations, not the interleaving: \
+     rerunning it may pass. To replay a schedule, pin it as an explore scenario \
+     (citrus_api::explore) and rerun with CITRUS_SCHEDULE=<schedule>.";
+
 /// Sweeps `count` consecutive chaos schedule seeds starting at
 /// `base_seed`: each seed installs a [`ChaosPlan`] (schedule perturbation
 /// at every failpoint; a no-op without the `chaos` cargo feature) and
 /// runs [`check_linearizable`] with the same seed driving the workload.
 ///
+/// A seed fixes the operations, not the interleaving: the plan only
+/// perturbs timing, and the OS still picks the order. Rerunning a
+/// failing seed may pass; to replay one interleaving exactly, pin it as
+/// an explore scenario and rerun that with `CITRUS_SCHEDULE`.
+///
 /// # Panics
 ///
-/// Panics with the failure report and the chaos seed to replay on the
-/// first non-linearizable history.
+/// Panics with the failure report and the seed on the first
+/// non-linearizable history.
 pub fn sweep_lincheck_chaos_seeds<M, F>(
     make: F,
     threads: usize,
@@ -1258,8 +1268,7 @@ pub fn sweep_lincheck_chaos_seeds<M, F>(
         };
         if let Err(failure) = verdict {
             panic!(
-                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this history — \
-                 replay with check_linearizable under ChaosPlan::from_seed({seed:#x})"
+                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this history. {SEED_REPLAY}"
             );
         }
     }
@@ -1292,8 +1301,8 @@ pub fn sweep_lincheck_scan_chaos_seeds<M, F>(
         };
         if let Err(failure) = verdict {
             panic!(
-                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this scan history — \
-                 replay with check_linearizable_scans under ChaosPlan::from_seed({seed:#x})"
+                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this scan history. \
+                 {SEED_REPLAY}"
             );
         }
     }

@@ -41,8 +41,8 @@ pub use citrus_chaos::{
 };
 
 pub use crate::explore::{
-    explore_schedules, explore_schedules_with, replay_schedule, replay_schedule_with, ScenarioOp,
-    ScheduleScenario,
+    explore_or_replay, explore_schedules, explore_schedules_with, replay_schedule,
+    replay_schedule_with, ScenarioOp, ScheduleScenario,
 };
 pub use crate::lincheck::{
     check_linearizable, last_history_dump, lin_ops, lin_threads, sweep_lincheck_chaos_seeds,

@@ -369,18 +369,20 @@ where
                             // Linearization point of a successful delete.
                             injected = true;
                             target = leaf;
+                            // The flag→cleanup window: the flagged leaf is
+                            // still reachable until some thread splices it.
+                            chaos::point!("baseline-lockfree/remove/after-flag");
                             if self.cleanup(key, &s) {
                                 return true;
                             }
                         }
                         Err(now) => {
-                            if ptr_of::<K, V>(now) == leaf && flag_of(now) != 0 {
-                                // Another delete of this same leaf won.
-                                return false;
-                            }
-                            if ptr_of::<K, V>(now) == leaf && tag_of(now) != 0 {
-                                // Edge pinned by a neighboring delete:
-                                // help it finish, then retry.
+                            if ptr_of::<K, V>(now) == leaf && (now & BITS) != 0 {
+                                // Flagged by another delete of this leaf, or
+                                // pinned by a neighboring one: help it finish,
+                                // then re-seek. Answering `false` while the
+                                // flagged leaf is still reachable would let a
+                                // later insert or get see the deleted key.
                                 self.cleanup(key, &s);
                             }
                             // Otherwise the tree changed; re-seek.

@@ -8,7 +8,7 @@
 #![cfg(feature = "chaos")]
 
 use citrus_api::testkit::{
-    run_schedule, stress_watchdog, ExploreConfig, ExploredRun, Explorer, SchedulePlan,
+    explore_or_replay, run_schedule, stress_watchdog, ExploreConfig, ExploredRun, SchedulePlan,
 };
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_baselines::OptimisticAvlTree;
@@ -63,11 +63,11 @@ fn run(plan: &SchedulePlan) -> ExploredRun {
 #[test]
 fn remove_under_a_concurrently_unlinked_parent_is_clean() {
     let _wd = stress_watchdog("remove_under_a_concurrently_unlinked_parent_is_clean");
-    let explorer = Explorer::new(ExploreConfig {
+    let config = ExploreConfig {
         max_preemptions: 2,
         ..ExploreConfig::default()
-    });
-    let report = explorer.explore(run);
+    };
+    let report = explore_or_replay("avl-remove-under-unlinked-parent", config, run);
     report.assert_clean("avl-remove-under-unlinked-parent");
     if !report.completed {
         return;

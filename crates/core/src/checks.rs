@@ -221,8 +221,15 @@ where
     }
 
     /// `true` if the tree holds no keys. Requires `&mut self` (quiescence).
+    /// O(1): every key lives under the `∞` sentinel's left child.
     pub fn is_empty_quiescent(&mut self) -> bool {
-        self.len_quiescent() == 0
+        // SAFETY: `&mut self` — exclusive access; the sentinels live as
+        // long as the tree.
+        unsafe {
+            (*(*self.root_ptr()).child(Dir::Right))
+                .child(Dir::Left)
+                .is_null()
+        }
     }
 
     /// Collects all key–value pairs in ascending key order.

@@ -606,23 +606,23 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
 }
 
 impl<K: Hash + Ord, V, F: RcuFlavor> CitrusForest<K, V, F> {
-    /// Routes `key` to its shard index. Hash router: the key's [`Hash`]
-    /// fed to a `RouteHasher` started at the seed → multiply-shift by
-    /// the shard count, pure in `(key, seed, shard_count)` and the same
-    /// on every platform and toolchain. Range router: binary search of the
-    /// splitter array, pure in `(key, splitters)` — a key equal to a
-    /// splitter routes to the upper shard (splitter ranges are
-    /// low-inclusive).
+    /// Routes `key` to its shard index: a pure function of the key and
+    /// the forest's router (see the module docs' *Routing* section).
     #[must_use]
     pub fn shard_for(&self, key: &K) -> usize {
-        match &self.router {
+        Self::route(&self.router, self.shards.len(), key)
+    }
+
+    /// [`shard_for`](Self::shard_for) without `&self`: callable while a shard is borrowed `&mut`.
+    fn route(router: &Router<K>, shards: usize, key: &K) -> usize {
+        match router {
             Router::Hash { seed } => {
                 let mut hasher = RouteHasher(*seed);
                 key.hash(&mut hasher);
                 // Lemire multiply-shift: maps the 64-bit hash uniformly
                 // onto [0, n). For power-of-two n this is exactly the top
                 // log2(n) bits, with no undefined shift at n = 1.
-                ((u128::from(hasher.finish()) * self.shards.len() as u128) >> 64) as usize
+                ((u128::from(hasher.finish()) * shards as u128) >> 64) as usize
             }
             // Shard i owns [splitters[i-1], splitters[i]): the key's
             // shard is the count of splitters at or below it.
@@ -671,54 +671,53 @@ where
     }
 
     /// Validates every shard's structural invariants **and** the forest's
-    /// cross-shard ones, returning aggregate stats (total length, maximum
+    /// cross-shard one, returning aggregate stats (total length, maximum
     /// shard height) or the first violation. Quiescent-only.
     ///
     /// Per-shard validation alone cannot back
     /// [`to_vec_quiescent`](Self::to_vec_quiescent)'s promise of one
-    /// duplicate-free ascending view: a routing bug could land the same
-    /// key in two (individually valid) shards and silently double-count
-    /// it. So this also checks that no key appears in more than one shard
-    /// and that every key lives in the shard the router assigns it to.
+    /// duplicate-free ascending view, so this also checks, one shard at a
+    /// time, that every key lives in its routed shard. Routing is a
+    /// function of the key, so no key can then be in two shards.
     ///
     /// # Errors
     ///
-    /// Returns the first [`InvariantViolation`] found in any shard, or a
-    /// [`CrossShardDuplicate`](InvariantViolation::CrossShardDuplicate) /
-    /// [`MisroutedKey`](InvariantViolation::MisroutedKey) across shards.
+    /// The first [`InvariantViolation`] in any shard. The first key found
+    /// outside its routed shard is a `CrossShardDuplicate` (lower shard
+    /// first) if another shard holds it too, else a `MisroutedKey`.
     pub fn validate_structure(&mut self) -> Result<TreeStats, InvariantViolation>
     where
         K: Hash,
     {
-        let mut len = 0;
-        let mut height = 0;
-        let mut seen: Vec<(K, usize)> = Vec::new();
-        for (idx, shard) in self.shards.iter_mut().enumerate() {
-            let stats = shard.validate_structure()?;
-            len += stats.len;
-            height = height.max(stats.height);
-            for (key, _) in shard.to_vec_quiescent() {
-                seen.push((key, idx));
+        let mut total = TreeStats::default();
+        let n = self.shards.len();
+        let (router, shards) = (&self.router, &mut self.shards);
+        for found_in in 0..n {
+            let TreeStats { len, height } = shards[found_in].validate_structure()?;
+            (total.len, total.height) = (total.len + len, total.height.max(height));
+            let mut stray = None;
+            shards[found_in].for_each_quiescent(|key, _| {
+                if stray.is_none() && Self::route(router, n, key) != found_in {
+                    stray = Some(key.clone());
+                }
+            });
+            let Some(key) = stray else { continue };
+            // Error path only: does another shard hold the stray key too?
+            for other in (0..n).filter(|&i| i != found_in) {
+                let mut held = false;
+                shards[other].for_each_quiescent(|k, _| held |= *k == key);
+                if held {
+                    let shards = (found_in.min(other), found_in.max(other));
+                    return Err(InvariantViolation::CrossShardDuplicate { shards });
+                }
             }
+            let routed_to = Self::route(router, n, &key);
+            return Err(InvariantViolation::MisroutedKey {
+                found_in,
+                routed_to,
+            });
         }
-        seen.sort_by(|a, b| a.0.cmp(&b.0));
-        for pair in seen.windows(2) {
-            if pair[0].0 == pair[1].0 {
-                return Err(InvariantViolation::CrossShardDuplicate {
-                    shards: (pair[0].1, pair[1].1),
-                });
-            }
-        }
-        for (key, found_in) in &seen {
-            let routed_to = self.shard_for(key);
-            if routed_to != *found_in {
-                return Err(InvariantViolation::MisroutedKey {
-                    found_in: *found_in,
-                    routed_to,
-                });
-            }
-        }
-        Ok(TreeStats { len, height })
+        Ok(total)
     }
 
     /// Samples each shard's current key count into the `shard_occupancy`
@@ -1551,6 +1550,24 @@ mod tests {
             }
             other => panic!("expected a misrouted key, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cross_shard_validation_names_both_stray_copies() {
+        // Neither copy sits in the key's routed shard: both are strays,
+        // and the report names the two shards holding them.
+        let mut f = Forest::with_shards(4);
+        let key = 11u64;
+        let home = f.shard_for(&key);
+        let (a, b) = ((home + 1) % 4, (home + 2) % 4);
+        f.shards[a].session().insert(key, 1);
+        f.shards[b].session().insert(key, 2);
+        assert_eq!(
+            f.validate_structure(),
+            Err(InvariantViolation::CrossShardDuplicate {
+                shards: (a.min(b), a.max(b))
+            })
+        );
     }
 
     #[test]

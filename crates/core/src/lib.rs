@@ -113,6 +113,26 @@ mod tests {
     }
 
     #[test]
+    fn is_empty_quiescent_reads_the_sentinel() {
+        let mut tree = Tree::new();
+        assert!(tree.is_empty_quiescent(), "a new tree is empty");
+        assert!(tree.session().insert(7, 70));
+        assert!(!tree.is_empty_quiescent(), "one key");
+        {
+            let mut s = tree.session();
+            for k in [3, 11, 1, 5] {
+                assert!(s.insert(k, k));
+            }
+            // Two-child, one-child and leaf deletes all empty it in turn.
+            for k in [7, 3, 11, 1, 5] {
+                assert!(s.remove(&k));
+            }
+        }
+        assert!(tree.is_empty_quiescent(), "emptied by removes");
+        assert_eq!(tree.len_quiescent(), 0);
+    }
+
+    #[test]
     fn single_key_lifecycle() {
         let tree = Tree::new();
         let mut s = tree.session();
