@@ -319,7 +319,7 @@ where
 /// with a step trace on stderr. For scenarios the
 /// [`ScheduleScenario`] runner cannot express (a structure without
 /// ordered reads, say): `run` executes the scenario once under
-/// [`run_schedule`](citrus_chaos::run_schedule) with the given plan and
+/// [`run_schedule`] with the given plan and
 /// returns its outcome and oracle verdict, as for [`Explorer::explore`].
 pub fn explore_or_replay<R>(name: &str, config: ExploreConfig, run: R) -> ExploreReport
 where

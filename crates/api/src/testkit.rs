@@ -695,7 +695,8 @@ where
     }
 }
 
-/// Checks the grace-period property end-to-end against an [`RcuFlavor`],
+/// Checks the grace-period property end-to-end against an
+/// [`RcuFlavor`](citrus_rcu::RcuFlavor),
 /// with `syncers` synchronizers running their grace periods concurrently:
 ///
 /// `syncers` threads each repeatedly unpublish a value, call

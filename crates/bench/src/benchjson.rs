@@ -54,7 +54,7 @@ pub fn write(name: &str, body: &str) -> io::Result<PathBuf> {
 }
 
 /// Writes `body` as `BENCH_<name>.json` under `dir` (created if missing)
-/// and returns the path. [`write`] is the env-reading wrapper; taking the
+/// and returns the path. [`write`](fn@write) is the env-reading wrapper; taking the
 /// directory explicitly keeps tests off the process-global environment.
 pub fn write_to(dir: &Path, name: &str, body: &str) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;

@@ -6,8 +6,8 @@
 //! the delete path. Plain stress tests only probe the schedules the OS
 //! happens to produce; this crate widens the race windows on purpose.
 //!
-//! Instrumented crates call [`point`] at linearization-sensitive sites and
-//! [`should_fail`] where a forced (correctness-preserving) restart is
+//! Instrumented crates call [`point!`] at linearization-sensitive sites
+//! and [`should_fail!`] where a forced (correctness-preserving) restart is
 //! possible. With the `chaos` cargo feature **off** — the default — every
 //! failpoint is an empty `#[inline]` function and [`ChaosGuard`] is
 //! zero-sized, mirroring the zero-cost pattern of `citrus-obs`. With it

@@ -35,10 +35,10 @@ pub(crate) fn mix64(x: u64) -> u64 {
 /// A deterministic schedule-perturbation plan.
 ///
 /// Installed with [`install`](crate::install), a plan makes every
-/// [`point`](crate::point) roll (per thread, from a [`SplitMix64`] stream
+/// [`point`](fn@crate::point) roll (per thread, from a SplitMix64 stream
 /// derived from the plan seed and the thread's stream id) whether to pass
 /// through, yield the OS scheduler, or spin-delay; every
-/// [`should_fail`](crate::should_fail) rolls whether to force the calling
+/// [`should_fail`](fn@crate::should_fail) rolls whether to force the calling
 /// operation to restart. The same seed always produces the same decision
 /// sequence on the same operation sequence, so a failing interleaving is
 /// replayable from its seed alone.
@@ -96,7 +96,7 @@ impl ChaosPlan {
     }
 
     /// Sets the probability (permille) that a
-    /// [`should_fail`](crate::should_fail) site forces a restart.
+    /// [`should_fail`](fn@crate::should_fail) site forces a restart.
     #[must_use]
     pub const fn fails(mut self, permille: u16) -> Self {
         self.fail_permille = permille;

@@ -14,7 +14,8 @@ pub enum ChaosAction {
     Fail,
 }
 
-/// One recorded failpoint firing (with [`ChaosPlan::traced`] plans).
+/// One recorded failpoint firing (with
+/// [`ChaosPlan::traced`](crate::ChaosPlan::traced) plans).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// The failpoint name (`component/operation/site`).

@@ -180,7 +180,7 @@ pub use imp::{all_points, fire_blocked, fire_point, fire_should_fail};
 /// A named schedule-perturbation failpoint that self-registers into the
 /// failpoint registry (see [`all_points`]) on first reach.
 ///
-/// Equivalent to [`point`](crate::point) plus registration; instrumented
+/// Equivalent to [`point`](fn@crate::point) plus registration; instrumented
 /// crates should prefer this macro so coverage checks see their sites.
 #[macro_export]
 macro_rules! point {
@@ -193,9 +193,10 @@ macro_rules! point {
 
 /// A named forced-restart failpoint that self-registers into the failpoint
 /// registry on first reach. Evaluates to `bool` like
-/// [`should_fail`](crate::should_fail); under an active [`SchedulePlan`]
-/// (see [`run_schedule`](crate::run_schedule)) it acts as a cooperative
-/// yield point and always returns `false`.
+/// [`should_fail`](fn@crate::should_fail); under an active
+/// [`SchedulePlan`](crate::SchedulePlan) (see
+/// [`run_schedule`](crate::run_schedule)) it acts as a cooperative yield
+/// point and always returns `false`.
 #[macro_export]
 macro_rules! should_fail {
     ($name:literal) => {{

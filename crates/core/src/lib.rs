@@ -81,7 +81,7 @@ mod tree;
 
 pub use checks::{InvariantViolation, TreeStats};
 pub use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
-pub use forest::{even_splitters, CitrusForest, ForestMetrics, ForestSession, RouterKind};
+pub use forest::{CitrusForest, ForestMetrics, ForestSession};
 pub use metrics::TreeMetrics;
 pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats, WALK_BUF_RETAIN};
 

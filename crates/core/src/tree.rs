@@ -532,14 +532,6 @@ impl<K, V> ScanWalk<K, V> {
                 }
             })
     }
-
-    /// Whether the walk recorded any hit. Safe: only the hit list's
-    /// emptiness is inspected, no node is dereferenced — the forest's
-    /// widening directed probe uses this to decide whether to enter
-    /// another shard.
-    pub(crate) fn has_candidate(&self) -> bool {
-        !self.hits.is_empty()
-    }
 }
 
 impl<K: Ord, V> ScanWalk<K, V> {

@@ -402,12 +402,12 @@ fn torn_scan_sweep_is_clean_with_validation() {
     report.assert_clean(scenario.name);
 }
 
-// ---- Range-routed forest: partial fan-out windows (DESIGN.md §6j) -----
+// ---- Hash-routed forest: full fan-out windows (DESIGN.md §6i) ---------
 
-/// A 2-shard range forest with its splitter at 16: keys below 16 live in
-/// shard 0, the rest in shard 1.
-fn make_range_forest() -> Forest {
-    Forest::with_range_router_config(vec![16], ReclaimMode::Leak)
+/// A 2-shard *hash* forest: every ordered read fans out to both shards
+/// and walks them together before validating them jointly.
+fn make_hash_forest() -> Forest {
+    Forest::with_config(2, 0, ReclaimMode::Leak)
 }
 
 fn validate_forest(forest: &mut Forest) -> Result<(), String> {
@@ -415,91 +415,6 @@ fn validate_forest(forest: &mut Forest) -> Result<(), String> {
         .validate_structure()
         .map(|_| ())
         .map_err(|v| format!("forest invariant violated: {v:?}"))
-}
-
-/// remove(20) takes the two-child path inside shard 1 (children 18 and
-/// 30, successor 25) while a cross-shard scan runs. The scan's partial
-/// fan-out enters both shards — 10 lives in shard 0 — and must validate
-/// the per-shard traversals jointly: either it restarts on the splice or
-/// it returns a set some instant really held, never 20/25 torn across
-/// the window.
-fn range_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
-    ScheduleScenario::new(name)
-        .prefill(&[(20, 200), (18, 180), (30, 300), (25, 250), (10, 100)])
-        .thread(&[ScenarioOp::Remove(20)])
-        .thread(&[ScenarioOp::Scan(0, 100)])
-}
-
-#[test]
-fn range_forest_scan_window_sweep_is_clean() {
-    let _watchdog = stress_watchdog("range_forest_scan_window_sweep_is_clean");
-    let scenario = range_forest_scan_scenario("range-forest-scan-vs-two-child-delete");
-    let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
-    report.assert_clean(scenario.name);
-    if !report.completed {
-        return;
-    }
-    assert!(report.schedules > 1, "sweep must enumerate real schedules");
-    for point in [
-        "citrus/scan/step",
-        "forest/scan/validate",
-        "citrus/remove/before-synchronize",
-    ] {
-        assert!(
-            report.points_hit.contains(point),
-            "sweep never reached {point}; hit: {:?}",
-            report.points_hit
-        );
-    }
-}
-
-/// Torn-scan scenario inside shard 1 of the range forest (leaf remove of
-/// 18 plus a fresh insert of 25 under 30): an unvalidated traversal
-/// preempted between the two can collect both — a set no instant held.
-fn range_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
-    ScheduleScenario::new(name)
-        .prefill(&[(20, 200), (18, 180), (30, 300), (10, 100)])
-        .thread(&[ScenarioOp::Remove(18), ScenarioOp::Insert(25, 250)])
-        .thread(&[ScenarioOp::Scan(0, 100)])
-}
-
-/// The partial fan-out's joint validation has teeth too: with validation
-/// skipped, the explorer must find the torn cross-shard traversal at a
-/// low preemption bound, the reported schedule must replay to the same
-/// failure, and the identical schedule must pass once validation is back.
-#[test]
-fn range_forest_scan_skip_validation_mutant_is_caught() {
-    let _watchdog = stress_watchdog("range_forest_scan_skip_validation_mutant_is_caught");
-    let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-mutant");
-    let failure = assert_mutant_caught(
-        make_range_forest,
-        &scenario,
-        SKIP_SCAN_VALIDATION,
-        validate_forest,
-    );
-    assert!(
-        failure.preemptions <= 2,
-        "iterative deepening must find a low-bound witness, got {}",
-        failure.preemptions
-    );
-}
-
-/// The same torn-scan scenario with validation on: every interleaving up
-/// to the bound restarts instead of returning a torn result.
-#[test]
-fn range_forest_torn_scan_sweep_is_clean_with_validation() {
-    let _watchdog = stress_watchdog("range_forest_torn_scan_sweep_is_clean_with_validation");
-    let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-validated");
-    let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
-    report.assert_clean(scenario.name);
-}
-
-// ---- Hash-routed forest: full fan-out windows (DESIGN.md §6i) ---------
-
-/// A 2-shard *hash* forest: every ordered read fans out to both shards
-/// and walks them together before validating them jointly.
-fn make_hash_forest() -> Forest {
-    Forest::with_config(2, 0, ReclaimMode::Leak)
 }
 
 /// Four ascending keys that all route to shard 0 of

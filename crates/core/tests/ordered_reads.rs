@@ -5,10 +5,7 @@
 //! top-level `linearizability.rs` scan battery and the explore-window
 //! suite; this file pins the single-threaded semantics and accounting.
 
-use citrus::{
-    even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu,
-    WALK_BUF_RETAIN,
-};
+use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu, WALK_BUF_RETAIN};
 use citrus_api::testkit::SplitMix64;
 use citrus_api::OrderedMapSession;
 use std::collections::BTreeMap;
@@ -265,9 +262,6 @@ fn long_lived_sessions_reuse_walk_buffers_correctly() {
     reuse_run("tree", &mut tree.session());
     let hash: CitrusForest<u64, u64> = CitrusForest::with_shards(8);
     reuse_run("hash forest", &mut hash.session());
-    let range: CitrusForest<u64, u64> =
-        CitrusForest::with_range_router(even_splitters(8, 3 * REUSE_KEYS));
-    reuse_run("range forest", &mut range.session());
 }
 
 /// Keys of the tree-shape battery: enough that a full-range scan
@@ -380,20 +374,8 @@ fn wide_frontiers_and_one_sided_trees_match_a_btreemap() {
         shape_run(&format!("tree, {shape}"), &keys, &mut s);
         assert!(s.walk_capacity() <= WALK_BUF_RETAIN, "tree, {shape}");
 
-        // Every key below the first splitter: seven of eight shards empty.
-        let lopsided: Vec<u64> = (1..8).map(|i| (1 << 40) * i).collect();
         for (name, forest, keys) in [
             ("hash forest", CitrusForest::with_shards(8), &keys),
-            (
-                "range forest",
-                CitrusForest::with_range_router(even_splitters(8, 3 + 7 * SHAPE_KEYS)),
-                &keys,
-            ),
-            (
-                "lopsided range forest",
-                CitrusForest::with_range_router(lopsided),
-                &keys,
-            ),
             (
                 "sparse 64-shard hash forest",
                 CitrusForest::with_shards(64),

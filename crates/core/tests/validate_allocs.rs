@@ -8,7 +8,7 @@
 //! process-global, and only the thread that switches counting on is
 //! counted, so nothing else in the binary can disturb the figures.
 
-use citrus::{even_splitters, CitrusForest};
+use citrus::CitrusForest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -99,25 +99,12 @@ fn validator_bytes(forest: CitrusForest<u64, u64>, keys: u64) -> usize {
 #[test]
 fn cross_shard_validation_allocates_independently_of_the_key_count() {
     for keys in [20_000u64, 200_000] {
-        for (router, bytes) in [
-            (
-                "hash",
-                validator_bytes(CitrusForest::with_shards(SHARDS), keys),
-            ),
-            (
-                "range",
-                validator_bytes(
-                    CitrusForest::with_range_router(even_splitters(SHARDS, 4 * keys)),
-                    keys,
-                ),
-            ),
-        ] {
-            eprintln!("[validate-allocs] {router} router, {keys} keys: {bytes} bytes");
-            assert!(
-                bytes <= BOUND,
-                "{router}-routed validate_structure over {keys} keys allocated {bytes} bytes \
-                 (bound {BOUND}): the cross-shard check must not copy the keys"
-            );
-        }
+        let bytes = validator_bytes(CitrusForest::with_shards(SHARDS), keys);
+        eprintln!("[validate-allocs] {keys} keys: {bytes} bytes");
+        assert!(
+            bytes <= BOUND,
+            "validate_structure over {keys} keys allocated {bytes} bytes (bound {BOUND}): \
+             the cross-shard check must not copy the keys"
+        );
     }
 }

@@ -10,11 +10,10 @@
 //! [`Report::metrics`].
 
 use crate::config::BenchConfig;
-use crate::keydist::KeyDist;
 use crate::report::Report;
 use crate::runner::{run_algo_observed, run_forest_observed, ForestRun};
 use crate::workload::{Algo, OpMix, WorkloadSpec};
-use citrus::{GlobalLockRcu, RcuFlavor, ReclaimMode, RouterKind, ScalableRcu};
+use citrus::{GlobalLockRcu, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_obs::MetricsRegistry;
 
 /// Builds the per-point observer: metrics are collected only at the
@@ -85,7 +84,6 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
             run_forest_observed::<ScalableRcu>(
                 forest_shards,
                 ReclaimMode::Leak,
-                RouterKind::Hash,
                 &spec,
                 cfg.reps,
                 0x816,
@@ -109,8 +107,6 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
 pub struct ForestCell {
     /// RCU flavor name (`RcuFlavor::NAME`).
     pub flavor: &'static str,
-    /// Routing policy label (`RouterKind::as_str`).
-    pub router: &'static str,
     /// Shard count (power of two).
     pub shards: usize,
     /// Percentage of `contains` operations (the rest split insert/delete).
@@ -124,11 +120,10 @@ pub struct ForestCell {
 }
 
 /// The forest shard sweep: `shards ∈ cfg.shards × update ratio
-/// {50%, 100%} × router {hash, range} × RCU flavor {scalable,
-/// global-lock}`, all at the configured maximum thread count — the
-/// experiment behind `BENCH_forest.json`, quantifying the speedup from
-/// per-shard grace-period domains and establishing that point-op
-/// throughput is router-agnostic under uniform keys.
+/// {50%, 100%} × RCU flavor {scalable, global-lock}`, all at the
+/// configured maximum thread count — the experiment behind
+/// `BENCH_forest.json`, quantifying the speedup from per-shard
+/// grace-period domains.
 pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
     let threads = cfg.threads.iter().copied().max().unwrap_or(1);
     let mut cells = Vec::new();
@@ -138,43 +133,37 @@ pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
             let shards = shards.next_power_of_two();
             let spec = WorkloadSpec::new(cfg.range_small, mix, threads, cfg.duration)
                 .with_key_dist(cfg.key_dist);
-            for router in [RouterKind::Hash, RouterKind::Range] {
-                for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
-                    // Leak mode, matching the paper's no-reclamation
-                    // methodology (and the fig8 tree series), so the
-                    // sweep isolates grace-period effects from
-                    // reclamation cost.
-                    let run = if flavor == ScalableRcu::NAME {
-                        run_forest_observed::<ScalableRcu>(
-                            shards,
-                            ReclaimMode::Leak,
-                            router,
-                            &spec,
-                            cfg.reps,
-                            0xF04E,
-                            None,
-                        )
-                    } else {
-                        run_forest_observed::<GlobalLockRcu>(
-                            shards,
-                            ReclaimMode::Leak,
-                            router,
-                            &spec,
-                            cfg.reps,
-                            0xF04E,
-                            None,
-                        )
-                    };
-                    cells.push(ForestCell {
-                        flavor,
-                        router: router.as_str(),
+            for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
+                // Leak mode, matching the paper's no-reclamation
+                // methodology (and the fig8 tree series), so the sweep
+                // isolates grace-period effects from reclamation cost.
+                let run = if flavor == ScalableRcu::NAME {
+                    run_forest_observed::<ScalableRcu>(
                         shards,
-                        contains_pct,
-                        threads,
-                        key_dist: cfg.key_dist.label(),
-                        run,
-                    });
-                }
+                        ReclaimMode::Leak,
+                        &spec,
+                        cfg.reps,
+                        0xF04E,
+                        None,
+                    )
+                } else {
+                    run_forest_observed::<GlobalLockRcu>(
+                        shards,
+                        ReclaimMode::Leak,
+                        &spec,
+                        cfg.reps,
+                        0xF04E,
+                        None,
+                    )
+                };
+                cells.push(ForestCell {
+                    flavor,
+                    shards,
+                    contains_pct,
+                    threads,
+                    key_dist: cfg.key_dist.label(),
+                    run,
+                });
             }
         }
     }
@@ -187,8 +176,6 @@ pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
 pub struct ForestScanCell {
     /// RCU flavor name (`RcuFlavor::NAME`).
     pub flavor: &'static str,
-    /// Routing policy label (`RouterKind::as_str`).
-    pub router: &'static str,
     /// Shard count (power of two).
     pub shards: usize,
     /// Scanning threads.
@@ -205,52 +192,39 @@ pub struct ForestScanCell {
 }
 
 /// The forest scan sweep: validated `range_scan` throughput over
-/// `shards ∈ cfg.shards × router {hash, range} × span {narrow, full} ×
-/// flavor {scalable, global-lock}` with half the configured maximum
-/// threads scanning and half churning.
+/// `shards ∈ cfg.shards × span {narrow, full} × flavor {scalable,
+/// global-lock}` with half the configured maximum threads scanning and
+/// half churning.
 ///
-/// This is the cost model for sharded ordered reads (DESIGN.md §6i/§6j):
+/// This is the cost model for sharded ordered reads (DESIGN.md §6i):
 /// hash routing scatters every span over every shard, so scans/s *falls*
-/// as the shard count grows no matter how narrow the span; range routing
-/// enters only the overlapping shards, so narrow-span scans/s should
-/// *rise* with the shard count (smaller trees, fewer edges, one
-/// grace-period domain), while full-span scans — which overlap every
-/// shard under either router — keep paying the all-shard price.
+/// as the shard count grows no matter how narrow the span.
 pub fn forest_scan_sweep(cfg: &BenchConfig) -> Vec<ForestScanCell> {
     let threads = cfg.threads.iter().copied().max().unwrap_or(2).max(2);
     let scanners = threads / 2;
     let updaters = threads - scanners;
-    // Narrow enough to stay inside one shard at the widest swept shard
-    // count (a span of range/64 straddles a boundary in ~12% of draws at
-    // 8 shards); a wider "narrow" span would re-smuggle the straddle
-    // cost into the cells that exist to show shard-local scans.
+    // A narrow span matches few keys, so its cells show the fan-out's
+    // per-shard cost rather than the cost of copying hits.
     let narrow = (cfg.range_small / 64).max(16);
     let mut cells = Vec::new();
     for &shards in &cfg.shards {
         let shards = shards.next_power_of_two();
-        for router in [RouterKind::Hash, RouterKind::Range] {
-            for span in [narrow, cfg.range_small] {
-                for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
-                    let (scans_per_s, restarts) = if flavor == ScalableRcu::NAME {
-                        run_forest_scans::<ScalableRcu>(
-                            shards, router, scanners, updaters, span, cfg,
-                        )
-                    } else {
-                        run_forest_scans::<GlobalLockRcu>(
-                            shards, router, scanners, updaters, span, cfg,
-                        )
-                    };
-                    cells.push(ForestScanCell {
-                        flavor,
-                        router: router.as_str(),
-                        shards,
-                        scanners,
-                        updaters,
-                        span,
-                        scans_per_s,
-                        restarts,
-                    });
-                }
+        for span in [narrow, cfg.range_small] {
+            for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
+                let (scans_per_s, restarts) = if flavor == ScalableRcu::NAME {
+                    run_forest_scans::<ScalableRcu>(shards, scanners, updaters, span, cfg)
+                } else {
+                    run_forest_scans::<GlobalLockRcu>(shards, scanners, updaters, span, cfg)
+                };
+                cells.push(ForestScanCell {
+                    flavor,
+                    shards,
+                    scanners,
+                    updaters,
+                    span,
+                    scans_per_s,
+                    restarts,
+                });
             }
         }
     }
@@ -260,7 +234,6 @@ pub fn forest_scan_sweep(cfg: &BenchConfig) -> Vec<ForestScanCell> {
 /// One timed cell of [`forest_scan_sweep`]: returns (scans/s, restarts).
 fn run_forest_scans<F: RcuFlavor>(
     shards: usize,
-    router: RouterKind,
     scanners: usize,
     updaters: usize,
     span: u64,
@@ -272,13 +245,8 @@ fn run_forest_scans<F: RcuFlavor>(
     use std::sync::Barrier;
 
     let key_range = cfg.range_small;
-    let forest: CitrusForest<u64, u64, F> = match router {
-        RouterKind::Hash => CitrusForest::with_config(shards, 0xF04E, ReclaimMode::Leak),
-        RouterKind::Range => CitrusForest::with_range_router_config(
-            citrus::even_splitters(shards, key_range),
-            ReclaimMode::Leak,
-        ),
-    };
+    let forest: CitrusForest<u64, u64, F> =
+        CitrusForest::with_config(shards, 0xF04E, ReclaimMode::Leak);
     {
         let mut s = forest.session();
         let mut rng = SplitMix64::new(0x5CA4);
@@ -332,73 +300,6 @@ fn run_forest_scans<F: RcuFlavor>(
         scans.load(Ordering::Relaxed) as f64 / dur.as_secs_f64(),
         forest.metrics().scan_restarts(),
     )
-}
-
-/// One cell of the [`forest_skew_sweep`] grid: a Zipfian hot-key point
-/// workload under one router — the honest cost side of range routing.
-#[derive(Debug, Clone)]
-pub struct ForestSkewCell {
-    /// RCU flavor name (`RcuFlavor::NAME`).
-    pub flavor: &'static str,
-    /// Routing policy label (`RouterKind::as_str`).
-    pub router: &'static str,
-    /// Shard count (power of two).
-    pub shards: usize,
-    /// Key distribution label (`zipf:<theta>`).
-    pub key_dist: String,
-    /// Percentage of `contains` operations.
-    pub contains_pct: u32,
-    /// Worker thread count.
-    pub threads: usize,
-    /// The timed run's result; `sync_calls_per_shard` is the skew
-    /// evidence — occupancy stays prefill-uniform (hot-key inserts and
-    /// deletes cancel), but under range routing the adjacent hot keys
-    /// funnel their two-child-delete grace periods into shard 0.
-    pub run: ForestRun,
-}
-
-/// The skew sweep: a YCSB-style `zipf:0.99` hot-key point workload over
-/// `shards ∈ cfg.shards × router {hash, range}` (scalable flavor, 50%
-/// contains, max threads). This documents the tradeoff hash routing was
-/// bought for: Zipfian traffic concentrates on small *adjacent* keys,
-/// which hash routing scatters across shards but range routing sends to
-/// a single shard — one grace-period domain absorbing most updates.
-pub fn forest_skew_sweep(cfg: &BenchConfig) -> Vec<ForestSkewCell> {
-    let threads = cfg.threads.iter().copied().max().unwrap_or(1);
-    let contains_pct = 50u32;
-    let dist = KeyDist::Zipf { theta: 0.99 };
-    let spec = WorkloadSpec::new(
-        cfg.range_small,
-        OpMix::with_contains(contains_pct),
-        threads,
-        cfg.duration,
-    )
-    .with_key_dist(dist);
-    let mut cells = Vec::new();
-    for &shards in &cfg.shards {
-        let shards = shards.next_power_of_two();
-        for router in [RouterKind::Hash, RouterKind::Range] {
-            let run = run_forest_observed::<ScalableRcu>(
-                shards,
-                ReclaimMode::Leak,
-                router,
-                &spec,
-                cfg.reps,
-                0x51E3,
-                None,
-            );
-            cells.push(ForestSkewCell {
-                flavor: ScalableRcu::NAME,
-                router: router.as_str(),
-                shards,
-                key_dist: dist.label(),
-                contains_pct,
-                threads,
-                run,
-            });
-        }
-    }
-    cells
 }
 
 /// Figure 9 — single-writer workload (designed to favor the RCU trees):
@@ -499,18 +400,13 @@ mod tests {
         let mut cfg = BenchConfig::smoke();
         cfg.shards = vec![1, 2];
         let cells = forest_sweep(&cfg);
-        assert_eq!(
-            cells.len(),
-            16,
-            "2 mixes × 2 shard counts × 2 routers × 2 flavors"
-        );
+        assert_eq!(cells.len(), 8, "2 mixes × 2 shard counts × 2 flavors");
         for cell in &cells {
             assert!(cell.run.ops_per_s > 0.0);
             assert_eq!(cell.run.grace_periods_per_shard.len(), cell.shards);
             assert_eq!(cell.threads, 2);
             assert_eq!(cell.key_dist, "uniform");
         }
-        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 8);
     }
 
     #[test]
@@ -518,11 +414,7 @@ mod tests {
         let mut cfg = BenchConfig::smoke();
         cfg.shards = vec![1, 2];
         let cells = forest_scan_sweep(&cfg);
-        assert_eq!(
-            cells.len(),
-            16,
-            "2 shard counts × 2 routers × 2 spans × 2 flavors"
-        );
+        assert_eq!(cells.len(), 8, "2 shard counts × 2 spans × 2 flavors");
         for cell in &cells {
             assert!(
                 cell.scans_per_s > 0.0,
@@ -531,25 +423,11 @@ mod tests {
             assert!(cell.scanners >= 1 && cell.updaters >= 1);
             assert!(cell.span >= 16);
         }
-        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 8);
         assert_eq!(
             cells.iter().filter(|c| c.span == cfg.range_small).count(),
-            8,
+            4,
             "half the cells scan the full range"
         );
-    }
-
-    #[test]
-    fn forest_skew_sweep_smoke() {
-        let mut cfg = BenchConfig::smoke();
-        cfg.shards = vec![1, 2];
-        let cells = forest_skew_sweep(&cfg);
-        assert_eq!(cells.len(), 4, "2 shard counts × 2 routers");
-        for cell in &cells {
-            assert!(cell.run.ops_per_s > 0.0);
-            assert_eq!(cell.key_dist, "zipf:0.99");
-            assert_eq!(cell.run.occupancy.len(), cell.shards);
-        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Workload key distributions: uniform (the paper's methodology) and
-//! Zipfian hot-key draws — the first slice of the scenario-diversity
-//! roadmap item. Skewed draws exist to stress routing policies: hash
-//! routing scatters hot keys across shards, range routing concentrates
-//! them in one (the tradeoff DESIGN.md §6j documents).
+//! Zipfian hot-key draws, which concentrate traffic on a few small keys
+//! (the forest's hash routing scatters them across shards).
 
 use citrus_api::testkit::SplitMix64;
 use core::fmt;

@@ -29,7 +29,7 @@ pub mod runner;
 pub mod workload;
 
 pub use config::BenchConfig;
-pub use experiments::{ForestCell, ForestScanCell, ForestSkewCell};
+pub use experiments::{ForestCell, ForestScanCell};
 pub use keydist::{KeyDist, KeySampler};
 pub use report::{Report, Series};
 pub use runner::{

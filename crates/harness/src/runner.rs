@@ -1,10 +1,7 @@
 //! Timed throughput runs (the paper's measurement loop).
 
 use crate::workload::{Algo, OpKind, WorkloadSpec};
-use citrus::{
-    even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, RouterKind,
-    ScalableRcu,
-};
+use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::SplitMix64;
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_baselines::{
@@ -387,14 +384,11 @@ pub struct ForestRun {
 /// Like [`run_algo_observed`] for a [`CitrusForest`] over flavor `F`:
 /// builds a fresh forest with `shards` shards per repetition, runs the
 /// workload, and reports mean throughput plus the last repetition's
-/// per-shard counters. `router` picks the routing policy (range routing
-/// splits the spec's key range evenly). The last repetition registers
-/// its metrics into `observer` (with per-shard component labels) when
-/// given.
+/// per-shard counters. The last repetition registers its metrics into
+/// `observer` (with per-shard component labels) when given.
 pub fn run_forest_observed<F: RcuFlavor>(
     shards: usize,
     mode: ReclaimMode,
-    router: RouterKind,
     spec: &WorkloadSpec,
     reps: usize,
     seed: u64,
@@ -406,16 +400,8 @@ pub fn run_forest_observed<F: RcuFlavor>(
     for rep in 0..reps {
         let rep_seed = seed ^ (rep as u64) << 32;
         // Fresh structure per repetition, as in the paper. Sharding seed 0
-        // keeps routing identical across flavors and repetitions; range
-        // routing is shard-count-normalized the same way the forest
-        // constructor normalizes `shards`.
-        let forest: CitrusForest<u64, u64, F> = match router {
-            RouterKind::Hash => CitrusForest::with_config(shards, 0, mode),
-            RouterKind::Range => CitrusForest::with_range_router_config(
-                even_splitters(shards.max(1).next_power_of_two(), spec.key_range),
-                mode,
-            ),
-        };
+        // keeps routing identical across flavors and repetitions.
+        let forest: CitrusForest<u64, u64, F> = CitrusForest::with_config(shards, 0, mode);
         if rep + 1 == reps {
             if let Some((registry, prefix)) = observer {
                 forest.register_metrics_prefixed(registry, prefix);
@@ -601,51 +587,14 @@ mod tests {
     #[test]
     fn forest_run_reports_per_shard_counters() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 2, Duration::from_millis(30));
-        for router in [RouterKind::Hash, RouterKind::Range] {
-            let r = run_forest_observed::<ScalableRcu>(
-                4,
-                ReclaimMode::Epoch,
-                router,
-                &spec,
-                1,
-                17,
-                None,
-            );
-            assert!(r.ops_per_s > 0.0);
-            assert_eq!(r.sync_calls_per_shard.len(), 4);
-            assert_eq!(r.grace_periods_per_shard.len(), 4);
-            assert_eq!(r.occupancy.len(), 4);
-            assert!(
-                r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
-                "uniform keys should populate most shards: {:?}",
-                r.occupancy
-            );
-        }
-    }
-
-    #[test]
-    fn zipfian_runs_hammer_the_hot_range_shard() {
-        use crate::keydist::KeyDist;
-
-        // Under range routing a Zipfian workload's hot keys are adjacent,
-        // so shard 0 should absorb the bulk of the routed traffic — the
-        // skew cost the bench's skew cells document.
-        let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 2, Duration::from_millis(30))
-            .with_key_dist(KeyDist::Zipf { theta: 0.99 });
-        let r = run_forest_observed::<ScalableRcu>(
-            4,
-            ReclaimMode::Leak,
-            RouterKind::Range,
-            &spec,
-            1,
-            23,
-            None,
-        );
+        let r = run_forest_observed::<ScalableRcu>(4, ReclaimMode::Epoch, &spec, 1, 17, None);
         assert!(r.ops_per_s > 0.0);
-        // Prefill stays uniform, so occupancy still spreads.
+        assert_eq!(r.sync_calls_per_shard.len(), 4);
+        assert_eq!(r.grace_periods_per_shard.len(), 4);
+        assert_eq!(r.occupancy.len(), 4);
         assert!(
             r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
-            "uniform prefill should populate most shards: {:?}",
+            "uniform keys should populate most shards: {:?}",
             r.occupancy
         );
     }

@@ -26,8 +26,8 @@ pub use citrus_sync;
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use citrus::{
-        even_splitters, CitrusForest, CitrusSession, CitrusTree, ForestSession, GlobalLockRcu,
-        ReclaimMode, RouterKind, ScalableRcu,
+        CitrusForest, CitrusSession, CitrusTree, ForestSession, GlobalLockRcu, ReclaimMode,
+        ScalableRcu,
     };
     pub use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
     pub use citrus_baselines::{

@@ -10,83 +10,57 @@
 //! cover the boundary cases: 1 (degenerate single-tree forest), 3
 //! (rounds up to 4 — non-power-of-two request), and 8.
 //!
-//! Every sweep runs under both routers: hash routing seeded by the chaos
-//! seed, and range routing with evenly spaced splitters over the key
-//! range. The shard count is rounded up in both arms, so the two routers
-//! sweep identical shard counts. The explicitly range-routed tests at the
-//! bottom (splitter boundaries, planted misroutes) probe the range
-//! router's edges directly.
+//! Every sweep's forest is hash-routed, seeded by the chaos seed.
 
 use citrus_repro::citrus_api::testkit;
 use citrus_repro::prelude::*;
 
-/// A `u64`-keyed forest over `shards` shards (rounded up to a power of
-/// two) under `router`: hash routing seeded by `seed`, or range routing
-/// with [`even_splitters`] over `[0, key_range)`.
-fn forest<F: RcuFlavor>(
-    router: RouterKind,
-    shards: usize,
-    seed: u64,
-    key_range: u64,
-) -> CitrusForest<u64, u64, F> {
-    let shards = shards.next_power_of_two();
-    match router {
-        RouterKind::Hash => CitrusForest::with_config(shards, seed, ReclaimMode::Epoch),
-        RouterKind::Range => CitrusForest::with_range_router_config(
-            even_splitters(shards, key_range),
-            ReclaimMode::Epoch,
-        ),
-    }
-}
-
 /// Sweeps chaos seeds over forest-vs-oracle agreement for one flavor and
-/// shard count, under each router. The chaos seed doubles as sharding
-/// seed and stream seed, so a failure replays from the router and the
-/// one number in the panic message.
+/// shard count. The chaos seed doubles as sharding seed and stream seed,
+/// so a failure replays from the one number in the panic message.
 fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
     let _watchdog = testkit::stress_watchdog("forest_conformance::agreement_sweep");
-    for router in [RouterKind::Hash, RouterKind::Range] {
-        for i in 0..testkit::chaos_seeds(3) {
-            let seed = base_seed.wrapping_add(i);
-            let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
-            let mut forest = forest::<F>(router, shards, seed, 128);
-            let mut oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
-            testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
-            let case = format!("{router} router, seed {seed:#x}, {shards} shards");
+    for i in 0..testkit::chaos_seeds(3) {
+        let seed = base_seed.wrapping_add(i);
+        let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
+        let mut forest: CitrusForest<u64, u64, F> =
+            CitrusForest::with_config(shards, seed, ReclaimMode::Epoch);
+        let mut oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
+        testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
+        let case = format!("seed {seed:#x}, {shards} shards");
 
-            // The quiescent views must agree too, and the forest must still
-            // satisfy every per-shard structural invariant.
-            assert_eq!(
-                forest.to_vec_quiescent(),
-                oracle.to_vec_quiescent(),
-                "quiescent contents diverged ({case})"
-            );
-            let stats = forest
-                .validate_structure()
-                .unwrap_or_else(|v| panic!("forest invariant violation ({case}): {v:?}"));
-            assert_eq!(stats.len, oracle.len_quiescent());
+        // The quiescent views must agree too, and the forest must still
+        // satisfy every per-shard structural invariant.
+        assert_eq!(
+            forest.to_vec_quiescent(),
+            oracle.to_vec_quiescent(),
+            "quiescent contents diverged ({case})"
+        );
+        let stats = forest
+            .validate_structure()
+            .unwrap_or_else(|v| panic!("forest invariant violation ({case}): {v:?}"));
+        assert_eq!(stats.len, oracle.len_quiescent());
 
-            // Ordered reads must agree too: the forest's one walk over all
-            // shards, sorted, must reproduce the oracle's in-order view.
-            let mut fs = forest.session();
-            let mut os = oracle.session();
+        // Ordered reads must agree too: the forest's one walk over all
+        // shards, sorted, must reproduce the oracle's in-order view.
+        let mut fs = forest.session();
+        let mut os = oracle.session();
+        assert_eq!(
+            fs.range_scan(&0, &127),
+            os.range_scan(&0, &127),
+            "full-range scan diverged ({case})"
+        );
+        for probe in [0u64, 31, 64, 97, 127] {
             assert_eq!(
-                fs.range_scan(&0, &127),
-                os.range_scan(&0, &127),
-                "full-range scan diverged ({case})"
+                fs.successor(&probe),
+                os.successor(&probe),
+                "successor({probe}) ({case})"
             );
-            for probe in [0u64, 31, 64, 97, 127] {
-                assert_eq!(
-                    fs.successor(&probe),
-                    os.successor(&probe),
-                    "successor({probe}) ({case})"
-                );
-                assert_eq!(
-                    fs.predecessor(&probe),
-                    os.predecessor(&probe),
-                    "predecessor({probe}) ({case})"
-                );
-            }
+            assert_eq!(
+                fs.predecessor(&probe),
+                os.predecessor(&probe),
+                "predecessor({probe}) ({case})"
+            );
         }
     }
 }
@@ -253,58 +227,16 @@ fn validator_catches_cross_shard_leaks() {
         .expect("repaired forest validates");
 }
 
-/// Router-aware leak detection under range routing: a key planted in a
-/// shard whose range does not contain it (direct shard access standing
-/// in for a splitter bug) must surface as `MisroutedKey` naming both the
-/// offending and the correct shard — the validator consults the actual
-/// router, not a hard-coded hash.
-#[test]
-fn range_router_validator_catches_planted_leaks() {
-    use citrus_repro::citrus::InvariantViolation;
-
-    let mut forest: CitrusForest<u64, u64> = CitrusForest::with_range_router(vec![100, 200, 300]);
-    {
-        let mut s = forest.session();
-        for k in (0u64..400).step_by(7) {
-            assert!(s.insert(k, k));
-        }
-    }
-    forest
-        .validate_structure()
-        .expect("honestly routed forest validates");
-
-    // 250 belongs to shard 2 (range [200, 300)); smuggle it into shard 0.
-    assert_eq!(forest.shard_for(&250), 2);
-    assert!(forest.shard(0).session().insert(250, 1));
-    match forest.validate_structure() {
-        Err(InvariantViolation::MisroutedKey {
-            found_in,
-            routed_to,
-        }) => {
-            assert_eq!((found_in, routed_to), (0, 2));
-        }
-        other => panic!("expected MisroutedKey, got {other:?}"),
-    }
-
-    // Repairing the leak restores a valid forest.
-    assert!(forest.shard(0).session().remove(&250));
-    forest
-        .validate_structure()
-        .expect("repaired forest validates");
-}
-
 /// Boundary-key battery: keys exactly at the routing boundaries,
 /// `u64::MIN`/`u64::MAX`, and spans starting/ending exactly on those
 /// boundaries must round-trip identically to a `BTreeMap` oracle.
-/// `splitters` names the boundary keys to probe around; it matches the
-/// forest's actual splitters in the range-routed run and is just a set of
-/// interesting keys in the hash-routed one.
-fn boundary_battery(mut forest: CitrusForest<u64, u64>, splitters: &[u64]) {
+/// `boundaries` names the keys to probe around.
+fn boundary_battery(mut forest: CitrusForest<u64, u64>, boundaries: &[u64]) {
     use std::collections::BTreeMap;
     use std::ops::Bound;
 
     let mut keys: Vec<u64> = vec![u64::MIN, 1, u64::MAX - 1, u64::MAX];
-    for &s in splitters {
+    for &s in boundaries {
         keys.extend([s - 1, s, s + 1]);
     }
     keys.sort_unstable();
@@ -331,10 +263,10 @@ fn boundary_battery(mut forest: CitrusForest<u64, u64>, splitters: &[u64]) {
     // Spans whose endpoints sit exactly on routing boundaries, plus the
     // full key space, single-point spans, and an inverted span.
     let mut spans: Vec<(u64, u64)> = vec![(u64::MIN, u64::MAX), (u64::MAX, u64::MIN)];
-    for &s in splitters {
+    for &s in boundaries {
         spans.extend([(u64::MIN, s), (s, u64::MAX), (s, s), (s - 1, s + 1)]);
     }
-    for w in splitters.windows(2) {
+    for w in boundaries.windows(2) {
         spans.push((w[0], w[1]));
     }
     for (lo, hi) in spans {
@@ -370,29 +302,11 @@ fn boundary_battery(mut forest: CitrusForest<u64, u64>, splitters: &[u64]) {
 }
 
 #[test]
-fn range_router_boundary_battery() {
-    let splitters = vec![100u64, 200, 300];
-    boundary_battery(
-        CitrusForest::with_range_router(splitters.clone()),
-        &splitters,
-    );
-}
-
-#[test]
 fn hash_router_boundary_battery() {
     boundary_battery(
         CitrusForest::with_sharding_seed(4, 0x5EED),
         &[100u64, 200, 300],
     );
-}
-
-#[test]
-fn range_router_degenerate_single_shard_battery() {
-    // An empty splitter list is a legal one-shard forest; the whole
-    // battery must still hold with every span handled by shard 0.
-    let forest: CitrusForest<u64, u64> = CitrusForest::with_range_router(Vec::new());
-    assert_eq!(forest.shard_count(), 1);
-    boundary_battery(forest, &[1u64 << 32]);
 }
 
 #[test]
@@ -481,9 +395,9 @@ fn ordered_reads_match_single_tree(forest: &CitrusForest<u64, u64>, keys: &[u64]
     }
 }
 
-/// The populations each router and shard count is checked on: an empty
-/// forest, a few keys below the first range splitter (every other shard
-/// empty under either router at 8 shards), and a dense random fill.
+/// The populations each shard count is checked on: an empty forest, a
+/// few small keys (most shards empty at 8 shards), and a dense random
+/// fill.
 fn interleave_populations(seed: u64) -> Vec<Vec<u64>> {
     let mut rng = testkit::SplitMix64::new(seed);
     let dense: Vec<u64> = (0..400).map(|_| rng.below(INTERLEAVE_KEY_RANGE)).collect();
@@ -499,24 +413,6 @@ fn interleaved_hash_fan_out_matches_single_tree() {
         {
             let forest = CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch);
             let label = format!("hash router, {shards} shards, population {i}");
-            ordered_reads_match_single_tree(&forest, keys, &label);
-        }
-    }
-}
-
-#[test]
-fn interleaved_range_fan_out_matches_single_tree() {
-    for shards in [1, 3, 8] {
-        for (i, keys) in interleave_populations(0x2A7E + shards as u64)
-            .iter()
-            .enumerate()
-        {
-            let forest = CitrusForest::with_range_router_config(
-                even_splitters(shards, INTERLEAVE_KEY_RANGE),
-                ReclaimMode::Epoch,
-            );
-            assert_eq!(forest.shard_count(), shards);
-            let label = format!("range router, {shards} shards, population {i}");
             ordered_reads_match_single_tree(&forest, keys, &label);
         }
     }

@@ -99,47 +99,27 @@ fn citrus_global_lock_leak() {
     );
 }
 
-// ---- CitrusForest: shards 1 / 4 / 8, under both routers ---------------
+// ---- CitrusForest: shards 1 / 4 / 8 ------------------------------------
 
-/// Builds `u64`-keyed forests over `shards` shards (rounded up to a power
-/// of two) under `router`: hash routing seeded with `0x5EED`, or range
-/// routing with [`even_splitters`] over `[0, key_range)`.
-fn forest(
-    router: RouterKind,
-    shards: usize,
-    key_range: u64,
-) -> impl Fn() -> CitrusForest<u64, u64, ScalableRcu> {
-    let shards = shards.next_power_of_two();
-    move || match router {
-        RouterKind::Hash => CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch),
-        RouterKind::Range => CitrusForest::with_range_router_config(
-            even_splitters(shards, key_range),
-            ReclaimMode::Epoch,
-        ),
-    }
+/// Builds `u64`-keyed forests over `shards` shards, hash-routed with seed
+/// `0x5EED`.
+fn forest(shards: usize) -> impl Fn() -> CitrusForest<u64, u64, ScalableRcu> {
+    move || CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch)
 }
-
-const ROUTERS: [RouterKind; 2] = [RouterKind::Hash, RouterKind::Range];
 
 #[test]
 fn forest_one_shard() {
-    for router in ROUTERS {
-        lin_battery(forest(router, 1, 32), 0x11A_0011);
-    }
+    lin_battery(forest(1), 0x11A_0011);
 }
 
 #[test]
 fn forest_four_shards() {
-    for router in ROUTERS {
-        lin_battery(forest(router, 4, 32), 0x11A_0014);
-    }
+    lin_battery(forest(4), 0x11A_0014);
 }
 
 #[test]
 fn forest_eight_shards() {
-    for router in ROUTERS {
-        lin_battery(forest(router, 8, 32), 0x11A_0018);
-    }
+    lin_battery(forest(8), 0x11A_0018);
 }
 
 // ---- The five baselines -----------------------------------------------
@@ -190,36 +170,17 @@ fn scan_citrus_global_lock_inline() {
 
 #[test]
 fn scan_forest_one_shard() {
-    for router in ROUTERS {
-        scan_battery(forest(router, 1, 16), 0x5CA_0011);
-    }
+    scan_battery(forest(1), 0x5CA_0011);
 }
 
 #[test]
 fn scan_forest_four_shards() {
-    for router in ROUTERS {
-        scan_battery(forest(router, 4, 16), 0x5CA_0014);
-    }
+    scan_battery(forest(4), 0x5CA_0014);
 }
 
 #[test]
 fn scan_forest_eight_shards() {
-    for router in ROUTERS {
-        scan_battery(forest(router, 8, 16), 0x5CA_0018);
-    }
-}
-
-/// Range-routed forest with uneven shards: the partial fan-out — scans
-/// entering only overlapping shards, directed successor/predecessor
-/// probes touching one or two — must still linearize against the
-/// multi-key WGL checker. Splitters at 4 and 8 cut the 16-key scan range
-/// into three live shards.
-#[test]
-fn scan_forest_range_router() {
-    scan_battery(
-        || CitrusForest::<u64, u64>::with_range_router_config(vec![4, 8], ReclaimMode::Epoch),
-        0x5CA_0019,
-    );
+    scan_battery(forest(8), 0x5CA_0018);
 }
 
 #[test]

@@ -4,7 +4,6 @@
 //! operation, with every operation crossing the full admit → execute →
 //! respond path.
 //!
-//! The grid covers the hash and range routers.
 //! Each cell runs a seeded agreement stream plus a quiescent audit (the
 //! drained forest's contents must equal the oracle's), and chaos-seed
 //! sweeps run the whole testkit battery — including the concurrent
@@ -21,15 +20,6 @@ use citrus_repro::prelude::*;
 
 fn hash_server(seed: u64) -> Server<u64, u64> {
     Server::new(CitrusForest::with_config(4, seed, ReclaimMode::Epoch))
-}
-
-/// Range-routed over the 128-key agreement range: splitters at 32/64/96
-/// give four live shards.
-fn range_server() -> Server<u64, u64> {
-    Server::new(CitrusForest::with_range_router_config(
-        vec![32, 64, 96],
-        ReclaimMode::Epoch,
-    ))
 }
 
 /// One grid cell: seeded agreement stream against a single-tree oracle,
@@ -60,16 +50,11 @@ fn agreement_sweep(make: impl Fn() -> Server<u64, u64>, base_seed: u64) {
     }
 }
 
-// ---- Agreement grid: {hash, range} -------------------------------------
+// ---- Agreement -------------------------------------------------------
 
 #[test]
 fn agree_hash_inline() {
     agreement_sweep(|| hash_server(0x5E_4001), 0x5E_4100);
-}
-
-#[test]
-fn agree_range_inline() {
-    agreement_sweep(range_server, 0x5E_4300);
 }
 
 // ---- Chaos-seed sweeps: the full testkit battery (sequential model,
@@ -84,12 +69,6 @@ fn chaos_sweep_hash_inline() {
         0x5E_4500,
         testkit::chaos_seeds(3),
     );
-}
-
-#[test]
-fn chaos_sweep_range_inline() {
-    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_range_inline");
-    testkit::sweep_chaos_seeds(range_server, 0x5E_4700, testkit::chaos_seeds(3));
 }
 
 // ---- Failpoint coverage ------------------------------------------------

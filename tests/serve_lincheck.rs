@@ -7,9 +7,8 @@
 //! this boundary, so these checks cover strictly more than
 //! `tests/linearizability.rs` does for the raw structures.
 //!
-//! The grid covers the hash and range routers, for both the point-op
-//! battery and the ordered-read (scan) battery. The
-//! checker itself is validated end-to-end too: a planted mutant that acks
+//! The grid covers the point-op battery and the ordered-read (scan)
+//! battery on hash-routed servers. The checker itself is validated end-to-end too: a planted mutant that acks
 //! a write before applying it (`serve/drain/ack-before-apply`) must be
 //! rejected by the explorer's linearizability oracle, exactly like the
 //! `StaleReadMap` adapter in `tests/linearizability.rs`.
@@ -26,15 +25,6 @@ fn hash_server(shards: usize) -> Server<u64, u64> {
     Server::new(CitrusForest::with_config(
         shards,
         0x5EED,
-        ReclaimMode::Epoch,
-    ))
-}
-
-/// A range-routed server: splitters at 8/16/24 give four shards that
-/// cover both the 32-key direct battery and the 16-key sweep range.
-fn range_server() -> Server<u64, u64> {
-    Server::new(CitrusForest::with_range_router_config(
-        vec![8, 16, 24],
         ReclaimMode::Epoch,
     ))
 }
@@ -80,16 +70,11 @@ where
     );
 }
 
-// ---- Point ops: {hash, range} -----------------------------------------
+// ---- Point ops ---------------------------------------------------------
 
 #[test]
 fn serve_hash_inline() {
     lin_battery(|| hash_server(4), 0x5E_1001);
-}
-
-#[test]
-fn serve_range_inline() {
-    lin_battery(range_server, 0x5E_1003);
 }
 
 /// Degenerate single-shard server: every request meets on one shard and
@@ -100,16 +85,11 @@ fn serve_one_shard() {
     lin_battery(|| hash_server(1), 0x5E_1005);
 }
 
-// ---- Ordered reads: {hash, range} -------------------------------------
+// ---- Ordered reads -----------------------------------------------------
 
 #[test]
 fn serve_scan_hash_inline() {
     scan_battery(|| hash_server(4), 0x5E_2001);
-}
-
-#[test]
-fn serve_scan_range_inline() {
-    scan_battery(range_server, 0x5E_2003);
 }
 
 // ---- Checker validation: the planted reordered-ack mutant ---------------
