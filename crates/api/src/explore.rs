@@ -47,6 +47,7 @@
 //! ```
 
 use crate::lincheck::{check_history, dump_dir, write_dump, History, HistoryRecorder, RecordedOp};
+use crate::testkit::{env_knob, note};
 use crate::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos::{
     run_schedule, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
@@ -54,6 +55,30 @@ use citrus_chaos::{
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
+use std::time::Duration;
+
+/// The explore tests' bounds: [`ExploreConfig::default`] at
+/// `max_preemptions`, with the wall-clock budget in milliseconds that
+/// `CITRUS_EXPLORE_BUDGET_MS` sets (unset: unbounded; an exceeded budget
+/// marks the report incomplete).
+///
+/// # Panics
+///
+/// Panics if the variable is set but malformed.
+#[must_use]
+pub fn explore_config(max_preemptions: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_preemptions,
+        budget: env_knob("CITRUS_EXPLORE_BUDGET_MS").map(Duration::from_millis),
+        ..ExploreConfig::default()
+    }
+}
+
+/// Notes `plan` as the calling thread's replay recipe for its
+/// [`stress_watchdog`](crate::testkit::stress_watchdog).
+fn note_schedule(plan: &SchedulePlan) {
+    note(|n| n.replay = Some(format!("CITRUS_SCHEDULE={}", plan.encode())));
+}
 
 /// One scripted operation of a scenario thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +169,7 @@ where
     F: Fn() -> M,
     V: Fn(&mut M) -> Result<(), String>,
 {
+    note_schedule(plan);
     let mut map = make();
     let nthreads = scenario.threads.len();
     let recorder = HistoryRecorder::new();
@@ -222,9 +248,8 @@ where
 /// and the linearizability oracle only.
 ///
 /// Honors `CITRUS_SCHEDULE` (replay one interleaving instead of
-/// sweeping) and `CITRUS_EXPLORE_BUDGET_MS` (wall-clock budget; an
-/// exceeded budget marks the report `completed: false` rather than
-/// failing). Assert on the returned [`ExploreReport`] — at minimum
+/// sweeping) and, through [`explore_config`], `CITRUS_EXPLORE_BUDGET_MS`.
+/// Assert on the returned [`ExploreReport`] — at minimum
 /// [`ExploreReport::assert_clean`]; coverage-sensitive tests also pin
 /// `report.schedules` and check `report.points_hit`.
 pub fn explore_schedules<M, F>(make: F, scenario: &ScheduleScenario) -> ExploreReport
@@ -233,7 +258,7 @@ where
     for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
     F: Fn() -> M,
 {
-    explore_schedules_with(make, scenario, ExploreConfig::default(), |_| Ok(()))
+    explore_schedules_with(make, scenario, explore_config(2), |_| Ok(()))
 }
 
 /// [`explore_schedules`] with explicit bounds and a structure-validation
@@ -321,10 +346,14 @@ where
 /// ordered reads, say): `run` executes the scenario once under
 /// [`run_schedule`] with the given plan and
 /// returns its outcome and oracle verdict, as for [`Explorer::explore`].
-pub fn explore_or_replay<R>(name: &str, config: ExploreConfig, run: R) -> ExploreReport
+pub fn explore_or_replay<R>(name: &str, config: ExploreConfig, mut run: R) -> ExploreReport
 where
     R: FnMut(&SchedulePlan) -> ExploredRun,
 {
+    let run = |plan: &SchedulePlan| {
+        note_schedule(plan);
+        run(plan)
+    };
     match std::env::var("CITRUS_SCHEDULE") {
         Ok(encoded) => replay_env(name, &encoded, config.max_steps, run),
         Err(_) => Explorer::new(config).explore(run),
@@ -355,12 +384,10 @@ fn replay_env(
         completed: false,
         ..ExploreReport::default()
     };
-    for &(_, point) in &run.outcome.trace {
-        report.points_hit.insert(point);
-    }
-    if run.outcome.deadlocked {
-        report.deadlocks = 1;
-    }
+    report
+        .points_hit
+        .extend(run.outcome.trace.iter().map(|&(_, p)| p));
+    report.deadlocks = usize::from(run.outcome.deadlocked);
     if let Some(reason) = run.outcome.failure_reason().or_else(|| run.verdict.err()) {
         report.failures_seen = 1;
         report.failure = Some(ScheduleFailure {
@@ -469,12 +496,8 @@ mod tests {
     /// schedule, deletes the sweep's schedule dump, and returns the
     /// reported failure.
     fn rejected_sweep(scenario: &ScheduleScenario) -> ScheduleFailure {
-        let report = explore_schedules_with(
-            CoarseMap::default,
-            scenario,
-            ExploreConfig::default(),
-            reject_all,
-        );
+        let report =
+            explore_schedules_with(CoarseMap::default, scenario, explore_config(2), reject_all);
         let dump = report.dump.expect("a failing sweep names its dump");
         std::fs::remove_file(&dump).expect("the named dump exists");
         report.failure.expect("oracle failure must be reported")
@@ -492,8 +515,7 @@ mod tests {
             name: "coarse-named-dump",
             ..scenario()
         };
-        let report =
-            explore_schedules_with(CoarseMap::default, &s, ExploreConfig::default(), reject_all);
+        let report = explore_schedules_with(CoarseMap::default, &s, explore_config(2), reject_all);
         let failure = report.failure.expect("oracle failure must be reported");
         let dump = report.dump.expect("a failing sweep names its dump");
         let body = std::fs::read_to_string(&dump).expect("the named dump exists");
@@ -518,6 +540,19 @@ mod tests {
             assert!(body.contains(&format!("CITRUS_SCHEDULE={}", failure.schedule)));
             std::fs::remove_file(path).unwrap();
         }
+    }
+
+    #[test]
+    fn budget_parses_milliseconds() {
+        let parse = |raw| crate::testkit::parse_knob::<u64>("CITRUS_EXPLORE_BUDGET_MS", raw);
+        assert_eq!(parse(" 60000 "), 60_000);
+        assert_eq!(parse("0"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CITRUS_EXPLORE_BUDGET_MS=\"60s\"")]
+    fn malformed_budget_is_a_hard_error() {
+        crate::testkit::parse_knob::<u64>("CITRUS_EXPLORE_BUDGET_MS", "60s");
     }
 
     #[test]

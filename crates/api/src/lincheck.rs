@@ -50,13 +50,13 @@
 //! [`RecordedSession`] logs the response event after the inner call
 //! returns, so a panicking operation simply never enters the history).
 
+use crate::testkit::{assert_workers_armed, env_knob, install_chaos, run_workers, SplitMix64};
 use crate::{ConcurrentMap, MapSession, OrderedMapSession};
-use citrus_chaos::{install as install_chaos, ChaosPlan};
+use citrus_chaos::ChaosPlan;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// One recorded operation (invocation kind and arguments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -896,62 +896,26 @@ pub fn record_history<M: ConcurrentMap<u64, u64>>(
 ) -> History {
     assert!(threads > 0, "at least one recording worker required");
     let recorder = HistoryRecorder::new();
-    let barrier = Barrier::new(threads);
-    let logs: Vec<Vec<RecordedOp>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (recorder, barrier, map) = (&recorder, &barrier, &*map);
-                scope.spawn(move || {
-                    let mut rng = crate::testkit::SplitMix64::new(
-                        seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let mut session = recorder.wrap(t, map.session());
-                    barrier.wait();
-                    for i in 0..ops_per_thread {
-                        let key = rng.below(key_range);
-                        match rng.below(10) {
-                            0..=3 => {
-                                session.insert(key, ((t as u64) << 32) | i as u64);
-                            }
-                            4..=6 => {
-                                session.remove(&key);
-                            }
-                            _ => {
-                                session.get(&key);
-                            }
-                        }
-                    }
-                    session.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("recording worker panicked"))
-            .collect()
-    });
-    History::from_thread_logs(logs)
-}
-
-/// The most recently written history dump path, if any (process-global).
-///
-/// Every dump is noted here for one reader only: the
-/// [`stress_watchdog`](crate::testkit::stress_watchdog) timeout
-/// diagnostic, which has no failure value to read and must point at the
-/// forensic evidence a hung lincheck run left behind. Parallel checks
-/// overwrite the slot, so a test asserting on its own dump reads
-/// [`LincheckFailure::dump`] instead.
-static LAST_DUMP: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Records `path` as the most recent history dump.
-pub fn note_history_dump(path: &Path) {
-    *LAST_DUMP.lock().unwrap() = Some(path.to_path_buf());
-}
-
-/// The most recently recorded history dump path, if any.
-#[must_use]
-pub fn last_history_dump() -> Option<PathBuf> {
-    LAST_DUMP.lock().unwrap().clone()
+    History::from_thread_logs(run_workers(threads as u64, |t, start| {
+        let mut rng = SplitMix64::new(seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut session = recorder.wrap(t as usize, map.session());
+        start.wait();
+        for i in 0..ops_per_thread {
+            let key = rng.below(key_range);
+            match rng.below(10) {
+                0..=3 => {
+                    session.insert(key, (t << 32) | i as u64);
+                }
+                4..=6 => {
+                    session.remove(&key);
+                }
+                _ => {
+                    session.get(&key);
+                }
+            }
+        }
+        session.finish()
+    }))
 }
 
 /// Per-process dump sequence number: with the process id it makes every
@@ -978,14 +942,15 @@ pub(crate) fn write_dump(
     let pid = std::process::id();
     let path = dir.join(format!("{stem}_{pid}_{n}{suffix}"));
     std::fs::write(&path, body)?;
+    crate::testkit::note(|n| n.dump = Some(path.clone()));
     Ok(path)
 }
 
 /// Writes the rendered history as
 /// `lincheck_<name>_<seed>_<pid>_<n>.history.txt` under `dir` and notes
-/// the path for the stress watchdog. Returns `None` (with a warning) if
-/// the write fails — dump failure must never mask the actual
-/// linearizability verdict.
+/// the path for the calling thread's stress watchdog. Returns `None`
+/// (with a warning) if the write fails — dump failure must never mask the
+/// actual linearizability verdict.
 fn dump_history(dir: &Path, name: &str, seed: u64, history: &History) -> Option<PathBuf> {
     let body = format!(
         "# lincheck history: structure {name}, seed {seed:#x}, {} ops\n{}",
@@ -998,10 +963,7 @@ fn dump_history(dir: &Path, name: &str, seed: u64, history: &History) -> Option<
         ".history.txt",
         &body,
     ) {
-        Ok(path) => {
-            note_history_dump(&path);
-            Some(path)
-        }
+        Ok(path) => Some(path),
         Err(e) => {
             eprintln!(
                 "[citrus-lincheck] history dump under {} failed: {e}",
@@ -1029,51 +991,36 @@ where
 {
     assert!(threads > 0, "at least one recording worker required");
     let recorder = HistoryRecorder::new();
-    let barrier = Barrier::new(threads);
-    let logs: Vec<Vec<RecordedOp>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (recorder, barrier, map) = (&recorder, &barrier, &*map);
-                scope.spawn(move || {
-                    let mut rng = crate::testkit::SplitMix64::new(
-                        seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let mut session = recorder.wrap(t, map.session());
-                    barrier.wait();
-                    for i in 0..ops_per_thread {
-                        let key = rng.below(key_range);
-                        match rng.below(20) {
-                            0..=5 => {
-                                session.insert(key, ((t as u64) << 32) | i as u64);
-                            }
-                            6..=10 => {
-                                session.remove(&key);
-                            }
-                            11..=13 => {
-                                session.get(&key);
-                            }
-                            14..=16 => {
-                                let hi = key + rng.below(5);
-                                session.range_scan(&key, &hi);
-                            }
-                            17..=18 => {
-                                session.successor(&key);
-                            }
-                            _ => {
-                                session.predecessor(&key);
-                            }
-                        }
-                    }
-                    session.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("recording worker panicked"))
-            .collect()
-    });
-    History::from_thread_logs(logs)
+    History::from_thread_logs(run_workers(threads as u64, |t, start| {
+        let mut rng = SplitMix64::new(seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut session = recorder.wrap(t as usize, map.session());
+        start.wait();
+        for i in 0..ops_per_thread {
+            let key = rng.below(key_range);
+            match rng.below(20) {
+                0..=5 => {
+                    session.insert(key, (t << 32) | i as u64);
+                }
+                6..=10 => {
+                    session.remove(&key);
+                }
+                11..=13 => {
+                    session.get(&key);
+                }
+                14..=16 => {
+                    let hi = key + rng.below(5);
+                    session.range_scan(&key, &hi);
+                }
+                17..=18 => {
+                    session.successor(&key);
+                }
+                _ => {
+                    session.predecessor(&key);
+                }
+            }
+        }
+        session.finish()
+    }))
 }
 
 /// A failed end-to-end linearizability check
@@ -1260,18 +1207,9 @@ pub fn sweep_lincheck_chaos_seeds<M, F>(
     M: ConcurrentMap<u64, u64>,
     F: Fn() -> M,
 {
-    for i in 0..count {
-        let seed = base_seed.wrapping_add(i);
-        let verdict = {
-            let _chaos = install_chaos(ChaosPlan::from_seed(seed));
-            check_linearizable(&make, threads, ops_per_thread, key_range, seed)
-        };
-        if let Err(failure) = verdict {
-            panic!(
-                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this history. {SEED_REPLAY}"
-            );
-        }
-    }
+    sweep_seeds(base_seed, count, "", |seed| {
+        check_linearizable(&make, threads, ops_per_thread, key_range, seed)
+    });
 }
 
 /// Like [`sweep_lincheck_chaos_seeds`] but over the scan workload: each
@@ -1293,29 +1231,27 @@ pub fn sweep_lincheck_scan_chaos_seeds<M, F>(
     for<'a> M::Session<'a>: OrderedMapSession<u64, u64>,
     F: Fn() -> M,
 {
-    for i in 0..count {
-        let seed = base_seed.wrapping_add(i);
-        let verdict = {
-            let _chaos = install_chaos(ChaosPlan::from_seed(seed));
-            check_linearizable_scans(&make, threads, ops_per_thread, key_range, seed)
-        };
-        if let Err(failure) = verdict {
+    sweep_seeds(base_seed, count, "scan ", |seed| {
+        check_linearizable_scans(&make, threads, ops_per_thread, key_range, seed)
+    });
+}
+
+/// The chaos sweeps' loop: each seed installs its [`ChaosPlan`] around
+/// `check(seed)`, whose workers must have rolled against it.
+fn sweep_seeds<C>(base_seed: u64, count: u64, what: &str, check: C)
+where
+    C: Fn(u64) -> Result<(), Box<LincheckFailure>>,
+{
+    for seed in (0..count).map(|i| base_seed.wrapping_add(i)) {
+        let chaos = install_chaos(ChaosPlan::from_seed(seed));
+        if let Err(failure) = check(seed) {
             panic!(
-                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this scan history. \
+                "{failure}\n[citrus-lincheck] chaos seed {seed:#x} produced this {what}history. \
                  {SEED_REPLAY}"
             );
         }
+        assert_workers_armed(&chaos, &format!("lincheck {what}chaos seed {seed:#x}"));
     }
-}
-
-/// Parses an env-knob value, aborting with the variable name, raw value,
-/// and parse error on malformed input. A typo'd knob must fail the run
-/// loudly, not silently fall back to a default that changes what the run
-/// covers.
-fn parse_usize_knob(name: &str, raw: &str) -> usize {
-    raw.trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)"))
 }
 
 /// Worker count for lincheck runs: `CITRUS_LIN_THREADS` when set,
@@ -1326,11 +1262,7 @@ fn parse_usize_knob(name: &str, raw: &str) -> usize {
 /// Panics if the variable is set but not an unsigned integer.
 #[must_use]
 pub fn lin_threads(default: usize) -> usize {
-    match std::env::var("CITRUS_LIN_THREADS") {
-        Ok(raw) => parse_usize_knob("CITRUS_LIN_THREADS", &raw),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(e) => panic!("invalid CITRUS_LIN_THREADS: {e}"),
-    }
+    env_knob("CITRUS_LIN_THREADS").unwrap_or(default)
 }
 
 /// Per-thread operation count for lincheck runs: `CITRUS_LIN_OPS` when
@@ -1342,11 +1274,7 @@ pub fn lin_threads(default: usize) -> usize {
 /// Panics if the variable is set but not an unsigned integer.
 #[must_use]
 pub fn lin_ops(default: usize) -> usize {
-    match std::env::var("CITRUS_LIN_OPS") {
-        Ok(raw) => parse_usize_knob("CITRUS_LIN_OPS", &raw),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(e) => panic!("invalid CITRUS_LIN_OPS: {e}"),
-    }
+    env_knob("CITRUS_LIN_OPS").unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -1832,7 +1760,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid CITRUS_LIN_THREADS")]
     fn malformed_env_knob_is_a_hard_error() {
-        parse_usize_knob("CITRUS_LIN_THREADS", "not-a-number");
+        crate::testkit::parse_knob::<usize>("CITRUS_LIN_THREADS", "not-a-number");
     }
 
     #[test]
@@ -1847,11 +1775,16 @@ mod tests {
 
     #[test]
     fn dump_note_round_trips() {
-        // check_linearizable above already wrote a dump; the registry must
-        // surface *some* path once any lincheck ran in this process.
-        check_linearizable(CoarseMap::default, 1, 10, 4, 0xD00D).unwrap_or_else(|f| panic!("{f}"));
-        let path = last_history_dump().expect("a dump was recorded");
-        assert!(path.to_string_lossy().contains("lincheck_"));
+        // The watchdog this thread armed names this check's own dump, even
+        // while parallel checks write theirs.
+        let watchdog = crate::testkit::stress_watchdog("dump_note_round_trips");
+        let dir = std::env::temp_dir().join(format!("citrus-lincheck-note-{}", std::process::id()));
+        let stale = history(vec![ins(0, 0, 1, 2, 9, true), get(1, 2, 3, 2, None)]);
+        let failure = verify_recorded(&dir, "dump-note", 2, 1, 4, 0x3, &stale)
+            .expect_err("the stale read is rejected");
+        let dump = failure.dump.expect("a failing check names its dump");
+        assert_eq!(watchdog.watch.notes.lock().unwrap().dump, Some(dump));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,26 +27,27 @@
 
 use crate::{ConcurrentMap, MapSession};
 use citrus_obs::MetricsSnapshot;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub use citrus_chaos::{
-    all_points, budget_from_env, chaos_enabled, install as install_chaos, mutant_enabled,
-    replay_recipe, run_schedule, ChaosGuard, ChaosPlan, ExploreConfig, ExploreReport, ExploredRun,
-    Explorer, ScheduleFailure, ScheduleOutcome, SchedulePlan,
+    all_points, chaos_enabled, mutant_enabled, replay_recipe, run_schedule, ChaosGuard,
+    ChaosHandle, ChaosPlan, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
+    ScheduleOutcome, SchedulePlan,
 };
 
 pub use crate::explore::{
-    explore_or_replay, explore_schedules, explore_schedules_with, replay_schedule,
+    explore_config, explore_or_replay, explore_schedules, explore_schedules_with, replay_schedule,
     replay_schedule_with, ScenarioOp, ScheduleScenario,
 };
-pub use crate::lincheck::{
-    check_linearizable, last_history_dump, lin_ops, lin_threads, sweep_lincheck_chaos_seeds,
-};
+pub use crate::lincheck::{check_linearizable, lin_ops, lin_threads, sweep_lincheck_chaos_seeds};
 
 /// Deterministic 64-bit PRNG (SplitMix64), dependency-free.
 ///
@@ -251,18 +252,12 @@ pub fn check_duplicate_inserts<M: ConcurrentMap<u64, u64>>(map: &M) {
 ///
 /// Panics if any update is lost or any phantom key appears.
 pub fn check_lost_updates<M: ConcurrentMap<u64, u64>>(map: &M, threads: u64, keys_per_thread: u64) {
-    let barrier = Barrier::new(threads as usize);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (map, barrier) = (&*map, &barrier);
-            scope.spawn(move || {
-                let mut s = map.session();
-                barrier.wait();
-                for i in 0..keys_per_thread {
-                    let key = t * keys_per_thread + i;
-                    assert!(s.insert(key, key + 1), "insert of fresh key {key} failed");
-                }
-            });
+    run_workers(threads, |t, start| {
+        let mut s = map.session();
+        start.wait();
+        for i in 0..keys_per_thread {
+            let key = t * keys_per_thread + i;
+            assert!(s.insert(key, key + 1), "insert of fresh key {key} failed");
         }
     });
     let mut s = map.session();
@@ -271,16 +266,11 @@ pub fn check_lost_updates<M: ConcurrentMap<u64, u64>>(map: &M, threads: u64, key
     }
     drop(s);
 
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let map = &*map;
-            scope.spawn(move || {
-                let mut s = map.session();
-                for i in 0..keys_per_thread {
-                    let key = t * keys_per_thread + i;
-                    assert!(s.remove(&key), "remove of present key {key} failed");
-                }
-            });
+    run_workers(threads, |t, _| {
+        let mut s = map.session();
+        for i in 0..keys_per_thread {
+            let key = t * keys_per_thread + i;
+            assert!(s.remove(&key), "remove of present key {key} failed");
         }
     });
     let mut s = map.session();
@@ -304,59 +294,42 @@ pub fn check_partitioned_determinism<M: ConcurrentMap<u64, u64>>(
     ops_per_thread: usize,
     keys_per_thread: u64,
 ) {
-    let barrier = Barrier::new(threads as usize);
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (map, barrier, stop) = (&*map, &barrier, &stop);
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(0xBEEF ^ t);
-                let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-                let mut s = map.session();
-                barrier.wait();
-                for i in 0..ops_per_thread {
-                    let key = rng.below(keys_per_thread) * threads + t;
-                    match rng.below(3) {
-                        0 => {
-                            let value = rng.next_u64();
-                            let expected = !model.contains_key(&key);
-                            if expected {
-                                model.insert(key, value);
-                            }
-                            assert_eq!(
-                                s.insert(key, value),
-                                expected,
-                                "thread {t} op {i}: insert({key}) diverged"
-                            );
-                        }
-                        1 => {
-                            let expected = model.remove(&key).is_some();
-                            assert_eq!(
-                                s.remove(&key),
-                                expected,
-                                "thread {t} op {i}: remove({key}) diverged"
-                            );
-                        }
-                        _ => {
-                            let expected = model.get(&key).copied();
-                            assert_eq!(
-                                s.get(&key),
-                                expected,
-                                "thread {t} op {i}: get({key}) diverged"
-                            );
-                        }
+    run_workers(threads, |t, start| {
+        let mut rng = SplitMix64::new(0xBEEF ^ t);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut s = map.session();
+        start.wait();
+        for i in 0..ops_per_thread {
+            let key = rng.below(keys_per_thread) * threads + t;
+            match rng.below(3) {
+                0 => {
+                    let value = rng.next_u64();
+                    let expected = !model.contains_key(&key);
+                    if expected {
+                        model.insert(key, value);
                     }
-                    // Cross-partition read: result is unpredictable, but it
-                    // must not crash and must stress reader paths.
-                    let foreign = rng.below(threads * keys_per_thread);
-                    let _ = s.get(&foreign);
+                    let got = s.insert(key, value);
+                    assert_eq!(got, expected, "thread {t} op {i}: insert({key}) diverged");
                 }
-                // Final per-partition sweep while others may still run.
-                for (k, v) in &model {
-                    assert_eq!(s.get(k), Some(*v), "thread {t}: key {k} wrong at end");
+                1 => {
+                    let expected = model.remove(&key).is_some();
+                    let got = s.remove(&key);
+                    assert_eq!(got, expected, "thread {t} op {i}: remove({key}) diverged");
                 }
-                stop.store(true, Ordering::Relaxed);
-            });
+                _ => {
+                    let expected = model.get(&key).copied();
+                    let got = s.get(&key);
+                    assert_eq!(got, expected, "thread {t} op {i}: get({key}) diverged");
+                }
+            }
+            // Cross-partition read: result is unpredictable, but it must
+            // not crash and must stress reader paths.
+            let foreign = rng.below(threads * keys_per_thread);
+            let _ = s.get(&foreign);
+        }
+        // Final per-partition sweep while others may still run.
+        for (k, v) in &model {
+            assert_eq!(s.get(k), Some(*v), "thread {t}: key {k} wrong at end");
         }
     });
 }
@@ -374,33 +347,27 @@ pub fn check_mixed_quiescent_consistency<M: ConcurrentMap<u64, u64>>(
     ops_per_thread: usize,
     key_range: u64,
 ) {
-    let barrier = Barrier::new(threads as usize);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (map, barrier) = (&*map, &barrier);
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(0xF00D ^ (t << 32));
-                let mut s = map.session();
-                barrier.wait();
-                for _ in 0..ops_per_thread {
-                    let key = rng.below(key_range);
-                    match rng.below(4) {
-                        0 | 1 => {
-                            // Tag values with the key so the audit can
-                            // verify value integrity.
-                            s.insert(key, key * 2 + 1);
-                        }
-                        2 => {
-                            s.remove(&key);
-                        }
-                        _ => {
-                            if let Some(v) = s.get(&key) {
-                                assert_eq!(v, key * 2 + 1, "value corrupted for key {key}");
-                            }
-                        }
+    run_workers(threads, |t, start| {
+        let mut rng = SplitMix64::new(0xF00D ^ (t << 32));
+        let mut s = map.session();
+        start.wait();
+        for _ in 0..ops_per_thread {
+            let key = rng.below(key_range);
+            match rng.below(4) {
+                0 | 1 => {
+                    // Tag values with the key so the audit can verify value
+                    // integrity.
+                    s.insert(key, key * 2 + 1);
+                }
+                2 => {
+                    s.remove(&key);
+                }
+                _ => {
+                    if let Some(v) = s.get(&key) {
+                        assert_eq!(v, key * 2 + 1, "value corrupted for key {key}");
                     }
                 }
-            });
+            }
         }
     });
     // Quiescent audit.
@@ -433,32 +400,27 @@ pub fn check_insert_grants_exclusivity<M: ConcurrentMap<u64, u64>>(
     use std::sync::atomic::AtomicU64;
     const KEY: u64 = u64::MAX - 7;
     let owner = AtomicU64::new(0);
-    let barrier = Barrier::new(threads as usize);
-    std::thread::scope(|scope| {
-        for t in 1..=threads {
-            let (map, owner, barrier) = (&*map, &owner, &barrier);
-            scope.spawn(move || {
-                let mut s = map.session();
-                let mut acquired = 0;
-                barrier.wait();
-                while acquired < acquisitions_per_thread {
-                    if s.insert(KEY, t) {
-                        // We hold the "lock": no other successful insert
-                        // may exist until our remove.
-                        let prev = owner.swap(t, Ordering::SeqCst);
-                        assert_eq!(
-                            prev, 0,
-                            "thread {t} acquired while thread {prev} still held the key"
-                        );
-                        // A successful insert must also be observable.
-                        assert_eq!(s.get(&KEY), Some(t), "owner cannot see its own insert");
-                        let back = owner.swap(0, Ordering::SeqCst);
-                        assert_eq!(back, t, "ownership stolen mid-critical-section");
-                        assert!(s.remove(&KEY), "owner's remove must succeed");
-                        acquired += 1;
-                    }
-                }
-            });
+    run_workers(threads, |t, start| {
+        let t = t + 1; // 0 marks a free key
+        let mut s = map.session();
+        let mut acquired = 0;
+        start.wait();
+        while acquired < acquisitions_per_thread {
+            if s.insert(KEY, t) {
+                // We hold the "lock": no other successful insert may exist
+                // until our remove.
+                let prev = owner.swap(t, Ordering::SeqCst);
+                assert_eq!(
+                    prev, 0,
+                    "thread {t} acquired while thread {prev} still held the key"
+                );
+                // A successful insert must also be observable.
+                assert_eq!(s.get(&KEY), Some(t), "owner cannot see its own insert");
+                let back = owner.swap(0, Ordering::SeqCst);
+                assert_eq!(back, t, "ownership stolen mid-critical-section");
+                assert!(s.remove(&KEY), "owner's remove must succeed");
+                acquired += 1;
+            }
         }
     });
     let mut s = map.session();
@@ -535,7 +497,7 @@ pub fn check_counter_dominates(
 /// Lets CI dial the whole suite's stress volume up (soak runs) or down
 /// (sanitizer builds) without touching individual tests.
 pub fn stress_iters(default: u64) -> u64 {
-    env_u64_knob("CITRUS_STRESS_ITERS", default)
+    env_knob("CITRUS_STRESS_ITERS").unwrap_or(default)
 }
 
 /// Seed count for chaos-sweeping tests: the value of the
@@ -543,33 +505,100 @@ pub fn stress_iters(default: u64) -> u64 {
 /// `default`. A malformed value is a hard error, as in [`stress_iters`]:
 /// a typo'd knob must not silently shrink the sweep.
 pub fn chaos_seeds(default: u64) -> u64 {
-    env_u64_knob("CITRUS_CHAOS_SEEDS", default)
+    env_knob("CITRUS_CHAOS_SEEDS").unwrap_or(default)
 }
 
-/// Shared hard-error reader for numeric testkit knobs.
-fn env_u64_knob(name: &str, default: u64) -> u64 {
+/// The numeric knob `name` of the test kits, `None` when unset.
+///
+/// # Panics
+///
+/// Panics if it is set but malformed (see [`parse_knob`]).
+pub(crate) fn env_knob<T: FromStr<Err: Display>>(name: &str) -> Option<T> {
     match std::env::var(name) {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(e) => panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)"),
-        },
-        Err(std::env::VarError::NotPresent) => default,
+        Ok(raw) => Some(parse_knob(name, &raw)),
+        Err(std::env::VarError::NotPresent) => None,
         Err(e) => panic!("invalid {name}: {e}"),
     }
+}
+
+/// Parses the raw value of knob `name`, aborting with the name, the value
+/// and the parse error on malformed input: a typo'd knob must fail the
+/// run loudly, not silently fall back to a default that changes what the
+/// run covers.
+pub(crate) fn parse_knob<T: FromStr<Err: Display>>(name: &str, raw: &str) -> T {
+    raw.trim()
+        .parse()
+        .unwrap_or_else(|e| panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)"))
+}
+
+/// Runs `work(t, start)` for each `t` in `0..threads`, each on a scoped
+/// thread armed with the calling thread's chaos plan ([`ChaosHandle`]),
+/// and returns the results in `t` order. A worker calls `start.wait()`
+/// once set up, so all of them start their operations together.
+pub(crate) fn run_workers<T: Send>(
+    threads: u64,
+    work: impl Fn(u64, &Barrier) -> T + Sync,
+) -> Vec<T> {
+    let (start, chaos) = (Barrier::new(threads as usize), ChaosHandle::current());
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (work, start, chaos) = (&work, &start, &chaos);
+                scope.spawn(move || {
+                    let _chaos = chaos.arm();
+                    work(t, start)
+                })
+            })
+            .collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined
+            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// What a [`stress_watchdog`] knows of its own test: whether it finished,
+/// and the last history dump and replay recipe the test's thread noted.
+#[derive(Debug, Default)]
+pub(crate) struct WatchdogNotes {
+    done: bool,
+    pub(crate) dump: Option<PathBuf>,
+    pub(crate) replay: Option<String>,
+}
+
+#[derive(Debug, Default)]
+pub(crate) struct Watch {
+    pub(crate) notes: Mutex<WatchdogNotes>,
+    cvar: Condvar,
+}
+
+thread_local! {
+    /// The watch of the [`stress_watchdog`] this thread armed, if any.
+    static WATCH: RefCell<Option<Arc<Watch>>> = const { RefCell::new(None) };
+}
+
+/// Records into the notes of the watchdog the calling thread armed; a
+/// no-op on a thread without one.
+pub(crate) fn note(record: impl FnOnce(&mut WatchdogNotes)) {
+    WATCH.with_borrow(|watch| {
+        if let Some(watch) = watch {
+            record(&mut watch.notes.lock().unwrap());
+        }
+    });
 }
 
 /// Guard for a running [`stress_watchdog`]; dropping it disarms the
 /// watchdog (the test finished in time).
 #[derive(Debug)]
 pub struct StressWatchdog {
-    state: Arc<(Mutex<bool>, Condvar)>,
+    pub(crate) watch: Arc<Watch>,
 }
 
 impl Drop for StressWatchdog {
     fn drop(&mut self) {
-        let (done, cvar) = &*self.state;
-        *done.lock().unwrap() = true;
-        cvar.notify_all();
+        WATCH.set(None);
+        self.watch.notes.lock().unwrap().done = true;
+        self.watch.cvar.notify_all();
     }
 }
 
@@ -579,38 +608,39 @@ impl Drop for StressWatchdog {
 /// exits with code 124 — a livelocked test fails loudly instead of hanging
 /// CI until the runner's global timeout reaps it with no indication of
 /// which test wedged.
+///
+/// The diagnostic names the last history dump and replay recipe (chaos
+/// seed or schedule) that the calling thread recorded, never another
+/// test's.
 pub fn stress_watchdog(test: &str) -> StressWatchdog {
-    let timeout_secs = env_u64_knob("CITRUS_STRESS_TIMEOUT_SECS", 300);
-    let state = Arc::new((Mutex::new(false), Condvar::new()));
+    let timeout_secs = env_knob("CITRUS_STRESS_TIMEOUT_SECS").unwrap_or(300);
+    let watch = Arc::new(Watch::default());
+    WATCH.set(Some(Arc::clone(&watch)));
     if timeout_secs > 0 {
-        let pair = Arc::clone(&state);
+        let watch = Arc::clone(&watch);
         let test = test.to_string();
         std::thread::spawn(move || {
-            let (done, cvar) = &*pair;
             let limit = Duration::from_secs(timeout_secs);
             let started = Instant::now();
-            let mut finished = done.lock().unwrap();
-            while !*finished {
+            let mut notes = watch.notes.lock().unwrap();
+            while !notes.done {
                 match limit.checked_sub(started.elapsed()) {
                     Some(remaining) => {
-                        finished = cvar.wait_timeout(finished, remaining).unwrap().0;
+                        notes = watch.cvar.wait_timeout(notes, remaining).unwrap().0;
                     }
                     None => {
                         // A hung lincheck run has already dumped its
-                        // recorded history; point the post-mortem at it.
-                        let dump_note = match crate::lincheck::last_history_dump() {
-                            Some(path) => {
-                                format!(" Last recorded history dump: {}.", path.display())
-                            }
-                            None => String::new(),
-                        };
-                        // One copy-pasteable line reproducing the hung
-                        // run's perturbation context (active schedule or
-                        // chaos plan seed), if any.
-                        let recipe_note = match replay_recipe() {
-                            Some(recipe) => format!(" Replay: {recipe}."),
-                            None => String::new(),
-                        };
+                        // recorded history; point the post-mortem at it,
+                        // and at one copy-pasteable line reproducing the
+                        // run's perturbation context (schedule or seed).
+                        let dump_note = notes
+                            .dump
+                            .as_ref()
+                            .map_or(String::new(), |p| format!(" Last dump: {}.", p.display()));
+                        let recipe_note = notes
+                            .replay
+                            .as_ref()
+                            .map_or(String::new(), |r| format!(" Replay: {r}."));
                         let message = format!(
                             "[citrus-testkit] stress watchdog: test '{test}' still running after \
                              {timeout_secs}s — likely livelocked. Aborting with exit code 124. \
@@ -633,7 +663,7 @@ pub fn stress_watchdog(test: &str) -> StressWatchdog {
             }
         });
     }
-    StressWatchdog { state }
+    StressWatchdog { watch }
 }
 
 /// Saves the watchdog's timeout `message` for `test` as
@@ -659,7 +689,7 @@ where
     M: ConcurrentMap<u64, u64>,
     F: Fn() -> M,
 {
-    let _chaos = install_chaos(ChaosPlan::from_seed(seed));
+    let chaos = install_chaos(ChaosPlan::from_seed(seed));
     let map = make();
     check_sequential_model(&map, 400, 64, seed);
     check_duplicate_inserts(&map);
@@ -670,6 +700,31 @@ where
     check_lost_updates(&map, 4, 64);
     let map = make();
     check_mixed_quiescent_consistency(&map, 4, 300, 32);
+    assert_workers_armed(&chaos, &format!("chaos seed {seed:#x}"));
+}
+
+/// [`citrus_chaos::install`], noting the plan's seed for the calling
+/// thread's [`stress_watchdog`]. The testkit's spawners arm their workers.
+#[must_use]
+pub fn install_chaos(plan: ChaosPlan) -> ChaosGuard {
+    let guard = citrus_chaos::install(plan);
+    note(|n| n.replay = replay_recipe());
+    guard
+}
+
+/// Asserts that worker threads rolled against `chaos`'s plan: a spawner
+/// that forgets to arm its workers ([`ChaosHandle::arm`]) silently runs
+/// them unperturbed. Vacuous without the `chaos` feature.
+///
+/// # Panics
+///
+/// Panics, naming `sweep`, if no armed worker reached a failpoint.
+pub fn assert_workers_armed(chaos: &ChaosGuard, sweep: &str) {
+    assert!(
+        !chaos_enabled() || chaos.worker_rolls() > 0,
+        "{sweep}: no worker thread rolled against the chaos plan; arm each spawned worker \
+         from the plan's ChaosHandle"
+    );
 }
 
 /// Sweeps `count` consecutive chaos schedule seeds starting at
@@ -710,7 +765,8 @@ where
 ///
 /// Values are never republished, so the assertions are exact, not
 /// heuristic. Run it under an installed [`ChaosPlan`] to sweep schedule
-/// perturbations over the flavor's failpoints.
+/// perturbations over the flavor's failpoints: every thread it spawns is
+/// armed with the calling thread's plan.
 ///
 /// # Panics
 ///
@@ -728,50 +784,39 @@ where
     let published = AtomicUsize::new(0);
     let next = AtomicUsize::new(1);
     let syncers_done = AtomicUsize::new(0);
-    let barrier = Barrier::new(syncers + 2);
 
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            let (freed, published, syncers_done, barrier) =
-                (&freed, &published, &syncers_done, &barrier);
-            s.spawn(move || {
-                let h = rcu.register();
-                barrier.wait();
-                while syncers_done.load(Ordering::Acquire) < syncers {
-                    let g = h.read_lock();
-                    let v = published.load(Ordering::Acquire);
-                    assert!(
-                        !freed[v].load(Ordering::SeqCst),
-                        "value {v} was freed while still published"
-                    );
-                    // Dwell inside the section so a racing synchronize has
-                    // a window to (incorrectly) return early.
-                    for _ in 0..64 {
-                        core::hint::spin_loop();
-                    }
-                    assert!(
-                        !freed[v].load(Ordering::SeqCst),
-                        "grace period ended while a reader that observed \
-                         value {v} was still inside its critical section"
-                    );
-                    drop(g);
-                }
-            });
+    // Workers 0 and 1 read; the others synchronize.
+    run_workers(syncers as u64 + 2, |t, start| {
+        let h = rcu.register();
+        start.wait();
+        if t >= 2 {
+            for _ in 0..rounds {
+                let fresh = next.fetch_add(1, Ordering::Relaxed);
+                let old = published.swap(fresh, Ordering::AcqRel);
+                h.synchronize();
+                freed[old].store(true, Ordering::SeqCst);
+            }
+            syncers_done.fetch_add(1, Ordering::Release);
+            return;
         }
-        for _ in 0..syncers {
-            let (freed, published, next, syncers_done, barrier) =
-                (&freed, &published, &next, &syncers_done, &barrier);
-            s.spawn(move || {
-                let h = rcu.register();
-                barrier.wait();
-                for _ in 0..rounds {
-                    let fresh = next.fetch_add(1, Ordering::Relaxed);
-                    let old = published.swap(fresh, Ordering::AcqRel);
-                    h.synchronize();
-                    freed[old].store(true, Ordering::SeqCst);
-                }
-                syncers_done.fetch_add(1, Ordering::Release);
-            });
+        while syncers_done.load(Ordering::Acquire) < syncers {
+            let g = h.read_lock();
+            let v = published.load(Ordering::Acquire);
+            assert!(
+                !freed[v].load(Ordering::SeqCst),
+                "value {v} was freed while still published"
+            );
+            // Dwell inside the section so a racing synchronize has a window
+            // to (incorrectly) return early.
+            for _ in 0..64 {
+                core::hint::spin_loop();
+            }
+            assert!(
+                !freed[v].load(Ordering::SeqCst),
+                "grace period ended while a reader that observed \
+                 value {v} was still inside its critical section"
+            );
+            drop(g);
         }
     });
 }

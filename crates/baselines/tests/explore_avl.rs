@@ -8,7 +8,7 @@
 #![cfg(feature = "chaos")]
 
 use citrus_api::testkit::{
-    explore_or_replay, run_schedule, stress_watchdog, ExploreConfig, ExploredRun, SchedulePlan,
+    explore_config, explore_or_replay, run_schedule, stress_watchdog, ExploredRun, SchedulePlan,
 };
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_baselines::OptimisticAvlTree;
@@ -63,10 +63,7 @@ fn run(plan: &SchedulePlan) -> ExploredRun {
 #[test]
 fn remove_under_a_concurrently_unlinked_parent_is_clean() {
     let _wd = stress_watchdog("remove_under_a_concurrently_unlinked_parent_is_clean");
-    let config = ExploreConfig {
-        max_preemptions: 2,
-        ..ExploreConfig::default()
-    };
+    let config = explore_config(2);
     let report = explore_or_replay("avl-remove-under-unlinked-parent", config, run);
     report.assert_clean("avl-remove-under-unlinked-parent");
     if !report.completed {

@@ -13,7 +13,7 @@
 
 use citrus_api::lincheck::{check_history, History, HistoryRecorder, RecordedOp};
 use citrus_api::testkit::{
-    explore_or_replay, run_schedule, stress_watchdog, ExploreConfig, ExploredRun, SchedulePlan,
+    explore_config, explore_or_replay, run_schedule, stress_watchdog, ExploredRun, SchedulePlan,
 };
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_baselines::LockFreeBst;
@@ -72,10 +72,7 @@ fn run(plan: &SchedulePlan) -> ExploredRun {
 #[test]
 fn remove_racing_a_flagged_delete_of_the_same_leaf_is_clean() {
     let _wd = stress_watchdog("remove_racing_a_flagged_delete_of_the_same_leaf_is_clean");
-    let config = ExploreConfig {
-        max_preemptions: 2,
-        ..ExploreConfig::default()
-    };
+    let config = explore_config(2);
     let report = explore_or_replay("lockfree-remove-vs-flagged-remove", config, run);
     report.assert_clean("lockfree-remove-vs-flagged-remove");
     eprintln!(

@@ -32,8 +32,8 @@ pub struct ExploreConfig {
     pub max_schedules: usize,
     /// Per-run yield-point budget (forwarded to [`SchedulePlan`]).
     pub max_steps: usize,
-    /// Wall-clock budget; `None` means unbounded. See
-    /// [`budget_from_env`] for the `CITRUS_EXPLORE_BUDGET_MS` knob.
+    /// Wall-clock budget; `None` (the default) means unbounded. An
+    /// exceeded budget marks the report incomplete.
     pub budget: Option<Duration>,
     /// Stop at the first failing schedule (default) instead of
     /// continuing the sweep to count all failures.
@@ -46,26 +46,9 @@ impl Default for ExploreConfig {
             max_preemptions: 2,
             max_schedules: 100_000,
             max_steps: crate::sched::DEFAULT_MAX_STEPS,
-            budget: budget_from_env(),
+            budget: None,
             stop_on_failure: true,
         }
-    }
-}
-
-/// Reads the exploration wall-clock budget from `CITRUS_EXPLORE_BUDGET_MS`
-/// (unset means unbounded; a malformed value is a hard error so CI never
-/// silently runs an unbounded sweep because of a typo).
-#[must_use]
-pub fn budget_from_env() -> Option<Duration> {
-    match std::env::var("CITRUS_EXPLORE_BUDGET_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(e) => panic!(
-                "invalid CITRUS_EXPLORE_BUDGET_MS={raw:?}: {e} (expected milliseconds as an unsigned integer)"
-            ),
-        },
-        Err(std::env::VarError::NotPresent) => None,
-        Err(e) => panic!("invalid CITRUS_EXPLORE_BUDGET_MS: {e}"),
     }
 }
 

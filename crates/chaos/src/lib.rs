@@ -9,12 +9,16 @@
 //! Instrumented crates call [`point!`] at linearization-sensitive sites
 //! and [`should_fail!`] where a forced (correctness-preserving) restart is
 //! possible. With the `chaos` cargo feature **off** — the default — every
-//! failpoint is an empty `#[inline]` function and [`ChaosGuard`] is
-//! zero-sized, mirroring the zero-cost pattern of `citrus-obs`. With it
-//! **on**, an installed [`ChaosPlan`] makes each firing roll (from a
-//! SplitMix64 stream seeded by the plan seed and the thread's stream id)
-//! whether to yield, spin-delay, or force a restart, so any interleaving a
-//! sweep finds is replayable from its seed.
+//! failpoint is an empty `#[inline]` function and [`ChaosGuard`] and
+//! [`ChaosHandle`] are zero-sized, mirroring the zero-cost pattern of
+//! `citrus-obs`. With it **on**, an installed [`ChaosPlan`] makes each
+//! firing roll (from a SplitMix64 stream seeded by the plan seed and the
+//! thread's stream id) whether to yield, spin-delay, or force a restart, so
+//! any interleaving a sweep finds is replayable from its seed.
+//!
+//! Only the failpoint [registry](all_points) of site names is
+//! process-wide: a plan perturbs only the threads armed with it (see
+//! [`ChaosHandle`]), so tests with plans of their own run side by side.
 //!
 //! Failpoint names follow `component/operation/site`, e.g.
 //! `citrus/insert/after-validate` or `rcu-scalable/synchronize/scan-step`.
@@ -24,7 +28,7 @@
 //! ```
 //! use citrus_chaos as chaos;
 //!
-//! let _guard = chaos::install(chaos::ChaosPlan::from_seed(0xC17).traced(true));
+//! let guard = chaos::install(chaos::ChaosPlan::from_seed(0xC17).traced(true));
 //! chaos::set_thread_stream(0);
 //! chaos::point("example/op/site");
 //! if chaos::should_fail("example/op/force-restart") {
@@ -32,17 +36,28 @@
 //! }
 //! let trace = chaos::take_trace(); // decisions, in firing order
 //! assert_eq!(trace.is_empty(), !chaos::chaos_enabled());
+//!
+//! // A worker rolls against the plan only once armed from its handle.
+//! let plan = guard.handle();
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         let _armed = plan.arm();
+//!         chaos::point("example/worker/site");
+//!     });
+//! });
+//! assert_eq!(guard.worker_rolls() > 0, chaos::chaos_enabled());
 //! ```
 
 //! # Deterministic schedules
 //!
 //! Random plans *sample* interleavings; a [`SchedulePlan`] *enumerates*
 //! them. Under [`run_schedule`] every failpoint becomes a cooperative
-//! yield point and exactly one registered thread runs at a time, driven
-//! by an explicit decision sequence whose compact encoding
-//! (`CITRUS_SCHEDULE=<string>`) replays one interleaving exactly. The
-//! [`Explorer`] DFS-enumerates all schedules of a bounded scenario with
-//! memoized prefix pruning and iteratively deepened preemption bounds
+//! yield point and exactly one of the run's threads runs at a time,
+//! driven by an explicit decision sequence whose compact encoding
+//! (`CITRUS_SCHEDULE=<string>`) replays one interleaving exactly. Each
+//! run has a scheduler of its own, known only to the threads it spawns.
+//! The [`Explorer`] DFS-enumerates all schedules of a bounded scenario
+//! with memoized prefix pruning and iteratively deepened preemption bounds
 //! (context-bounded search). See `DESIGN.md` §6h for the model and its
 //! soundness caveats.
 //!
@@ -62,14 +77,12 @@ mod point;
 mod registry;
 mod sched;
 
-pub use explore::{
-    budget_from_env, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
-};
+pub use explore::{ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure};
 pub use mutant::mutant_enabled;
 pub use plan::ChaosPlan;
 pub use point::{
     active_plan_seed, chaos_active, chaos_enabled, install, point, set_thread_stream, should_fail,
-    take_trace, ChaosAction, ChaosGuard, TraceEntry,
+    take_trace, ChaosAction, ChaosGuard, ChaosHandle, TraceEntry,
 };
 pub use registry::{
     all_points, fire_blocked, fire_point, fire_should_fail, PointKind, PointSite, RegisteredPoint,
@@ -79,11 +92,11 @@ pub use sched::{
     DEFAULT_MAX_STEPS, MAX_SCHED_THREADS,
 };
 
-/// One copy-pasteable line reproducing the current perturbation context:
-/// the active deterministic schedule if one is running, else the
-/// installed chaos plan's seed. `None` when neither is active (or the
-/// `chaos` feature is off). Watchdogs and failure reports print this so
-/// the schedule context is never lost on a livelock or oracle failure.
+/// One copy-pasteable line reproducing the calling thread's perturbation
+/// context: the schedule it runs in if it is scheduled, else the seed of
+/// the plan armed on it. `None` when neither applies (or the `chaos`
+/// feature is off). Failure reports print this so the schedule context is
+/// never lost on an oracle failure.
 #[must_use]
 pub fn replay_recipe() -> Option<String> {
     if let Some(s) = active_schedule() {

@@ -17,9 +17,9 @@
 //! names it on the [`SchedulePlan`](crate::SchedulePlan) (the explore
 //! kit's `ScheduleScenario::mutant` does this for every run of a
 //! scenario), and [`run_schedule`](crate::run_schedule) arms it on that
-//! run's scheduled threads only. Any other thread — a parallel test's, or
-//! one a scenario closure spawns itself — never sees it, and nothing
-//! outlives the run.
+//! run's scheduled threads only, next to the run's own scheduler. Any
+//! other thread — a parallel test's, or one a scenario closure spawns
+//! itself — never sees it, and nothing outlives the run.
 
 #[cfg(feature = "chaos")]
 mod imp {

@@ -35,9 +35,10 @@ pub(crate) fn mix64(x: u64) -> u64 {
 /// A deterministic schedule-perturbation plan.
 ///
 /// Installed with [`install`](crate::install), a plan makes every
-/// [`point`](fn@crate::point) roll (per thread, from a SplitMix64 stream
-/// derived from the plan seed and the thread's stream id) whether to pass
-/// through, yield the OS scheduler, or spin-delay; every
+/// [`point`](fn@crate::point) on a thread armed with it roll (per thread,
+/// from a SplitMix64 stream derived from the plan seed and the thread's
+/// stream id) whether to pass through, yield the OS scheduler, or
+/// spin-delay; every
 /// [`should_fail`](fn@crate::should_fail) rolls whether to force the calling
 /// operation to restart. The same seed always produces the same decision
 /// sequence on the same operation sequence, so a failing interleaving is

@@ -1,5 +1,5 @@
-//! Failpoints: [`point`], [`should_fail`], plan installation, and the
-//! per-thread decision trace.
+//! Failpoints: [`point`], [`should_fail`], plan installation and arming,
+//! and the per-thread decision trace.
 
 /// What a failpoint decided to do when it fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,99 +35,157 @@ pub const fn chaos_enabled() -> bool {
 mod imp {
     use super::{ChaosAction, TraceEntry};
     use crate::plan::{mix64, ChaosPlan, SplitMix64};
-    use core::cell::RefCell;
+    use core::cell::{Cell, RefCell};
+    use core::marker::PhantomData;
     use core::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::sync::Arc;
 
     /// Trace entries kept per thread; both runs of a replay pair truncate
     /// identically, so capping preserves trace-equality checks.
     const TRACE_CAP: usize = 1 << 16;
 
-    /// `0` = no plan installed; failpoints are single-load no-ops.
-    static ACTIVE_GENERATION: AtomicU64 = AtomicU64::new(0);
-    static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-    static PLAN: Mutex<Option<ChaosPlan>> = Mutex::new(None);
-    /// Serializes chaos runs: concurrent tests in one binary would
-    /// otherwise perturb (and be perturbed by) each other's plans.
-    static SERIAL: Mutex<()> = Mutex::new(());
-    /// Stream ids handed to threads that did not pin one; reset per
-    /// install so spawn order alone determines streams.
-    static NEXT_STREAM: AtomicU64 = AtomicU64::new(0);
+    /// One installed plan, shared by the threads armed with it.
+    #[derive(Debug)]
+    struct Installed {
+        plan: ChaosPlan,
+        /// Stream ids for armed threads that pin none, in first-roll order.
+        next_stream: AtomicU64,
+        /// Rolls made by threads armed from a [`ChaosHandle`].
+        worker_rolls: AtomicU64,
+    }
 
     struct ThreadState {
-        generation: u64,
-        plan: ChaosPlan,
-        rng: SplitMix64,
+        /// The plan this thread rolls against; `true` on a worker thread.
+        armed: Option<(Arc<Installed>, bool)>,
+        /// The decision stream, seeded at the first roll after arming.
+        rng: Option<SplitMix64>,
         pinned_stream: Option<u64>,
         trace: Vec<TraceEntry>,
     }
 
     thread_local! {
+        /// Runs and plans engaging this thread; 0 is the fast path.
+        static ENGAGED: Cell<u32> = const { Cell::new(0) };
         static STATE: RefCell<ThreadState> = const {
             RefCell::new(ThreadState {
-                generation: 0,
-                plan: ChaosPlan::from_seed(0),
-                rng: SplitMix64::new(0),
+                armed: None,
+                rng: None,
                 pinned_stream: None,
                 trace: Vec::new(),
             })
         };
     }
 
-    fn unpoisoned<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// An installed chaos plan. Failpoints stop firing when it drops; it
-    /// also holds the global serialization lock, so at most one plan is
-    /// active per process.
+    /// A plan armed on the calling thread. Its failpoints stop rolling
+    /// when the guard drops, which restores the thread's previous arming.
+    #[derive(Debug)]
     pub struct ChaosGuard {
-        _serial: MutexGuard<'static, ()>,
+        plan: ChaosHandle,
+        previous: Option<(Arc<Installed>, bool)>,
+        /// Disarms the thread that armed it, so it stays on that thread.
+        _thread: PhantomData<*const ()>,
     }
 
-    impl core::fmt::Debug for ChaosGuard {
-        fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            f.debug_struct("ChaosGuard").finish_non_exhaustive()
+    impl ChaosGuard {
+        fn arm(installed: Option<Arc<Installed>>, worker: bool) -> Self {
+            let previous = installed.as_ref().and_then(|i| {
+                engage(true);
+                STATE.with_borrow_mut(|s| {
+                    s.rng = None;
+                    s.armed.replace((Arc::clone(i), worker))
+                })
+            });
+            Self {
+                plan: ChaosHandle { installed },
+                previous,
+                _thread: PhantomData,
+            }
+        }
+
+        /// A handle to this guard's plan, for arming the threads that
+        /// should be perturbed with it.
+        #[must_use]
+        pub fn handle(&self) -> ChaosHandle {
+            self.plan.clone()
+        }
+
+        /// Failpoint rolls so far by threads armed from a handle to this
+        /// plan; 0 after a sweep means its spawner forgot to arm them.
+        #[must_use]
+        pub fn worker_rolls(&self) -> u64 {
+            let rolls = self.plan.installed.as_ref().map(|i| &i.worker_rolls);
+            rolls.map_or(0, |n| n.load(Ordering::Relaxed))
         }
     }
 
     impl Drop for ChaosGuard {
         fn drop(&mut self) {
-            ACTIVE_GENERATION.store(0, Ordering::Release);
-            *unpoisoned(&PLAN) = None;
+            if self.plan.installed.is_some() {
+                engage(false);
+                STATE.with_borrow_mut(|s| {
+                    s.rng = None;
+                    s.armed = self.previous.take();
+                });
+            }
         }
     }
 
-    /// Installs `plan`, activating every failpoint in the process until
-    /// the returned guard drops. Blocks while another plan is installed.
+    /// A plan to arm other threads with: a spawner takes one from its
+    /// guard (or from its own thread) and each worker it spawns calls
+    /// [`arm`](Self::arm) first. Empty when no plan is armed.
+    #[derive(Debug, Clone)]
+    pub struct ChaosHandle {
+        installed: Option<Arc<Installed>>,
+    }
+
+    impl ChaosHandle {
+        /// The plan armed on the calling thread, if any.
+        #[must_use]
+        pub fn current() -> Self {
+            STATE.with_borrow(|s| Self {
+                installed: s.armed.as_ref().map(|(i, _)| Arc::clone(i)),
+            })
+        }
+
+        /// Arms the calling thread with this plan until the returned guard
+        /// drops; its rolls count as [worker
+        /// rolls](ChaosGuard::worker_rolls). An empty handle arms nothing.
+        #[must_use]
+        pub fn arm(&self) -> ChaosGuard {
+            ChaosGuard::arm(self.installed.clone(), true)
+        }
+    }
+
+    /// Installs `plan` and arms the calling thread with it until the
+    /// returned guard drops. Other threads roll against it only once armed
+    /// from its [`handle`](ChaosGuard::handle).
     #[must_use]
     pub fn install(plan: ChaosPlan) -> ChaosGuard {
-        let serial = unpoisoned(&SERIAL);
-        *unpoisoned(&PLAN) = Some(plan);
-        NEXT_STREAM.store(0, Ordering::Relaxed);
-        let generation = NEXT_GENERATION.fetch_add(1, Ordering::Relaxed);
-        ACTIVE_GENERATION.store(generation, Ordering::Release);
-        ChaosGuard { _serial: serial }
+        let installed = Installed {
+            plan,
+            next_stream: AtomicU64::new(0),
+            worker_rolls: AtomicU64::new(0),
+        };
+        ChaosGuard::arm(Some(Arc::new(installed)), false)
     }
 
     /// Pins the calling thread's decision-stream id for the current and
     /// all future plans. Replay tests pin explicit ids so two runs use
     /// identical streams regardless of what ran on the thread before;
-    /// unpinned threads draw ids in first-failpoint order.
+    /// unpinned threads draw ids from their plan in first-failpoint order.
     pub fn set_thread_stream(id: u64) {
-        STATE.with(|cell| {
-            let mut s = cell.borrow_mut();
+        STATE.with_borrow_mut(|s| {
             s.pinned_stream = Some(id);
-            // Force a refresh (and reseed) at the next failpoint.
-            s.generation = 0;
+            // Reseed at the next failpoint.
+            s.rng = None;
         });
     }
 
-    /// Takes the calling thread's recorded trace (empty unless the active
-    /// plan was built with [`ChaosPlan::traced`]).
+    /// Takes the calling thread's recorded trace (empty unless its plan
+    /// was built with [`ChaosPlan::traced`]).
     #[must_use]
     pub fn take_trace() -> Vec<TraceEntry> {
-        STATE.with(|cell| core::mem::take(&mut cell.borrow_mut().trace))
+        STATE.with_borrow_mut(|s| core::mem::take(&mut s.trace))
     }
 
     /// FNV-1a over the point name, so co-located points in one decision
@@ -141,40 +199,45 @@ mod imp {
         h
     }
 
-    /// Rolls the action for one firing; `None` if the plan vanished
-    /// between the generation load and here.
-    fn roll(name: &'static str, generation: u64, fail_site: bool) -> Option<ChaosAction> {
-        STATE.with(|cell| {
-            let mut s = cell.borrow_mut();
-            if s.generation != generation {
-                let plan = (*unpoisoned(&PLAN))?;
-                let stream = s
-                    .pinned_stream
-                    .unwrap_or_else(|| NEXT_STREAM.fetch_add(1, Ordering::Relaxed));
-                s.generation = generation;
-                s.plan = plan;
-                s.rng = SplitMix64::new(mix64(
-                    plan.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-                s.trace.clear();
+    /// Rolls the action for one firing; `None` if the thread is not armed.
+    fn roll(name: &'static str, fail_site: bool) -> Option<ChaosAction> {
+        STATE.with_borrow_mut(|s| {
+            let ThreadState {
+                armed,
+                rng,
+                pinned_stream,
+                trace,
+            } = s;
+            let (installed, worker) = armed.as_ref()?;
+            let plan = installed.plan;
+            if *worker {
+                installed.worker_rolls.fetch_add(1, Ordering::Relaxed);
             }
-            let z = mix64(s.rng.next_u64() ^ hash_name(name));
+            let rng = rng.get_or_insert_with(|| {
+                let stream = pinned_stream
+                    .unwrap_or_else(|| installed.next_stream.fetch_add(1, Ordering::Relaxed));
+                trace.clear();
+                SplitMix64::new(mix64(
+                    plan.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ))
+            });
+            let z = mix64(rng.next_u64() ^ hash_name(name));
             let permille = (z % 1000) as u16;
             let action = if fail_site {
-                if permille < s.plan.fail_permille {
+                if permille < plan.fail_permille {
                     ChaosAction::Fail
                 } else {
                     ChaosAction::Pass
                 }
-            } else if permille < s.plan.yield_permille {
+            } else if permille < plan.yield_permille {
                 ChaosAction::Yield
-            } else if permille < s.plan.yield_permille.saturating_add(s.plan.spin_permille) {
-                ChaosAction::Spin(1 + ((z >> 32) as u32) % s.plan.max_spin.max(1))
+            } else if permille < plan.yield_permille.saturating_add(plan.spin_permille) {
+                ChaosAction::Spin(1 + ((z >> 32) as u32) % plan.max_spin.max(1))
             } else {
                 ChaosAction::Pass
             };
-            if s.plan.trace && s.trace.len() < TRACE_CAP {
-                s.trace.push(TraceEntry {
+            if plan.trace && trace.len() < TRACE_CAP {
+                trace.push(TraceEntry {
                     point: name,
                     action,
                 });
@@ -183,24 +246,22 @@ mod imp {
         })
     }
 
+    /// A run (`true`) or plan starts or stops (`false`) engaging the
+    /// calling thread's failpoints.
+    pub(crate) fn engage(on: bool) {
+        let engaged = ENGAGED.get();
+        ENGAGED.set(if on { engaged + 1 } else { engaged - 1 });
+    }
+
     /// A named schedule-perturbation failpoint.
     #[inline]
     pub fn point(name: &'static str) {
-        // An active deterministic schedule turns the point into a
-        // cooperative yield and suppresses random rolls entirely.
-        if crate::sched::maybe_yield(name) {
+        // A scheduled run turns the point into a cooperative yield and
+        // suppresses random rolls entirely.
+        if ENGAGED.get() == 0 || crate::sched::yield_point(name, false) {
             return;
         }
-        let generation = ACTIVE_GENERATION.load(Ordering::Acquire);
-        if generation == 0 {
-            return;
-        }
-        point_slow(name, generation);
-    }
-
-    #[cold]
-    fn point_slow(name: &'static str, generation: u64) {
-        match roll(name, generation, false) {
+        match roll(name, false) {
             Some(ChaosAction::Yield) => std::thread::yield_now(),
             Some(ChaosAction::Spin(n)) => {
                 for _ in 0..n {
@@ -217,40 +278,23 @@ mod imp {
     pub fn should_fail(name: &'static str) -> bool {
         // Under a deterministic schedule a fail site is a plain yield
         // point: restarts are never forced (DESIGN.md §6h caveat).
-        if crate::sched::maybe_yield(name) {
-            return false;
-        }
-        let generation = ACTIVE_GENERATION.load(Ordering::Acquire);
-        if generation == 0 {
-            return false;
-        }
-        should_fail_slow(name, generation)
+        ENGAGED.get() > 0
+            && !crate::sched::yield_point(name, false)
+            && roll(name, true) == Some(ChaosAction::Fail)
     }
 
-    #[cold]
-    fn should_fail_slow(name: &'static str, generation: u64) -> bool {
-        matches!(roll(name, generation, true), Some(ChaosAction::Fail))
-    }
-
-    /// `true` while a plan is installed.
+    /// `true` while a plan is armed on, or a run schedules, the calling
+    /// thread.
     #[must_use]
     pub fn chaos_active() -> bool {
-        ACTIVE_GENERATION.load(Ordering::Acquire) != 0
+        ENGAGED.get() > 0
     }
 
-    /// The installed plan's seed, for replay-recipe reporting.
+    /// The seed of the plan armed on the calling thread, for
+    /// replay-recipe reporting.
     #[must_use]
     pub fn active_plan_seed() -> Option<u64> {
-        if !chaos_active() {
-            return None;
-        }
-        (*unpoisoned(&PLAN)).map(|p| p.seed)
-    }
-
-    /// The global chaos serialization lock, shared with schedule runs so
-    /// deterministic schedules never overlap random chaos plans.
-    pub(crate) fn serial_lock() -> MutexGuard<'static, ()> {
-        unpoisoned(&SERIAL)
+        STATE.with_borrow(|s| s.armed.as_ref().map(|(i, _)| i.plan.seed))
     }
 }
 
@@ -259,9 +303,45 @@ mod imp {
     use super::TraceEntry;
     use crate::plan::ChaosPlan;
 
-    /// An installed chaos plan (zero-sized no-op in this build).
+    /// An armed chaos plan (zero-sized no-op in this build).
     #[derive(Debug)]
     pub struct ChaosGuard {}
+
+    impl ChaosGuard {
+        /// An empty handle in this build.
+        #[inline(always)]
+        #[must_use]
+        pub fn handle(&self) -> ChaosHandle {
+            ChaosHandle {}
+        }
+
+        /// Always 0 in this build.
+        #[inline(always)]
+        #[must_use]
+        pub fn worker_rolls(&self) -> u64 {
+            0
+        }
+    }
+
+    /// A plan to arm other threads with (zero-sized no-op in this build).
+    #[derive(Debug, Clone)]
+    pub struct ChaosHandle {}
+
+    impl ChaosHandle {
+        /// An empty handle in this build.
+        #[inline(always)]
+        #[must_use]
+        pub fn current() -> Self {
+            Self {}
+        }
+
+        /// Arms nothing in this build.
+        #[inline(always)]
+        #[must_use]
+        pub fn arm(&self) -> ChaosGuard {
+            ChaosGuard {}
+        }
+    }
 
     /// Accepts and ignores `plan`; failpoints stay compiled out.
     #[inline]
@@ -314,10 +394,10 @@ mod imp {
 }
 
 #[cfg(feature = "chaos")]
-pub(crate) use imp::serial_lock;
+pub(crate) use imp::engage;
 pub use imp::{
     active_plan_seed, chaos_active, install, point, set_thread_stream, should_fail, take_trace,
-    ChaosGuard,
+    ChaosGuard, ChaosHandle,
 };
 
 #[cfg(test)]
@@ -329,7 +409,11 @@ mod tests {
     #[test]
     fn noop_failpoints_are_zero_cost() {
         assert_eq!(core::mem::size_of::<ChaosGuard>(), 0);
-        let _guard = install(crate::ChaosPlan::from_seed(1).traced(true));
+        assert_eq!(core::mem::size_of::<ChaosHandle>(), 0);
+        let guard = install(crate::ChaosPlan::from_seed(1).traced(true));
+        let _worker = guard.handle().arm();
+        let _current = ChaosHandle::current().arm();
+        assert_eq!(guard.worker_rolls(), 0);
         point("x/y/z");
         assert!(!should_fail("x/y/z"));
         assert!(!chaos_active());
@@ -391,6 +475,27 @@ mod tests {
             let trace = take_trace();
             assert_eq!(trace.len(), 1);
             assert_eq!(trace[0].point, "p");
+        }
+
+        #[test]
+        fn only_armed_workers_roll_against_a_plan() {
+            let guard = install(ChaosPlan::from_seed(6).traced(true));
+            let plan = guard.handle();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    point("unarmed");
+                    assert!(!chaos_active() && take_trace().is_empty());
+                });
+            });
+            assert_eq!(guard.worker_rolls(), 0);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _armed = plan.arm();
+                    point("armed");
+                    assert_eq!(take_trace().len(), 1);
+                });
+            });
+            assert_eq!(guard.worker_rolls(), 1);
         }
 
         #[test]

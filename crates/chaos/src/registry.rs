@@ -137,7 +137,7 @@ mod imp {
     #[inline]
     pub fn fire_blocked(site: &'static PointSite) {
         register(site);
-        if !crate::sched::block_current(site.name()) {
+        if !crate::sched::yield_point(site.name(), true) {
             crate::point(site.name());
         }
     }

@@ -1,8 +1,8 @@
 //! Deterministic cooperative scheduling over the failpoint graph.
 //!
 //! A [`SchedulePlan`] replaces `ChaosPlan`'s random perturbation with an
-//! *enumerable* one: while a schedule is active, exactly one registered
-//! thread runs at a time, and every named failpoint becomes a cooperative
+//! *enumerable* one: within a run, exactly one of its scheduled threads
+//! runs at a time, and every named failpoint becomes a cooperative
 //! yield point where the scheduler decides who runs next. Decisions are an
 //! explicit sequence of thread ids, consumed only at *branch points* —
 //! yield points where two or more threads are eligible. Forced moves
@@ -205,13 +205,23 @@ impl ScheduleOutcome {
     }
 }
 
+/// A scenario thread's panic message.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(feature = "chaos")]
 pub(crate) mod imp {
-    use super::{BranchPoint, ScheduleOutcome, SchedulePlan, MAX_SCHED_THREADS};
-    use std::cell::Cell;
+    use super::{panic_text, BranchPoint, ScheduleOutcome, SchedulePlan, MAX_SCHED_THREADS};
+    use std::cell::RefCell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
     /// Private abort payload: unwinds scenario threads out of an aborted
     /// run. Filtered (not reported) by `run_schedule`.
@@ -234,7 +244,6 @@ pub(crate) mod imp {
 
     #[derive(Default)]
     struct Inner {
-        active: bool,
         threads: Vec<TState>,
         arrived: usize,
         /// The thread currently granted the virtual CPU.
@@ -256,38 +265,19 @@ pub(crate) mod imp {
         trace: Vec<(usize, &'static str)>,
     }
 
-    static STATE: Mutex<Inner> = Mutex::new(Inner {
-        active: false,
-        threads: Vec::new(),
-        arrived: 0,
-        current: None,
-        last_running: None,
-        decisions: Vec::new(),
-        next_decision: 0,
-        branches: Vec::new(),
-        steps: 0,
-        max_steps: 0,
-        preemptions: 0,
-        wake_seq: 0,
-        deadlocked: false,
-        step_limit_hit: false,
-        stale: false,
-        aborting: false,
-        trace: Vec::new(),
-    });
-    static CV: Condvar = Condvar::new();
-    /// Fast-path gate: true only while a schedule run is in flight.
-    static SCHED_ACTIVE: AtomicBool = AtomicBool::new(false);
-    /// The active schedule's encoding, for replay-recipe reporting.
-    static ACTIVE_SCHEDULE: Mutex<Option<String>> = Mutex::new(None);
-
-    thread_local! {
-        /// This thread's scheduled id, if it is part of the active run.
-        static SCHED_ID: Cell<Option<usize>> = const { Cell::new(None) };
+    /// One run's scheduler, shared by that run's scheduled threads only.
+    struct Sched {
+        inner: Mutex<Inner>,
+        cv: Condvar,
+        /// The run's schedule encoding, for replay-recipe reporting.
+        encoding: String,
     }
 
-    fn lock() -> MutexGuard<'static, Inner> {
-        STATE.lock().unwrap_or_else(PoisonError::into_inner)
+    thread_local! {
+        /// The run this thread is scheduled in, and its id there. `None`
+        /// on every thread outside a run: its failpoints take the fast
+        /// path.
+        static RUN: RefCell<Option<(Arc<Sched>, usize)>> = const { RefCell::new(None) };
     }
 
     fn abort_unwind() -> ! {
@@ -298,9 +288,9 @@ pub(crate) mod imp {
     /// Never blocks and never panics; on no-eligible-threads it either
     /// records a deadlock (someone unfinished) or leaves `current` empty
     /// (everyone finished).
-    fn pick_next(inner: &mut Inner) {
+    fn pick_next(inner: &mut Inner, cv: &Condvar) {
         if inner.aborting {
-            CV.notify_all();
+            cv.notify_all();
             return;
         }
         let mut eligible: Vec<usize> = Vec::new();
@@ -327,7 +317,7 @@ pub(crate) mod imp {
                 inner.deadlocked = true;
                 inner.aborting = true;
             }
-            CV.notify_all();
+            cv.notify_all();
             return;
         }
         let running = inner.last_running;
@@ -341,7 +331,7 @@ pub(crate) mod imp {
                 if !eligible.contains(&d) {
                     inner.stale = true;
                     inner.aborting = true;
-                    CV.notify_all();
+                    cv.notify_all();
                     return;
                 }
                 d
@@ -365,176 +355,129 @@ pub(crate) mod imp {
             }
         }
         inner.current = Some(chosen);
-        CV.notify_all();
+        cv.notify_all();
     }
 
-    /// Parks until this thread is granted the CPU (or the run aborts).
-    fn wait_granted(mut inner: MutexGuard<'static, Inner>, me: usize) {
-        loop {
+    impl Sched {
+        fn lock(&self) -> MutexGuard<'_, Inner> {
+            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Parks until thread `me` is granted the CPU (or the run aborts).
+        fn wait_granted(&self, mut inner: MutexGuard<'_, Inner>, me: usize) {
+            loop {
+                if inner.aborting {
+                    drop(inner);
+                    abort_unwind();
+                }
+                if inner.current == Some(me) {
+                    inner.threads[me] = TState::Running;
+                    return;
+                }
+                inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+
+        fn enter(&self, me: usize) {
+            let mut inner = self.lock();
+            inner.threads[me] = TState::Runnable;
+            inner.arrived += 1;
+            if inner.arrived == inner.threads.len() {
+                // All threads at the start barrier: first dispatch. With
+                // >1 thread this is the run's first branch point.
+                pick_next(&mut inner, &self.cv);
+            }
+            self.wait_granted(inner, me);
+        }
+
+        fn leave(&self, me: usize) {
+            let mut inner = self.lock();
+            inner.threads[me] = TState::Finished;
+            if inner.aborting {
+                self.cv.notify_all();
+                return;
+            }
+            if inner.current == Some(me) {
+                inner.current = None;
+                inner.last_running = None;
+                pick_next(&mut inner, &self.cv);
+            }
+        }
+
+        /// Thread `me` reached the yield point `name`: records the step,
+        /// parks it (runnable, or blocked until the next wake hint), and
+        /// returns once it is granted the CPU again.
+        fn step(&self, me: usize, name: &'static str, blocked: bool) {
+            // During unwind (a scenario panic or a scheduler abort), pass
+            // through without scheduling: parking here could double-panic.
+            if std::thread::panicking() {
+                return;
+            }
+            let mut inner = self.lock();
             if inner.aborting {
                 drop(inner);
                 abort_unwind();
             }
-            if inner.current == Some(me) {
-                inner.threads[me] = TState::Running;
-                return;
+            inner.steps += 1;
+            if inner.trace.len() < 4096 {
+                inner.trace.push((me, name));
             }
-            inner = CV.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            if inner.steps > inner.max_steps {
+                inner.step_limit_hit = true;
+                inner.aborting = true;
+                self.cv.notify_all();
+                drop(inner);
+                abort_unwind();
+            }
+            inner.threads[me] = if blocked {
+                TState::Blocked {
+                    since: inner.wake_seq,
+                }
+            } else {
+                TState::Runnable
+            };
+            inner.last_running = Some(me);
+            pick_next(&mut inner, &self.cv);
+            self.wait_granted(inner, me);
         }
     }
 
-    fn enter(me: usize) {
-        SCHED_ID.with(|c| c.set(Some(me)));
-        let mut inner = lock();
-        debug_assert!(inner.active);
-        inner.threads[me] = TState::Runnable;
-        inner.arrived += 1;
-        if inner.arrived == inner.threads.len() {
-            // All threads at the start barrier: first dispatch. With >1
-            // thread this is the run's first branch point.
-            pick_next(&mut inner);
-        }
-        wait_granted(inner, me);
+    /// Runs `f` with the calling thread's run and id, if it is scheduled.
+    fn with_run<T>(f: impl FnOnce(&Sched, usize) -> T) -> Option<T> {
+        RUN.with_borrow(|run| run.as_ref().map(|(sched, me)| f(sched, *me)))
     }
 
-    fn leave(me: usize) {
-        SCHED_ID.with(|c| c.set(None));
-        let mut inner = lock();
-        if !inner.active {
-            return;
-        }
-        inner.threads[me] = TState::Finished;
-        if inner.aborting {
-            CV.notify_all();
-            return;
-        }
-        if inner.current == Some(me) {
-            inner.current = None;
-            inner.last_running = None;
-            pick_next(&mut inner);
-        }
-    }
-
-    /// Common preamble for yield/blocked points. Returns the guard with
-    /// the step recorded, or `None` if this call should be a no-op (not
-    /// a scheduled thread, inactive, or unwinding).
-    fn step_prologue(name: &'static str) -> Option<(MutexGuard<'static, Inner>, usize)> {
-        if !SCHED_ACTIVE.load(Ordering::Acquire) {
-            return None;
-        }
-        // During unwind (a scenario panic or a scheduler abort), pass
-        // through without scheduling: parking here could double-panic.
-        if std::thread::panicking() {
-            return None;
-        }
-        let me = SCHED_ID.with(Cell::get)?;
-        let mut inner = lock();
-        if !inner.active {
-            return None;
-        }
-        if inner.aborting {
-            drop(inner);
-            abort_unwind();
-        }
-        inner.steps += 1;
-        if inner.trace.len() < 4096 {
-            inner.trace.push((me, name));
-        }
-        if inner.steps > inner.max_steps {
-            inner.step_limit_hit = true;
-            inner.aborting = true;
-            CV.notify_all();
-            drop(inner);
-            abort_unwind();
-        }
-        Some((inner, me))
-    }
-
-    /// A cooperative yield point. Returns true if the call was handled by
-    /// an active scheduler (so chaos rolls should be skipped).
-    pub fn maybe_yield(name: &'static str) -> bool {
-        if !SCHED_ACTIVE.load(Ordering::Acquire) {
-            return false;
-        }
-        let Some((mut inner, me)) = step_prologue(name) else {
-            // Active schedule but this thread is not part of it (or we
-            // are unwinding): swallow the point, no chaos roll either.
-            return true;
-        };
-        inner.threads[me] = TState::Runnable;
-        inner.last_running = Some(me);
-        pick_next(&mut inner);
-        wait_granted(inner, me);
-        true
-    }
-
-    /// A blocking yield point. Returns true if handled by an active
-    /// scheduler; false means the caller should fall back to its own
-    /// spin-wait (plus an ordinary chaos roll).
-    pub fn block_current(name: &'static str) -> bool {
-        if !SCHED_ACTIVE.load(Ordering::Acquire) {
-            return false;
-        }
-        let Some((mut inner, me)) = step_prologue(name) else {
-            // Unregistered thread under an active schedule: let it spin
-            // for real, but don't inject chaos noise.
-            return true;
-        };
-        let since = inner.wake_seq;
-        inner.threads[me] = TState::Blocked { since };
-        inner.last_running = Some(me);
-        pick_next(&mut inner);
-        wait_granted(inner, me);
-        true
+    /// A cooperative yield point, blocking (until the next wake hint) or
+    /// not. Returns true if the calling thread is scheduled in a run; false
+    /// means it rolls its plan instead (and a blocking caller spin-waits).
+    pub(crate) fn yield_point(name: &'static str, blocked: bool) -> bool {
+        with_run(|sched, me| sched.step(me, name, blocked)).is_some()
     }
 
     /// Signals that shared state changed in a way that may unblock a
     /// `blocked!` waiter (lock released, reader exited, grace period
-    /// completed). Cheap no-op outside an active schedule.
+    /// completed). Cheap no-op on a thread outside a run; a wake advances
+    /// only its own run's wake clock.
     pub fn wake_hint() {
-        if !SCHED_ACTIVE.load(Ordering::Acquire) {
-            return;
-        }
-        // Only scheduled threads advance the wake clock: wakes from
-        // unrelated threads in the same process (parallel tests) would
-        // make eligibility — and thus branch sets — nondeterministic.
-        if SCHED_ID.with(Cell::get).is_none() {
-            return;
-        }
-        let mut inner = lock();
-        if inner.active {
-            inner.wake_seq += 1;
+        if crate::chaos_active() {
+            with_run(|sched, _| sched.lock().wake_seq += 1);
         }
     }
 
-    /// The active schedule's compact encoding, if a run is in flight.
+    /// The compact encoding of the schedule the calling thread runs in,
+    /// if it is scheduled.
     #[must_use]
     pub fn active_schedule() -> Option<String> {
-        if !SCHED_ACTIVE.load(Ordering::Acquire) {
-            return None;
-        }
-        ACTIVE_SCHEDULE
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+        with_run(|sched, _| sched.encoding.clone())
     }
 
     /// Runs `threads` under the deterministic cooperative scheduler,
     /// driven by `plan`. Blocks until every thread finishes or the run
     /// aborts (deadlock / step budget / stale decision).
     ///
-    /// Takes the same global serialization lock as `ChaosPlan::install`,
-    /// so schedule runs never overlap chaos runs or each other.
+    /// Each call builds its own scheduler and hands it to the threads it
+    /// spawns, so runs on different threads proceed side by side and
+    /// never see each other's yield points, wakes or mutants.
     pub fn run_schedule(
         plan: &SchedulePlan,
         threads: Vec<Box<dyn FnOnce() + Send + '_>>,
@@ -544,35 +487,32 @@ pub(crate) mod imp {
             (1..=MAX_SCHED_THREADS).contains(&n),
             "run_schedule supports 1..={MAX_SCHED_THREADS} threads, got {n}"
         );
-        let _serial = crate::point::serial_lock();
-        {
-            let mut inner = lock();
-            *inner = Inner {
-                active: true,
+        let sched = Arc::new(Sched {
+            inner: Mutex::new(Inner {
                 threads: vec![TState::NotArrived; n],
                 max_steps: plan.max_steps(),
                 decisions: plan.decisions().to_vec(),
                 ..Inner::default()
-            };
-        }
-        *ACTIVE_SCHEDULE
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(plan.encode());
-        SCHED_ACTIVE.store(true, Ordering::Release);
+            }),
+            cv: Condvar::new(),
+            encoding: plan.encode(),
+        });
 
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for (i, f) in threads.into_iter().enumerate() {
-                let panics = &panics;
+                let (panics, sched) = (&panics, Arc::clone(&sched));
                 std::thread::Builder::new()
                     .name(format!("sched-{i}"))
                     .spawn_scoped(s, move || {
                         crate::mutant::arm(&plan.mutants);
-                        let result = catch_unwind(AssertUnwindSafe(move || {
-                            enter(i);
+                        RUN.set(Some((Arc::clone(&sched), i)));
+                        crate::point::engage(true);
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            sched.enter(i);
                             f();
                         }));
-                        leave(i);
+                        sched.leave(i);
                         if let Err(payload) = result {
                             if payload.downcast_ref::<SchedAbort>().is_none() {
                                 panics
@@ -586,12 +526,7 @@ pub(crate) mod imp {
             }
         });
 
-        SCHED_ACTIVE.store(false, Ordering::Release);
-        *ACTIVE_SCHEDULE
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        let mut inner = lock();
-        inner.active = false;
+        let mut inner = sched.lock();
         let mut thread_panics = panics.into_inner().unwrap_or_else(PoisonError::into_inner);
         thread_panics.sort_by_key(|&(i, _)| i);
         ScheduleOutcome {
@@ -613,18 +548,8 @@ pub(crate) mod imp {
 
 #[cfg(not(feature = "chaos"))]
 pub(crate) mod imp {
-    use super::{ScheduleOutcome, SchedulePlan, MAX_SCHED_THREADS};
+    use super::{panic_text, ScheduleOutcome, SchedulePlan, MAX_SCHED_THREADS};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[allow(dead_code)]
-    pub fn maybe_yield(_name: &'static str) -> bool {
-        false
-    }
-
-    #[allow(dead_code)]
-    pub fn block_current(_name: &'static str) -> bool {
-        false
-    }
 
     /// No-op in this build (failpoints are compiled out).
     #[inline(always)]
@@ -653,20 +578,15 @@ pub(crate) mod imp {
         let mut outcome = ScheduleOutcome::default();
         for (i, f) in threads.into_iter().enumerate() {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let text = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                outcome.panics.push(format!("thread {i}: {text}"));
+                outcome
+                    .panics
+                    .push(format!("thread {i}: {}", panic_text(&*payload)));
             }
         }
         outcome
     }
 }
 
+#[cfg(feature = "chaos")]
+pub(crate) use imp::yield_point;
 pub use imp::{active_schedule, run_schedule, wake_hint};
-#[allow(unused_imports)]
-pub(crate) use imp::{block_current, maybe_yield};

@@ -94,37 +94,39 @@ fn default_policy_adds_zero_preemptions() {
     );
 }
 
+/// Thread 0 waits for a flag that only thread 1 sets.
+fn wake_run(plan: &SchedulePlan) -> ExploredRun {
+    let flag = AtomicBool::new(false);
+    let outcome = run2(
+        plan,
+        || {
+            while !flag.load(Ordering::Acquire) {
+                chaos::blocked!("toy/wait/flag");
+                std::hint::spin_loop();
+            }
+        },
+        || {
+            chaos::point!("toy/wait/before-set");
+            flag.store(true, Ordering::Release);
+            chaos::wake_hint();
+        },
+    );
+    ExploredRun {
+        verdict: if outcome.clean() {
+            Ok(())
+        } else {
+            Err(format!("{outcome:?}"))
+        },
+        outcome,
+    }
+}
+
 #[test]
 fn blocked_thread_wakes_on_hint() {
-    // Thread 0 waits for a flag that only thread 1 sets: every schedule
-    // must complete (the scheduler may not strand the waiter), and under
-    // the empty plan thread 0 runs first, so the wait is actually taken.
-    let explorer = Explorer::with_bound(2);
-    let report = explorer.explore(|plan| {
-        let flag = AtomicBool::new(false);
-        let outcome = run2(
-            plan,
-            || {
-                while !flag.load(Ordering::Acquire) {
-                    chaos::blocked!("toy/wait/flag");
-                    std::hint::spin_loop();
-                }
-            },
-            || {
-                chaos::point!("toy/wait/before-set");
-                flag.store(true, Ordering::Release);
-                chaos::wake_hint();
-            },
-        );
-        ExploredRun {
-            verdict: if outcome.clean() {
-                Ok(())
-            } else {
-                Err(format!("{outcome:?}"))
-            },
-            outcome,
-        }
-    });
+    // Every schedule must complete (the scheduler may not strand the
+    // waiter), and under the empty plan thread 0 runs first, so the wait
+    // is actually taken.
+    let report = Explorer::with_bound(2).explore(wake_run);
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(report.completed);
     assert_eq!(report.deadlocks, 0);
@@ -226,31 +228,33 @@ fn a_plan_arms_its_mutants_on_its_scheduled_threads_only() {
 /// The classic lost update: both threads read-modify-write a counter
 /// with a yield point between the read and the write. Sequential (and
 /// any zero-preemption) schedules end at 2; only a mid-RMW preemption
-/// loses an update. The explorer must miss it at bound 0 and find it at
+/// loses an update.
+fn lost_update_run(plan: &SchedulePlan) -> ExploredRun {
+    let x = AtomicU64::new(0);
+    let rmw = || {
+        let v = x.load(Ordering::SeqCst);
+        chaos::point!("toy/race/mid-rmw");
+        x.store(v + 1, Ordering::SeqCst);
+    };
+    let outcome = run2(plan, rmw, rmw);
+    let finl = x.load(Ordering::SeqCst);
+    ExploredRun {
+        verdict: if !outcome.clean() {
+            Err(format!("{outcome:?}"))
+        } else if finl == 2 {
+            Ok(())
+        } else {
+            Err(format!("lost update: final={finl}"))
+        },
+        outcome,
+    }
+}
+
+/// The explorer must miss the lost update at bound 0 and find it at
 /// bound 1, with a schedule that replays to the same verdict.
 #[test]
 fn explorer_finds_lost_update_at_bound_one() {
-    let run_once = |plan: &SchedulePlan| {
-        let x = AtomicU64::new(0);
-        let rmw = || {
-            let v = x.load(Ordering::SeqCst);
-            chaos::point!("toy/race/mid-rmw");
-            x.store(v + 1, Ordering::SeqCst);
-        };
-        let outcome = run2(plan, rmw, rmw);
-        let finl = x.load(Ordering::SeqCst);
-        ExploredRun {
-            verdict: if !outcome.clean() {
-                Err(format!("{outcome:?}"))
-            } else if finl == 2 {
-                Ok(())
-            } else {
-                Err(format!("lost update: final={finl}"))
-            },
-            outcome,
-        }
-    };
-
+    let run_once = lost_update_run;
     let bound0 = Explorer::with_bound(0).explore(run_once);
     assert!(
         bound0.failure.is_none(),
@@ -311,4 +315,86 @@ fn sweep_counts_are_stable() {
         "enumeration must be deterministic"
     );
     assert!(a.schedules > 1, "2×2-step scenario has real branching");
+}
+
+/// What a sweep's report must reproduce: schedule count, completion,
+/// failures and deadlocks seen, and the minimal failing schedule.
+fn summary(r: &chaos::ExploreReport) -> (usize, bool, usize, usize, Option<(String, usize)>) {
+    let failure = r
+        .failure
+        .as_ref()
+        .map(|f| (f.schedule.clone(), f.preemptions));
+    (
+        r.schedules,
+        r.completed,
+        r.failures_seen,
+        r.deadlocks,
+        failure,
+    )
+}
+
+/// Each run has a scheduler of its own: two different sweeps started
+/// together on two threads report exactly what each reports alone.
+#[test]
+fn two_sweeps_at_once_report_what_each_reports_alone() {
+    let racy = || {
+        Explorer::new(ExploreConfig {
+            max_preemptions: 2,
+            stop_on_failure: false,
+            ..ExploreConfig::default()
+        })
+        .explore(lost_update_run)
+    };
+    let waiting = || Explorer::with_bound(3).explore(wake_run);
+    let (racy_alone, waiting_alone) = (summary(&racy()), summary(&waiting()));
+    assert!(racy_alone.4.is_some() && waiting_alone.4.is_none());
+    let start = std::sync::Barrier::new(2);
+    let (racy_beside, waiting_beside) = std::thread::scope(|s| {
+        let r = s.spawn(|| {
+            start.wait();
+            summary(&racy())
+        });
+        let w = s.spawn(|| {
+            start.wait();
+            summary(&waiting())
+        });
+        (r.join().unwrap(), w.join().unwrap())
+    });
+    assert_eq!(racy_beside, racy_alone);
+    assert_eq!(waiting_beside, waiting_alone);
+}
+
+/// 200 fires of two points under a traced plan, in four barrier-separated
+/// rounds, on a fresh thread that draws its stream from its own plan.
+fn plan_trace(seed: u64, rounds: &std::sync::Barrier) -> Vec<chaos::TraceEntry> {
+    let _plan = chaos::install(chaos::ChaosPlan::from_seed(seed).traced(true));
+    for i in 0..200 {
+        if i % 50 == 0 {
+            rounds.wait();
+        }
+        chaos::point!("toy/plans/step");
+        let _ = chaos::should_fail!("toy/plans/fail");
+    }
+    chaos::take_trace()
+}
+
+/// A plan belongs to the threads armed with it: two traced plans
+/// installed at once on two threads each replay their solo trace.
+#[test]
+fn two_plans_at_once_each_replay_their_solo_trace() {
+    let solo = |seed| {
+        let alone = std::sync::Barrier::new(1);
+        std::thread::scope(|s| s.spawn(|| plan_trace(seed, &alone)).join().unwrap())
+    };
+    let (a_alone, b_alone) = (solo(0xA11CE), solo(0xB0B));
+    assert_eq!(a_alone.len(), 400);
+    assert_ne!(a_alone, b_alone, "different seeds must diverge");
+    let together = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| plan_trace(0xA11CE, &together));
+        let b = s.spawn(|| plan_trace(0xB0B, &together));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, a_alone);
+    assert_eq!(b, b_alone);
 }

@@ -23,8 +23,8 @@
 
 use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
-    explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig, Explorer,
-    ScenarioOp, ScheduleFailure, ScheduleScenario,
+    explore_config, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
+    Explorer, ScenarioOp, ScheduleFailure, ScheduleScenario,
 };
 use citrus_api::{ConcurrentMap, OrderedMapSession};
 use std::path::PathBuf;
@@ -68,13 +68,6 @@ fn remove_expected_dump(dump: Option<PathBuf>) {
         .unwrap_or_else(|e| panic!("named dump {} not removable: {e}", dump.display()));
 }
 
-fn bounded(max_preemptions: usize) -> ExploreConfig {
-    ExploreConfig {
-        max_preemptions,
-        ..ExploreConfig::default()
-    }
-}
-
 const SKIP_SYNCHRONIZE: &str = "citrus/remove/skip-synchronize";
 const SKIP_SCAN_VALIDATION: &str = "citrus/scan/skip-validation";
 
@@ -95,7 +88,7 @@ where
     V: Fn(&mut M) -> Result<(), String> + Copy,
 {
     let planted = scenario.clone().mutant(mutant);
-    let report = explore_schedules_with(make, &planted, bounded(2), validate);
+    let report = explore_schedules_with(make, &planted, explore_config(2), validate);
     let failure = report
         .failure
         .unwrap_or_else(|| panic!("[{}] the {mutant} mutant must be caught", scenario.name));
@@ -124,7 +117,7 @@ where
 fn inline_delete_window_sweep_is_clean() {
     let _watchdog = stress_watchdog("inline_delete_window_sweep_is_clean");
     let scenario = delete_window_scenario("inline-two-child-delete");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let report = explore_schedules_with(make_inline, &scenario, explore_config(2), validate);
     report.assert_clean(scenario.name);
     // Coverage claims only hold for a full enumeration: a budget-limited
     // lane or a CITRUS_SCHEDULE single-run replay skips them.
@@ -160,9 +153,9 @@ fn inline_delete_window_sweep_is_clean() {
 fn explored_schedule_count_is_stable() {
     let _watchdog = stress_watchdog("explored_schedule_count_is_stable");
     let scenario = delete_window_scenario("inline-two-child-delete-count");
-    let first = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
+    let first = explore_schedules_with(make_inline, &scenario, explore_config(1), validate);
     first.assert_clean(scenario.name);
-    let second = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
+    let second = explore_schedules_with(make_inline, &scenario, explore_config(1), validate);
     assert_eq!(
         first.schedules, second.schedules,
         "same scenario and bound must enumerate the same schedule set"
@@ -192,14 +185,14 @@ fn a_mutant_sweep_beside_a_clean_sweep_stays_in_its_own_runs() {
             let scenario = delete_window_scenario("parallel-mutant").mutant(SKIP_SYNCHRONIZE);
             let config = ExploreConfig {
                 stop_on_failure: false,
-                ..bounded(2)
+                ..explore_config(2)
             };
             explore_schedules_with(make_inline, &scenario, config, validate)
         });
         let clean = s.spawn(|| {
             start.wait();
             let scenario = delete_window_scenario("parallel-clean");
-            explore_schedules_with(make_inline, &scenario, bounded(1), validate)
+            explore_schedules_with(make_inline, &scenario, explore_config(1), validate)
         });
         (planted.join().unwrap(), clean.join().unwrap())
     });
@@ -309,7 +302,7 @@ fn successor_resurrection_scenario(name: &'static str) -> ScheduleScenario {
 fn successor_resurrection_window_sweep_is_clean() {
     let _watchdog = stress_watchdog("successor_resurrection_window_sweep_is_clean");
     let scenario = successor_resurrection_scenario("successor-copy-vs-remove-successor");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let report = explore_schedules_with(make_inline, &scenario, explore_config(2), validate);
     report.assert_clean(scenario.name);
     if !report.completed {
         return;
@@ -345,7 +338,7 @@ fn scan_window_scenario(name: &'static str) -> ScheduleScenario {
 fn scan_vs_inline_two_child_delete_sweep_is_clean() {
     let _watchdog = stress_watchdog("scan_vs_inline_two_child_delete_sweep_is_clean");
     let scenario = scan_window_scenario("scan-vs-inline-two-child-delete");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let report = explore_schedules_with(make_inline, &scenario, explore_config(2), validate);
     report.assert_clean(scenario.name);
     if !report.completed {
         return;
@@ -398,7 +391,7 @@ fn scan_skip_validation_mutant_is_caught() {
 fn torn_scan_sweep_is_clean_with_validation() {
     let _watchdog = stress_watchdog("torn_scan_sweep_is_clean_with_validation");
     let scenario = torn_scan_scenario("torn-scan-validated");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let report = explore_schedules_with(make_inline, &scenario, explore_config(2), validate);
     report.assert_clean(scenario.name);
 }
 
@@ -468,7 +461,12 @@ fn hash_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 fn hash_forest_scan_window_sweep_is_clean() {
     let _watchdog = stress_watchdog("hash_forest_scan_window_sweep_is_clean");
     let scenario = hash_forest_scan_scenario("hash-forest-scan-vs-two-child-delete");
-    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
+    let report = explore_schedules_with(
+        make_hash_forest,
+        &scenario,
+        explore_config(2),
+        validate_forest,
+    );
     report.assert_clean(scenario.name);
     if !report.completed {
         return;
@@ -514,7 +512,12 @@ fn hash_forest_scan_skip_validation_mutant_is_caught() {
 fn hash_forest_torn_scan_sweep_is_clean_with_validation() {
     let _watchdog = stress_watchdog("hash_forest_torn_scan_sweep_is_clean_with_validation");
     let scenario = hash_forest_torn_scan_scenario("hash-forest-torn-scan-validated");
-    let report = explore_schedules_with(make_hash_forest, &scenario, bounded(2), validate_forest);
+    let report = explore_schedules_with(
+        make_hash_forest,
+        &scenario,
+        explore_config(2),
+        validate_forest,
+    );
     report.assert_clean(scenario.name);
     if !report.completed {
         return;
@@ -561,7 +564,7 @@ fn forest_cross_shard_sweep_is_clean() {
         .thread(&[ScenarioOp::Remove(a), ScenarioOp::Get(a)])
         .thread(&[ScenarioOp::Insert(b, 2), ScenarioOp::Get(b)]);
     let make = || Forest::with_config(2, 0, ReclaimMode::Leak);
-    let report = explore_schedules_with(make, &scenario, bounded(1), |_| Ok(()));
+    let report = explore_schedules_with(make, &scenario, explore_config(1), |_| Ok(()));
     report.assert_clean(scenario.name);
     if !report.completed {
         return;
@@ -580,9 +583,8 @@ fn forest_cross_shard_sweep_is_clean() {
 fn explore_budget_marks_sweep_incomplete() {
     let _watchdog = stress_watchdog("explore_budget_marks_sweep_incomplete");
     let config = ExploreConfig {
-        max_preemptions: 2,
         budget: Some(Duration::from_millis(0)),
-        ..ExploreConfig::default()
+        ..explore_config(2)
     };
     let explorer = Explorer::new(config);
     let report = explorer.explore(|plan| citrus_api::testkit::ExploredRun {

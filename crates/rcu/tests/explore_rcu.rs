@@ -22,6 +22,7 @@
 
 #![cfg(feature = "chaos")]
 
+use citrus_api::testkit::explore_config;
 use citrus_chaos::{run_schedule, ExploreReport, ExploredRun, Explorer};
 use citrus_rcu::{GlobalLockRcu, RcuFlavor, RcuHandle, ScalableRcu};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -69,7 +70,7 @@ fn grace_period_run<F: RcuFlavor>(rcu: &F, writers: usize) -> Vec<Box<dyn FnOnce
 }
 
 fn sweep<F: RcuFlavor>(bound: usize, writers: usize) -> ExploreReport {
-    Explorer::with_bound(bound).explore(|plan| {
+    Explorer::new(explore_config(bound)).explore(|plan| {
         let rcu = F::new();
         let outcome = run_schedule(plan, grace_period_run(&rcu, writers));
         ExploredRun {

@@ -19,9 +19,10 @@ fn grace_period_chaos_sweep<F: RcuFlavor>(name: &str) {
     let _watchdog = testkit::stress_watchdog(name);
     for i in 0..testkit::chaos_seeds(3) {
         let seed = 0x6B5E_A000u64.wrapping_add(i);
-        let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
+        let chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         testkit::check_grace_period_property(&F::new(), 4, 40);
         testkit::check_grace_period_property(&F::new(), 2, 20);
+        testkit::assert_workers_armed(&chaos, &format!("{name} seed {seed:#x}"));
     }
 }
 

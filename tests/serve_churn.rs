@@ -119,28 +119,37 @@ fn client_churn_loses_no_acked_writes() {
 /// Churn under chaos schedules: the same wave pattern (scaled down) with
 /// schedule perturbation installed, swept over `CITRUS_CHAOS_SEEDS`
 /// seeds. A no-op without the `chaos` feature; under it, failpoints in
-/// the admission and shutdown paths get yields and spin-delays injected.
+/// the admission and shutdown paths of both clients, each armed with the
+/// seed's plan, get yields and spin-delays injected.
 #[test]
 fn client_churn_under_chaos_schedules() {
     let _watchdog = testkit::stress_watchdog("serve_churn::chaos_schedules");
     let seeds = testkit::chaos_seeds(2);
     for i in 0..seeds {
         let seed = 0x5E_7000u64.wrapping_add(i);
-        let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
+        let chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let server: Server<u64, u64> =
             Server::new(CitrusForest::with_config(2, seed, ReclaimMode::Epoch));
+        let plan = chaos.handle();
         let model = std::thread::scope(|scope| {
             let w = {
-                let server = &server;
-                scope.spawn(move || writer(server, 0, seed))
+                let (server, plan) = (&server, &plan);
+                scope.spawn(move || {
+                    let _chaos = plan.arm();
+                    writer(server, 0, seed)
+                })
             };
             let d = {
-                let server = &server;
-                scope.spawn(move || dropper(server, seed ^ 0xD0D))
+                let (server, plan) = (&server, &plan);
+                scope.spawn(move || {
+                    let _chaos = plan.arm();
+                    dropper(server, seed ^ 0xD0D)
+                })
             };
             d.join().expect("dropper thread");
             w.join().expect("writer thread")
         });
+        testkit::assert_workers_armed(&chaos, &format!("serve churn seed {seed:#x}"));
         let mut forest = server.into_forest();
         let expected: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(
